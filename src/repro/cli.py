@@ -179,7 +179,6 @@ def _run_analyze(args) -> int:
         root_entropy=args.seed,
         pair=dataset.name,
         workers=args.analysis_workers,
-        chunk_size=args.chunk_size,
     )
     report = build_security_report(
         cgan,
@@ -450,7 +449,6 @@ def _run_experiment(args) -> int:
             workers=args.workers,
             executor=args.executor,
             analysis_workers=args.analysis_workers,
-            chunk_size=args.chunk_size,
             trace=args.trace,
             feature_cache=args.feature_cache,
             checkpoint_every=args.checkpoint_every,
@@ -536,9 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--analysis-workers", type=int, default=1,
                    help="parallel (pair, condition) analysis workers")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="test rows per Parzen scoring block "
-                        "(default: memory-budget derived)")
     p.add_argument("--profile", action="store_true",
                    help="run under cProfile; dump pstats next to the model")
     p.set_defaults(func=_cmd_analyze)
@@ -569,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair-training executor (default: by worker count)")
     p.add_argument("--analysis-workers", type=int, default=1,
                    help="parallel (pair, condition) analysis workers")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="test rows per Parzen scoring block "
-                        "(default: memory-budget derived)")
     p.add_argument("--trace", action="store_true",
                    help="write training events to <out>/trace.jsonl")
     p.add_argument("--progress", action="store_true",

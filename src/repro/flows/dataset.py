@@ -189,3 +189,15 @@ class FlowPairDataset:
             f"FlowPairDataset(name={self.name!r}, n={len(self)}, "
             f"feature_dim={self.feature_dim}, condition_dim={self.condition_dim})"
         )
+
+
+def condition_indices(conditions, rows) -> np.ndarray:
+    """Position of each condition vector in *rows* within *conditions*."""
+    index = {tuple(c): i for i, c in enumerate(conditions)}
+    try:
+        return np.array([index[tuple(r)] for r in rows], dtype=int)
+    except KeyError as err:
+        raise DataError(
+            f"condition {list(err.args[0])} is not one of the "
+            f"{len(index)} known conditions"
+        ) from None

@@ -36,18 +36,12 @@ class CGANConfig:
 
 @dataclass
 class AnalysisConfig:
-    """Parameters for the Algorithm 3 security analysis.
-
-    ``chunk_size`` bounds how many test rows each blocked Parzen
-    scoring pass materializes (``None`` = derived from the default
-    memory budget); it never changes the numbers, only the footprint.
-    """
+    """Parameters for the Algorithm 3 security analysis."""
 
     h: float = 0.2
     g_size: int = 200
     test_fraction: float = 0.25
     feature_indices: tuple | None = None
-    chunk_size: int | None = None
 
     def __post_init__(self):
         if self.h <= 0:
@@ -56,10 +50,6 @@ class AnalysisConfig:
             raise ConfigurationError("g_size must be > 0")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}"
-            )
 
 
 @dataclass

@@ -69,7 +69,6 @@ class ExperimentConfig:
     workers: int = 1
     executor: str | None = None
     analysis_workers: int = 1
-    chunk_size: int | None = None
     trace: bool = False
     #: Optional directory for the on-disk raw-feature cache; repeated
     #: experiments over identical recorded audio skip CWT extraction.
@@ -149,7 +148,6 @@ def _build_pipeline(config: ExperimentConfig) -> GANSec:
                 h=config.h,
                 g_size=config.g_size,
                 test_fraction=config.test_fraction,
-                chunk_size=config.chunk_size,
             ),
             seed=config.seed,
             workers=config.workers,

@@ -328,7 +328,6 @@ class GANSec:
         workers: int | None = None,
         executor=None,
         bus: EventBus | None = None,
-        chunk_size: int | None = None,
     ) -> dict[FlowPairKey, SecurityReport]:
         """Run the security analysis for trained pairs.
 
@@ -336,7 +335,7 @@ class GANSec:
         computed by the parallel engine
         (:func:`repro.security.engine.run_security_analysis`): one job
         per (pair, condition), fanned out over the same executors as
-        training, with blocked Parzen scoring and a generated-sample
+        training, with fused Parzen scoring and a generated-sample
         cache that persists across repeated ``analyze()`` calls.  The
         per-job RNG streams derive from the pipeline seed and the
         (pair, condition) identity alone, so any *workers* / *executor*
@@ -354,10 +353,6 @@ class GANSec:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             ``AnalysisStarted`` / ``ConditionScored`` /
             ``AnalysisCompleted`` events.
-        chunk_size:
-            Test rows per scoring block; defaults to
-            ``config.analysis.chunk_size`` (``None`` = memory-budget
-            derived).
 
         Returns ``pair key -> SecurityReport`` and caches each report
         on its :class:`PairModel`.
@@ -376,8 +371,6 @@ class GANSec:
                 raise DataError(f"pair {key.as_tuple()} has no trained model")
         if workers is None:
             workers = self.config.analysis_workers
-        if chunk_size is None:
-            chunk_size = cfg.chunk_size
         likelihoods = run_security_analysis(
             [
                 AnalysisTarget(
@@ -395,7 +388,6 @@ class GANSec:
             executor=executor,
             workers=workers,
             bus=bus,
-            chunk_size=chunk_size,
             cache=self._sample_cache,
         )
         reports: dict[FlowPairKey, SecurityReport] = {}

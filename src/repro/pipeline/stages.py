@@ -15,9 +15,9 @@ stage                     paper step                             outputs
 ========================  =====================================  ==========================
 
 Each stage's ``config_slice`` holds exactly the configuration that
-affects its result — scheduling knobs (workers, executor, chunk sizes,
-tracing, caching, checkpoint cadence) are excluded, so changing them
-never re-runs anything.
+affects its result — scheduling knobs (workers, executor, tracing,
+caching, checkpoint cadence) are excluded, so changing them never
+re-runs anything.
 
 Every stage can *hydrate* its inputs from the artifact store when its
 upstream stages were skipped: ``analyze`` reloads the trained CGAN from

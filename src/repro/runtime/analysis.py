@@ -5,7 +5,7 @@ window fitted to generator samples, independently for every analyzed
 condition of every flow pair.  :class:`AnalysisJob` packages one such
 (pair, condition) cell — picklable, so the :mod:`repro.runtime.executors`
 process pool can run it — and :func:`run_analysis_job` executes it with
-blocked matrix scoring (:meth:`~repro.security.parzen.ParzenWindow.score_batch`).
+the fused :class:`~repro.security.parzen.ConditionalParzen` kernel.
 
 Determinism: the generator-noise stream for each job is derived from
 ``(root_entropy, pair label, condition)`` only (see
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.utils.rng import derive_rngs
 
 
@@ -144,7 +144,6 @@ class AnalysisJob:
     root_entropy: int
     sampler: object = None
     generated: np.ndarray | None = None
-    chunk_size: int | None = None
 
 
 @dataclass(eq=False)
@@ -167,7 +166,7 @@ class AnalysisOutcome:
 
 @dataclass
 class _SamplerRef:
-    """Deferred, picklable handle used by jobs that carry a CGAN."""
+    """Picklable ``(condition, n, rng) -> samples`` handle on a CGAN."""
 
     cgan: object = field(repr=False)
 
@@ -175,36 +174,71 @@ class _SamplerRef:
         return self.cgan.generate_for_condition(condition, n, seed=rng)
 
 
+def as_sampler(generator_sampler):
+    """Normalize a trained CGAN or a callable into a picklable
+    ``(condition, n, rng) -> samples``, fit for the process executor."""
+    from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
+
+    if isinstance(generator_sampler, ConditionalGAN):
+        generator_sampler.require_trained()
+        return _SamplerRef(generator_sampler)
+    if callable(generator_sampler):
+        return generator_sampler
+    raise ConfigurationError(
+        "generator_sampler must be a trained ConditionalGAN or a callable "
+        "(condition, n, rng) -> samples"
+    )
+
+
+def draw_condition_samples(
+    sampler, pair: str, condition, g_size: int, root_entropy: int, *, cache=None
+) -> np.ndarray:
+    """``g_size`` draws from ``G(Z | condition)`` on the :func:`analysis_rng`
+    stream of the cell, served from and stored in *cache* if given."""
+    key = None
+    if cache is not None:
+        key = cache.key(pair, condition, g_size, root_entropy)
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
+    rng = analysis_rng(root_entropy, pair, condition)
+    generated = np.asarray(sampler(condition, g_size, rng), dtype=float)
+    if generated.ndim != 2 or generated.shape[0] != g_size:
+        raise DataError(
+            f"sampler returned shape {generated.shape}, expected "
+            f"({g_size}, n_features)"
+        )
+    if cache is not None:
+        cache.put(key, generated)
+    return generated
+
+
 def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
     """Execute *job*; never raises.
 
     Algorithm 3 Lines 6-14 for one condition: draw ``GSize`` generator
-    samples (unless a cached draw is attached), fit a 1-D Parzen window
-    per analyzed feature, and average the scaled likelihoods of the
-    correctly- and incorrectly-labeled test rows via blocked scoring.
+    samples (unless a cached draw is attached), model every analyzed
+    feature with a 1-D Parzen window, and average the scaled
+    likelihoods of the correctly- and incorrectly-labeled test rows.
     """
     start = time.perf_counter()
     try:
-        from repro.security.parzen import ParzenWindow
+        from repro.security.likelihood import condition_likelihoods
+        from repro.security.parzen import ConditionalParzen
 
         cache_hit = job.generated is not None
         if cache_hit:
             generated = job.generated
         else:
-            rng = analysis_rng(job.root_entropy, job.pair, job.condition)
-            generated = np.asarray(job.sampler(job.condition, job.g_size, rng))
-        correct = job.correct_mask
-        incorrect = ~correct
-        n_feats = len(job.feature_indices)
-        avg_cor = np.empty(n_feats)
-        avg_inc = np.empty(n_feats)
-        for fi, ft in enumerate(job.feature_indices):
-            distr = ParzenWindow(job.h).fit(generated[:, ft])
-            likes = distr.likelihood(
-                job.test_features[:, ft], chunk_size=job.chunk_size
+            generated = draw_condition_samples(
+                job.sampler, job.pair, job.condition, job.g_size, job.root_entropy
             )
-            avg_cor[fi] = likes[correct].mean()
-            avg_inc[fi] = likes[incorrect].mean() if incorrect.any() else 0.0
+        model = ConditionalParzen(
+            job.h, [generated], feature_indices=job.feature_indices
+        )
+        avg_cor, avg_inc = condition_likelihoods(
+            model, job.test_features, 0, job.correct_mask
+        )
         return AnalysisOutcome(
             pair=job.pair,
             cond_index=job.cond_index,

@@ -4,6 +4,7 @@ mutual-information leakage metrics.
 """
 
 from repro.security.parzen import (
+    ConditionalParzen,
     ParzenWindow,
     resolve_chunk_size,
     silverman_bandwidth,
@@ -83,6 +84,7 @@ __all__ = [
     "LeakageReport",
     "LikelihoodResult",
     "RepeatedLikelihoodResult",
+    "ConditionalParzen",
     "ParzenWindow",
     "RocCurve",
     "SecurityReport",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.flows.dataset import FlowPairDataset
+from repro.flows.dataset import FlowPairDataset, condition_indices
 
 
 class EmpiricalConditionalSampler:
@@ -108,12 +108,5 @@ class NearestCentroidAttacker:
         return np.argmin(dists, axis=1)
 
     def accuracy(self, test_set: FlowPairDataset) -> float:
-        cond_index = {tuple(c): i for i, c in enumerate(self.conditions)}
-        true_idx = []
-        for row in test_set.conditions:
-            key = tuple(row)
-            if key not in cond_index:
-                raise DataError(f"unseen condition {list(key)} in test set")
-            true_idx.append(cond_index[key])
-        preds = self.infer(test_set.features)
-        return float((preds == np.asarray(true_idx)).mean())
+        true_idx = condition_indices(self.conditions, test_set.conditions)
+        return float((self.infer(test_set.features) == true_idx).mean())

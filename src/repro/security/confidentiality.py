@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
-from repro.security.parzen import ParzenWindow
+from repro.errors import ConfigurationError, NotFittedError
+from repro.flows.dataset import FlowPairDataset, condition_indices
+from repro.runtime.analysis import as_sampler
+from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import as_rng
 from repro.utils.tables import format_table
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -108,11 +109,9 @@ class SideChannelAttacker:
         g_size: int = 200,
         seed=None,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        if g_size <= 0:
-            raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-        self._sample = _as_sampler(generator_sampler)
+        check_positive(h, "h")
+        check_positive(g_size, "g_size")
+        self._sample = as_sampler(generator_sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         if self.conditions.shape[0] < 2:
             raise ConfigurationError("attacker needs at least 2 conditions")
@@ -122,27 +121,21 @@ class SideChannelAttacker:
         )
         self.g_size = int(g_size)
         self._seed = seed
-        self._models = None
+        self._model = None
 
     @property
     def fitted(self) -> bool:
-        return self._models is not None
+        return self._model is not None
 
     def fit(self) -> "SideChannelAttacker":
         """Draw generator samples and fit per-condition, per-feature
         1-D Parzen models (the same factorized structure Algorithm 3
         uses)."""
         rng = as_rng(self._seed)
-        self._models = []
-        for cond in self.conditions:
-            generated = self._sample(cond, self.g_size, rng)
-            if self.feature_indices is not None:
-                generated = generated[:, self.feature_indices]
-            per_feature = [
-                ParzenWindow(self.h).fit(generated[:, d])
-                for d in range(generated.shape[1])
-            ]
-            self._models.append(per_feature)
+        draws = [self._sample(cond, self.g_size, rng) for cond in self.conditions]
+        self._model = ConditionalParzen(
+            self.h, draws, feature_indices=self.feature_indices
+        )
         return self
 
     def log_likelihoods(self, features) -> np.ndarray:
@@ -155,21 +148,14 @@ class SideChannelAttacker:
         if not self.fitted:
             raise NotFittedError("SideChannelAttacker.fit() not called")
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        out = np.empty((features.shape[0], len(self._models)))
-        for ci, per_feature in enumerate(self._models):
-            if features.shape[1] != len(per_feature):
-                raise DataError(
-                    f"features have {features.shape[1]} columns, attacker "
-                    f"models expect {len(per_feature)}"
-                )
-            # Sum of per-dimension log densities == product of marginals.
-            total = np.zeros(features.shape[0])
-            for d, distr in enumerate(per_feature):
-                total += distr.score_samples(features[:, d])
-            out[:, ci] = total
-        return out
+        n = features.shape[0]
+        return np.stack(
+            [
+                self._model.joint_log_density(features, np.full(n, ci))
+                for ci in range(self._model.n_conditions)
+            ],
+            axis=1,
+        )
 
     def infer(self, features) -> np.ndarray:
         """Most likely condition index per sample."""
@@ -179,17 +165,7 @@ class SideChannelAttacker:
         """Attack every test sample and compile a :class:`LeakageReport`."""
         if not self.fitted:
             self.fit()
-        cond_index = {tuple(c): i for i, c in enumerate(self.conditions)}
-        true_idx = []
-        for row in test_set.conditions:
-            key = tuple(row)
-            if key not in cond_index:
-                raise DataError(
-                    f"test sample labeled {list(key)} is outside the attacker's "
-                    "condition set"
-                )
-            true_idx.append(cond_index[key])
-        true_idx = np.asarray(true_idx)
+        true_idx = condition_indices(self.conditions, test_set.conditions)
         pred_idx = self.infer(test_set.features)
         n = len(self.conditions)
         confusion = np.zeros((n, n), dtype=int)

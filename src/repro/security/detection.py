@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
-from repro.security.parzen import ParzenWindow
+from repro.flows.dataset import FlowPairDataset, condition_indices
+from repro.runtime.analysis import as_sampler
+from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -70,21 +71,11 @@ def roc_auc(clean_scores: np.ndarray, attack_scores: np.ndarray) -> float:
     attack = np.asarray(attack_scores, dtype=float)
     if clean.size == 0 or attack.size == 0:
         raise DataError("need both clean and attack scores for AUC")
-    # P(clean > attack) + 0.5 P(==), computed by rank trick.
-    combined = np.concatenate([clean, attack])
-    ranks = combined.argsort().argsort().astype(float) + 1.0
-    # Average ranks for ties.
-    order = np.argsort(combined, kind="mergesort")
-    sorted_vals = combined[order]
-    avg_ranks = np.empty_like(ranks)
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        avg_ranks[order[i : j + 1]] = avg
-        i = j + 1
+    # Imported here: scipy.stats would add to every CLI start-up.
+    from scipy.stats import rankdata
+
+    # P(clean > attack) + 0.5 P(==): rank sum with ties at their average rank.
+    avg_ranks = rankdata(np.concatenate([clean, attack]))
     r_clean = avg_ranks[: clean.size].sum()
     u = r_clean - clean.size * (clean.size + 1) / 2.0
     return float(u / (clean.size * attack.size))
@@ -117,9 +108,8 @@ class EmissionAttackDetector:
         g_size: int = 200,
         seed=None,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        self._sample = _as_sampler(generator_sampler)
+        check_positive(h, "h")
+        self._sample = as_sampler(generator_sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         self.h = float(h)
         self.feature_indices = (
@@ -127,21 +117,16 @@ class EmissionAttackDetector:
         )
         self.g_size = int(g_size)
         self._seed = seed
-        self._models = None
+        self._model = None
         self.threshold = None
 
     def fit(self) -> "EmissionAttackDetector":
         """Fit per-condition, per-feature Parzen models from G samples."""
         rng = as_rng(self._seed)
-        self._models = {}
-        for cond in self.conditions:
-            generated = self._sample(cond, self.g_size, rng)
-            if self.feature_indices is not None:
-                generated = generated[:, self.feature_indices]
-            self._models[tuple(cond)] = [
-                ParzenWindow(self.h).fit(generated[:, d])
-                for d in range(generated.shape[1])
-            ]
+        draws = [self._sample(cond, self.g_size, rng) for cond in self.conditions]
+        self._model = ConditionalParzen(
+            self.h, draws, feature_indices=self.feature_indices
+        )
         return self
 
     def score(self, features, claimed_conditions) -> np.ndarray:
@@ -150,7 +135,7 @@ class EmissionAttackDetector:
         Higher = emission consistent with the claim (normal); lower =
         suspicious.
         """
-        if self._models is None:
+        if self._model is None:
             raise NotFittedError("EmissionAttackDetector.fit() not called")
         features = np.atleast_2d(np.asarray(features, dtype=float))
         claimed = np.atleast_2d(np.asarray(claimed_conditions, dtype=float))
@@ -158,19 +143,9 @@ class EmissionAttackDetector:
             claimed = np.tile(claimed, (features.shape[0], 1))
         if features.shape[0] != claimed.shape[0]:
             raise DataError("features and claimed_conditions are misaligned")
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        scores = np.empty(features.shape[0])
-        for i, (x, c) in enumerate(zip(features, claimed)):
-            key = tuple(c)
-            if key not in self._models:
-                raise DataError(f"claimed condition {list(key)} was never fitted")
-            per_feature = self._models[key]
-            total = 0.0
-            for d, distr in enumerate(per_feature):
-                total += float(distr.score_samples(np.array([x[d]]))[0])
-            scores[i] = total / len(per_feature)
-        return scores
+        claim_idx = condition_indices(self.conditions, claimed)
+        model = self._model
+        return model.joint_log_density(features, claim_idx) / model.n_features
 
     def calibrate(
         self, clean_set: FlowPairDataset, *, false_positive_rate: float = 0.05

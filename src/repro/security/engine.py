@@ -7,10 +7,10 @@ production path: every (pair, condition) cell of the likelihood table
 becomes an independent :class:`~repro.runtime.analysis.AnalysisJob`
 fanned out over the :mod:`repro.runtime.executors`, with
 
-* **blocked scoring** — all test points are evaluated against all
-  Parzen kernels in chunked matrix operations
-  (:meth:`~repro.security.parzen.ParzenWindow.score_batch`) under a
-  fixed memory budget instead of per-point Python loops;
+* **fused scoring** — all test points are evaluated against the
+  kernels of every feature in small fixed-size blocks
+  (:class:`~repro.security.parzen.ConditionalParzen`) instead of
+  per-point or per-feature Python loops;
 * **deterministic fan-out** — each job's generator-noise stream is
   derived from ``(root_entropy, pair, condition)`` alone
   (:func:`~repro.runtime.analysis.analysis_rng`), so serial, thread,
@@ -36,12 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import AnalysisError, ConfigurationError, DataError
+from repro.errors import AnalysisError
 from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import (
     AnalysisJob,
     ConditionSampleCache,
-    _SamplerRef,
+    as_sampler,
     run_analysis_job,
 )
 from repro.runtime.events import (
@@ -51,28 +51,9 @@ from repro.runtime.events import (
     EventBus,
 )
 from repro.runtime.executors import get_executor
-from repro.security.likelihood import LikelihoodResult
+from repro.security.likelihood import LikelihoodResult, resolve_analysis_target
 from repro.utils.rng import fresh_entropy
-
-
-def as_picklable_sampler(generator_sampler):
-    """Normalize into a picklable ``(condition, n, rng) -> samples``.
-
-    Unlike :func:`repro.security.likelihood._as_sampler` (which wraps a
-    CGAN in a closure), the returned object survives pickling, so jobs
-    carrying it can run on the process executor.
-    """
-    from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
-
-    if isinstance(generator_sampler, ConditionalGAN):
-        generator_sampler.require_trained()
-        return _SamplerRef(generator_sampler)
-    if callable(generator_sampler):
-        return generator_sampler
-    raise ConfigurationError(
-        "generator_sampler must be a trained ConditionalGAN or a callable "
-        "(condition, n, rng) -> samples"
-    )
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -115,34 +96,14 @@ class _PreparedTarget:
 
 def _prepare_target(target: AnalysisTarget) -> _PreparedTarget:
     """Validate one target the same way the serial reference does."""
-    test_set = target.test_set
-    conditions = target.conditions
-    if conditions is None:
-        conditions = test_set.unique_conditions()
-    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    feature_indices = target.feature_indices
-    if feature_indices is None:
-        feature_indices = np.arange(test_set.feature_dim)
-    feature_indices = np.asarray(feature_indices, dtype=int)
-    if feature_indices.size == 0:
-        raise ConfigurationError("feature_indices is empty")
-    if np.any(feature_indices < 0) or np.any(
-        feature_indices >= test_set.feature_dim
-    ):
-        raise ConfigurationError(
-            f"feature indices out of range [0, {test_set.feature_dim})"
-        )
     label = target.label if target.label is not None else str(target.key)
-    for cond in conditions:
-        if not test_set.mask_for_condition(cond).any():
-            raise DataError(
-                f"test set for {label} has no samples labeled {cond.tolist()}; "
-                "Algorithm 3 needs test data for every analyzed condition"
-            )
+    conditions, feature_indices = resolve_analysis_target(
+        target.test_set, target.conditions, target.feature_indices, label=label
+    )
     return _PreparedTarget(
         target=target,
         label=label,
-        sampler=as_picklable_sampler(target.sampler),
+        sampler=as_sampler(target.sampler),
         conditions=conditions,
         feature_indices=feature_indices,
     )
@@ -157,7 +118,6 @@ def run_security_analysis(
     executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
-    chunk_size: int | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> dict:
     """Run Algorithm 3 for several flow pairs in one parallel fan-out.
@@ -179,9 +139,6 @@ def run_security_analysis(
     bus:
         Optional :class:`~repro.runtime.events.EventBus` receiving the
         structured analysis events.
-    chunk_size:
-        Test rows per scoring block (``None`` = derived from the default
-        memory budget).  Does not affect results.
     cache:
         Optional :class:`~repro.runtime.analysis.ConditionSampleCache`
         consulted for generated samples and refilled with fresh draws.
@@ -194,10 +151,8 @@ def run_security_analysis(
         If one or more jobs failed.  Raised only after every job was
         attempted.
     """
-    if h <= 0:
-        raise ConfigurationError(f"h must be > 0, got {h}")
-    if g_size <= 0:
-        raise ConfigurationError(f"g_size must be > 0, got {g_size}")
+    check_positive(h, "h")
+    check_positive(g_size, "g_size")
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
         return {}
@@ -223,7 +178,6 @@ def run_security_analysis(
                 g_size=g_size,
                 root_entropy=root_entropy,
                 sampler=prep.sampler,
-                chunk_size=chunk_size,
             )
             if cache is not None:
                 cached = cache.get(
@@ -328,7 +282,6 @@ def security_analysis(
     executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
-    chunk_size: int | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> LikelihoodResult:
     """Single-pair convenience wrapper around :func:`run_security_analysis`.
@@ -356,7 +309,6 @@ def security_analysis(
         executor=executor,
         workers=workers,
         bus=bus,
-        chunk_size=chunk_size,
         cache=cache,
     )
     return results[pair]

@@ -28,9 +28,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.parzen import ParzenWindow
+from repro.runtime.analysis import as_sampler
+from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.tables import format_table
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -122,13 +124,37 @@ def security_likelihood_analysis(
     g_size:
         ``GSize`` — generated samples per condition.
     """
-    if h <= 0:
-        raise ConfigurationError(f"h must be > 0, got {h}")
-    if g_size <= 0:
-        raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-    sample = _as_sampler(generator_sampler)
+    check_positive(h, "h")
+    check_positive(g_size, "g_size")
+    sample = as_sampler(generator_sampler)
     rng = as_rng(seed)
+    conditions, feature_indices = resolve_analysis_target(
+        test_set, conditions, feature_indices
+    )
+    # Line 6: X_G from G(Z | C_i), one shared stream in condition order.
+    draws = [sample(cond, g_size, rng) for cond in conditions]
+    # Line 8: a 1-D Parzen window per (condition, feature).
+    model = ConditionalParzen(h, draws, feature_indices=feature_indices)
+    tables = [
+        condition_likelihoods(
+            model, test_set.features, ci, test_set.mask_for_condition(cond)
+        )
+        for ci, cond in enumerate(conditions)
+    ]
+    return LikelihoodResult(
+        conditions=conditions,
+        feature_indices=feature_indices,
+        avg_correct=np.array([cor for cor, _ in tables]),
+        avg_incorrect=np.array([inc for _, inc in tables]),
+        h=h,
+    )
 
+
+def resolve_analysis_target(
+    test_set: FlowPairDataset, conditions=None, feature_indices=None, *, label=None
+) -> tuple:
+    """Algorithm 3's validated ``(conditions, feature_indices)``; they
+    default to the test set's distinct conditions and to every column."""
     if conditions is None:
         conditions = test_set.unique_conditions()
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
@@ -141,37 +167,32 @@ def security_likelihood_analysis(
         raise ConfigurationError(
             f"feature indices out of range [0, {test_set.feature_dim})"
         )
-
-    n_conds = conditions.shape[0]
-    n_feats = feature_indices.size
-    avg_cor = np.zeros((n_conds, n_feats))
-    avg_inc = np.zeros((n_conds, n_feats))
-
-    for ci, cond in enumerate(conditions):
-        # Line 6: X_G = GSize samples from G(Z | C_i).
-        generated = sample(cond, g_size, rng)
-        correct_mask = test_set.mask_for_condition(cond)
-        if not correct_mask.any():
+    where = f" for {label}" if label is not None else ""
+    for cond in conditions:
+        if not test_set.mask_for_condition(cond).any():
             raise DataError(
-                f"test set has no samples labeled {cond.tolist()}; "
+                f"test set{where} has no samples labeled {cond.tolist()}; "
                 "Algorithm 3 needs test data for every analyzed condition"
             )
-        for fi, ft in enumerate(feature_indices):
-            # Line 8: 1-D Parzen window on the generated feature values.
-            distr = ParzenWindow(h).fit(generated[:, ft])
-            # Lines 9-14: scaled likelihood of every test sample.
-            likes = distr.likelihood(test_set.features[:, ft])
-            cor = likes[correct_mask]
-            inc = likes[~correct_mask]
-            avg_cor[ci, fi] = cor.mean()
-            avg_inc[ci, fi] = inc.mean() if inc.size else 0.0
-    return LikelihoodResult(
-        conditions=conditions,
-        feature_indices=feature_indices,
-        avg_correct=avg_cor,
-        avg_incorrect=avg_inc,
-        h=h,
-    )
+    return conditions, feature_indices
+
+
+def condition_likelihoods(
+    model: ConditionalParzen, features, cond_index: int, correct_mask
+) -> tuple:
+    """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
+    per-feature mean of ``exp(LogLike) * h`` over the correctly and the
+    incorrectly labeled rows (0 if there are none) of *features*."""
+    claims = np.full(len(features), cond_index)
+    likes = np.exp(model.log_density(features, claims).T) * model.h
+
+    def masked_mean(mask):
+        # C order makes each feature's mean reduce like a 1-D mean.
+        return np.ascontiguousarray(likes[:, mask]).mean(axis=1)
+
+    incorrect = ~correct_mask
+    avg_inc = masked_mean(incorrect) if incorrect.any() else np.zeros(model.n_features)
+    return masked_mean(correct_mask), avg_inc
 
 
 def likelihood_h_sweep(
@@ -338,22 +359,3 @@ def choose_analysis_feature(
     # Mean margin plus the minimum (so one hopeless condition penalizes).
     score = margins.mean(axis=0) + margins.min(axis=0)
     return int(candidates[int(np.argmax(score))])
-
-
-def _as_sampler(generator_sampler):
-    """Normalize the generator argument into ``(cond, n, rng) -> samples``."""
-    from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
-
-    if isinstance(generator_sampler, ConditionalGAN):
-        generator_sampler.require_trained()
-
-        def sample(cond, n, rng):
-            return generator_sampler.generate_for_condition(cond, n, seed=rng)
-
-        return sample
-    if callable(generator_sampler):
-        return generator_sampler
-    raise ConfigurationError(
-        "generator_sampler must be a trained ConditionalGAN or a callable "
-        "(condition, n, rng) -> samples"
-    )

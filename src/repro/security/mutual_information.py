@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
+from repro.runtime.analysis import as_sampler
 from repro.utils.rng import as_rng
 
 
@@ -90,7 +90,7 @@ def generator_leakage_profile(
     shows how faithfully the CGAN reproduces the leakage structure —
     the property GAN-Sec's design-time analysis relies on.
     """
-    sample = _as_sampler(generator_sampler)
+    sample = as_sampler(generator_sampler)
     rng = as_rng(seed)
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     features = []

@@ -1,14 +1,13 @@
 """Batched per-window likelihood scoring for the streaming detector.
 
-The offline :class:`~repro.security.detection.EmissionAttackDetector`
-scores one sample at a time with per-feature Python loops.  The
-streaming engine scores *batches* of windows against the same
-per-condition, per-feature Parzen models through
-:meth:`~repro.security.parzen.ParzenWindow.score_batch`, with generator
-draws routed through the engine's
+The streaming engine scores *batches* of windows against the same
+per-condition, per-feature Parzen model
+(:class:`~repro.security.parzen.ConditionalParzen`) the offline
+analyses use, with generator draws routed through the engine's
 :class:`~repro.runtime.analysis.ConditionSampleCache` and the
-``(root_entropy, pair, condition)``-derived RNG streams — so a
-streaming scorer and an offline detector built from the same
+``(root_entropy, pair, condition)``-derived RNG streams
+(:func:`~repro.runtime.analysis.draw_condition_samples`) — so a
+streaming scorer and an offline analysis built from the same
 ``(sampler, conditions, h, g_size, root_entropy)`` are fitting exactly
 the same densities.
 
@@ -21,10 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.runtime.analysis import ConditionSampleCache, analysis_rng
-from repro.security.engine import as_picklable_sampler
-from repro.security.parzen import ParzenWindow
+from repro.errors import ConfigurationError, NotFittedError
+from repro.runtime.analysis import (
+    ConditionSampleCache,
+    as_sampler,
+    draw_condition_samples,
+)
+from repro.security.parzen import ConditionalParzen
+from repro.utils.validation import check_positive
 
 
 class StreamingScorer:
@@ -66,11 +69,9 @@ class StreamingScorer:
         pair: str = "stream",
         cache: ConditionSampleCache | None = None,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        if g_size <= 0:
-            raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-        self._sample = as_picklable_sampler(sampler)
+        check_positive(h, "h")
+        check_positive(g_size, "g_size")
+        self._sample = as_sampler(sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         if self.conditions.shape[0] < 1:
             raise ConfigurationError("need at least one condition")
@@ -82,11 +83,11 @@ class StreamingScorer:
         self.root_entropy = int(root_entropy)
         self.pair = str(pair)
         self.cache = cache
-        self._models = None  # list (per condition) of per-feature fits
+        self._model = None
 
     @property
     def fitted(self) -> bool:
-        return self._models is not None
+        return self._model is not None
 
     @property
     def n_conditions(self) -> int:
@@ -100,37 +101,19 @@ class StreamingScorer:
         ``(root_entropy, pair, condition)``, so a cache hit is
         numerically indistinguishable from regeneration.
         """
-        models = []
-        for cond in self.conditions:
-            generated = None
-            key = None
-            if self.cache is not None:
-                key = self.cache.key(self.pair, cond, self.g_size, self.root_entropy)
-                generated = self.cache.get(key)
-            if generated is None:
-                rng = analysis_rng(self.root_entropy, self.pair, cond)
-                generated = np.asarray(self._sample(cond, self.g_size, rng), dtype=float)
-                if self.cache is not None:
-                    self.cache.put(key, generated)
-            if generated.ndim != 2 or generated.shape[0] != self.g_size:
-                raise DataError(
-                    f"sampler returned shape {generated.shape}, expected "
-                    f"({self.g_size}, n_features)"
-                )
-            cols = (
-                generated[:, self.feature_indices]
-                if self.feature_indices is not None
-                else generated
+        draws = [
+            draw_condition_samples(
+                self._sample, self.pair, cond, self.g_size, self.root_entropy,
+                cache=self.cache,
             )
-            models.append(
-                [ParzenWindow(self.h).fit(cols[:, d]) for d in range(cols.shape[1])]
-            )
-        self._models = models
+            for cond in self.conditions
+        ]
+        self._model = ConditionalParzen(
+            self.h, draws, feature_indices=self.feature_indices
+        )
         return self
 
-    def score_windows(
-        self, features, claim_indices, *, chunk_size: int | None = None
-    ) -> np.ndarray:
+    def score_windows(self, features, claim_indices) -> np.ndarray:
         """Mean per-feature log density of each window under its claim.
 
         Parameters
@@ -141,9 +124,6 @@ class StreamingScorer:
         claim_indices:
             Per-window condition *index* into :attr:`conditions` — the
             condition the G-code stream claims was executing.
-        chunk_size:
-            Optional Parzen scoring block size (does not affect
-            results).
 
         Higher = emission consistent with the claim (normal); lower =
         suspicious.  Rows are scored independently: any batching of
@@ -152,36 +132,8 @@ class StreamingScorer:
         if not self.fitted:
             raise NotFittedError("StreamingScorer.fit() not called")
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        claims = np.asarray(claim_indices, dtype=int).ravel()
-        if features.shape[0] != claims.shape[0]:
-            raise DataError(
-                f"{features.shape[0]} windows but {claims.shape[0]} claims"
-            )
-        if claims.size and (claims.min() < 0 or claims.max() >= self.n_conditions):
-            raise DataError(
-                f"claim indices must be in [0, {self.n_conditions}), got "
-                f"range [{claims.min()}, {claims.max()}]"
-            )
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        n_feats = features.shape[1]
-        scores = np.empty(features.shape[0], dtype=float)
-        for ci in range(self.n_conditions):
-            mask = claims == ci
-            if not mask.any():
-                continue
-            block = features[mask]
-            per_feature = self._models[ci]
-            if len(per_feature) != n_feats:
-                raise DataError(
-                    f"windows have {n_feats} features, models fitted on "
-                    f"{len(per_feature)}"
-                )
-            total = np.zeros(block.shape[0], dtype=float)
-            for d, distr in enumerate(per_feature):
-                total += distr.score_batch(block[:, d], chunk_size=chunk_size)
-            scores[mask] = total / n_feats
-        return scores
+        model = self._model
+        return model.joint_log_density(features, claim_indices) / model.n_features
 
     def __repr__(self):
         return (

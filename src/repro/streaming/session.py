@@ -248,7 +248,6 @@ class StreamSession:
         batch_windows: int = 32,
         queue_chunks: int = 16,
         policy: str = "block",
-        chunk_score_size: int | None = None,
         bus: EventBus | None = None,
         name: str = "stream",
     ):
@@ -264,7 +263,6 @@ class StreamSession:
         self.windower = StreamWindower(window_size, hop_size)
         self.sample_rate = float(sample_rate)
         self.batch_windows = int(batch_windows)
-        self.chunk_score_size = chunk_score_size
         self.queue = _ChunkQueue(queue_chunks, policy)
         self.bus = bus if bus is not None else EventBus()
         self.name = str(name)
@@ -308,9 +306,7 @@ class StreamSession:
             starts = np.array([w.start for w in batch], dtype=np.int64)
             features = self.extractor.transform(stacked)
             claim_idx = self.claims.window_claims(starts)
-            scores = self.scorer.score_windows(
-                features, claim_idx, chunk_size=self.chunk_score_size
-            )
+            scores = self.scorer.score_windows(features, claim_idx)
         except Exception:  # noqa: BLE001 - isolate the batch, keep streaming
             self.metrics.windows_failed += len(batch)
             self.bus.emit(

@@ -61,18 +61,23 @@ def _trained_cgan_cache_key(train: FlowPairDataset) -> str:
 
 
 @pytest.fixture(scope="session")
-def trained_cgan(case_split, request):
+def trained_cgan(case_split, request, tmp_path_factory):
     """A CGAN trained on the case-study split, cached on disk by key.
 
     Weights round-trip exactly through ``save_cgan``/``load_cgan``
     (float64 ``.npz``), and every test that samples from the fixture
     passes an explicit seed, so a cache hit is observationally
-    identical to a fresh training run.
+    identical to a fresh training run.  Without pytest's cache plugin
+    (``-p no:cacheprovider``) the model is kept for this session only.
     """
     from repro.gan.serialization import load_cgan, save_cgan
 
     train, _test = case_split
-    cache_root = request.config.cache.mkdir("gansec-trained-cgan")
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        cache_root = cache.mkdir("gansec-trained-cgan")
+    else:
+        cache_root = tmp_path_factory.mktemp("gansec-trained-cgan")
     model_dir = Path(cache_root) / _trained_cgan_cache_key(train)
     if (model_dir / "cgan.json").exists():
         try:

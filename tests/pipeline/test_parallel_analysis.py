@@ -86,14 +86,6 @@ class TestAnalyzeDeterminism:
         for pair in base:
             np.testing.assert_array_equal(base[pair][0], multi[pair][0])
 
-    def test_chunk_size_does_not_change_numbers(self, trained_pipe):
-        pipe, _keys = trained_pipe
-        base = _tables(pipe.analyze())
-        chunked = _tables(pipe.analyze(chunk_size=3))
-        for pair in base:
-            np.testing.assert_array_equal(base[pair][0], chunked[pair][0])
-            np.testing.assert_array_equal(base[pair][1], chunked[pair][1])
-
     def test_reports_cached_on_models(self, trained_pipe):
         pipe, keys = trained_pipe
         reports = pipe.analyze()

@@ -17,7 +17,7 @@ def trained_pipeline(case_dataset):
         printer_architecture(),
         GANSecConfig(cgan=CGANConfig(iterations=100), seed=1),
     )
-    pipe.run({("F18", GCODE_FLOW): case_dataset})
+    pipe.run({FlowPairKey("F18", GCODE_FLOW): case_dataset})
     return pipe
 
 
@@ -27,10 +27,10 @@ class TestSaveLoad:
 
         fresh = GANSec(printer_architecture(), GANSecConfig(seed=2))
         loaded = fresh.load(tmp_path / "models")
-        assert ("F18", GCODE_FLOW) in loaded
+        assert FlowPairKey("F18", GCODE_FLOW) in loaded
 
-        original = trained_pipeline.models[("F18", GCODE_FLOW)]
-        restored = fresh.models[("F18", GCODE_FLOW)]
+        original = trained_pipeline.models[FlowPairKey("F18", GCODE_FLOW)]
+        restored = fresh.models[FlowPairKey("F18", GCODE_FLOW)]
         cond = original.test_set.unique_conditions()[0]
         np.testing.assert_allclose(
             original.cgan.generate_for_condition(cond, 4, seed=9),
@@ -45,7 +45,7 @@ class TestSaveLoad:
         fresh = GANSec(printer_architecture(), GANSecConfig(seed=3))
         fresh.load(tmp_path / "m2")
         reports = fresh.analyze()
-        assert ("F18", GCODE_FLOW) in reports
+        assert FlowPairKey("F18", GCODE_FLOW) in reports
 
     def test_save_without_models_raises(self, tmp_path):
         pipe = GANSec(printer_architecture(), GANSecConfig(seed=0))

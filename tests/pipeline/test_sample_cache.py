@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.manufacturing import GCODE_FLOW, printer_architecture
-from repro.pipeline import CGANConfig, GANSec, GANSecConfig
+from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
 from repro.runtime.events import AnalysisCompleted, EventBus
 
 H_SWEEP = (0.2, 0.4, 0.8)
@@ -29,7 +29,7 @@ def _make_pipeline(entries):
 
 def _sweep(pipe, case_dataset):
     """Train once, then analyze across H_SWEEP; returns tables + hits."""
-    pipe.train_models({("F18", GCODE_FLOW): case_dataset})
+    pipe.train_models({FlowPairKey("F18", GCODE_FLOW): case_dataset})
     tables = []
     hits = 0
     for h in H_SWEEP:

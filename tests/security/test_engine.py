@@ -68,12 +68,6 @@ class TestDeterminism:
             serial.avg_incorrect, parallel.avg_incorrect
         )
 
-    def test_chunk_size_does_not_change_results(self, toy_dataset):
-        base = _run(toy_dataset)
-        chunked = _run(toy_dataset, chunk_size=3)
-        np.testing.assert_array_equal(base.avg_correct, chunked.avg_correct)
-        np.testing.assert_array_equal(base.avg_incorrect, chunked.avg_incorrect)
-
     def test_matches_manual_per_condition_reference(self, toy_dataset):
         # Recompute one cell by hand: same derived RNG, naive Parzen.
         result = _run(toy_dataset)

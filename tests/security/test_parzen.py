@@ -1,15 +1,22 @@
 """Tests for repro.security.parzen."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError, NotFittedError, ShapeError
+from repro.security import parzen
+from repro.security.confidentiality import SideChannelAttacker
+from repro.security.detection import EmissionAttackDetector
 from repro.security.parzen import (
+    ConditionalParzen,
     ParzenWindow,
     resolve_chunk_size,
     silverman_bandwidth,
 )
+from repro.utils.rng import as_rng
 
 
 def naive_log_density(kernels, x, h):
@@ -230,6 +237,162 @@ class TestResolveChunkSize:
 
     def test_at_least_one_row(self):
         assert resolve_chunk_size(10**9, 10**3, memory_budget_mb=0.001) == 1
+
+
+@st.composite
+def conditional_case(draw):
+    """Draws, test rows and claims for a ConditionalParzen, with the row
+    count placed next to a block boundary of the drawn block size."""
+    n_conds = draw(st.integers(1, 3), label="n_conds")
+    n_feats = draw(st.integers(1, 10), label="n_feats")
+    g = draw(st.integers(1, 40), label="g")
+    block = draw(st.sampled_from([1, 7, 64, 1000, parzen.BLOCK_ELEMENTS]))
+    pairs = max(1, block // g)
+    n_rows = max(
+        1,
+        draw(st.integers(1, 2)) * min(pairs, 300) + draw(st.integers(-1, 1)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    draws = [rng.uniform(-5, 5, size=(g, n_feats)) for _ in range(n_conds)]
+    x = rng.uniform(-10, 10, size=(n_rows, n_feats))
+    # Points so far away that every kernel's weight underflows to 0.
+    far = rng.random(size=x.shape) < 0.1
+    x[far] = rng.choice([-1e308, -1e200, 1e200, 1e308], size=int(far.sum()))
+    claims = rng.integers(0, n_conds, size=n_rows)
+    h = draw(st.floats(min_value=0.01, max_value=5.0), label="h")
+    return draws, x, claims, h, block
+
+
+def per_feature_scores(draws, x, h):
+    """``(n_conds, n_rows, n_feats)``: one ``ParzenWindow`` per column."""
+    return np.array(
+        [
+            np.column_stack(
+                [
+                    ParzenWindow(h).fit(d[:, j]).score_batch(x[:, j])
+                    for j in range(x.shape[1])
+                ]
+            )
+            for d in draws
+        ]
+    )
+
+
+class TestConditionalParzen:
+    @given(case=conditional_case())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_per_feature_windows(self, case):
+        draws, x, claims, h, block = case
+        with mock.patch.object(parzen, "BLOCK_ELEMENTS", block):
+            got = ConditionalParzen(h, draws).log_density(x, claims)
+        want = per_feature_scores(draws, x, h)[claims, np.arange(len(x))]
+        np.testing.assert_array_equal(got, want)
+        assert not np.isnan(got).any()
+
+    def test_far_points_are_exact_neg_inf(self):
+        model = ConditionalParzen(0.1, [np.zeros((3, 2)), np.ones((3, 2))])
+        x = np.array([[1e200, 0.0], [0.5, -1e308]])
+        got = model.log_density(x, [0, 1])
+        assert got[0, 0] == -np.inf and got[1, 1] == -np.inf
+        assert np.isfinite(got[0, 1]) and np.isfinite(got[1, 0])
+
+    def test_feature_indices_select_columns(self):
+        rng = np.random.default_rng(3)
+        draws = [rng.normal(size=(20, 5)) for _ in range(2)]
+        x = rng.normal(size=(7, 5))
+        claims = rng.integers(0, 2, size=7)
+        subset = ConditionalParzen(0.3, draws, feature_indices=[4, 1])
+        full = ConditionalParzen(0.3, draws).log_density(x, claims)
+        np.testing.assert_array_equal(
+            subset.log_density(x, claims), full[:, [4, 1]]
+        )
+
+    def test_rejects_non_finite_features(self):
+        model = ConditionalParzen(0.2, [np.zeros((4, 2))])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError):
+                model.log_density(np.array([[0.0, bad]]), [0])
+
+    @pytest.mark.parametrize("claims", [[2], [-1], [0.0]])
+    def test_rejects_out_of_range_claims(self, claims):
+        model = ConditionalParzen(0.2, [np.zeros((4, 2)), np.ones((4, 2))])
+        with pytest.raises(DataError):
+            model.log_density(np.zeros((1, 2)), claims)
+
+    def test_rejects_misaligned_inputs(self):
+        model = ConditionalParzen(0.2, [np.zeros((4, 2))])
+        with pytest.raises(DataError):
+            model.log_density(np.zeros((2, 2)), [0])
+        with pytest.raises(DataError):
+            model.log_density(np.zeros((1, 3)), [0])
+
+    def test_rejects_bad_fit_inputs(self):
+        with pytest.raises(ConfigurationError):
+            ConditionalParzen(0.0, [np.zeros((4, 2))])
+        with pytest.raises(DataError):
+            ConditionalParzen(0.2, [np.zeros((4, 2)), np.zeros((5, 2))])
+        with pytest.raises(DataError):
+            ConditionalParzen(0.2, [])
+
+
+def _sampler(condition, n, rng):
+    return rng.normal(loc=condition[0], size=(n, 12))
+
+
+class TestViewsMatchPerFeatureLoop:
+    """The detector and the attacker reduce ConditionalParzen scores in
+    the same order as the per-feature ParzenWindow loops they replace."""
+
+    CONDS = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    FEATURES = [0, 3, 4, 5, 6, 7, 8, 9, 10, 11]  # 10 >= 8: pairwise != serial
+
+    def _windows(self, seed):
+        rng = as_rng(seed)
+        return [
+            [
+                ParzenWindow(0.3).fit(d[:, ft])
+                for ft in self.FEATURES
+            ]
+            for d in (_sampler(c, 30, rng) for c in self.CONDS)
+        ]
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    def test_detector_score(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        x = rng.normal(size=(n_rows, 12))
+        claim_idx = rng.integers(0, len(self.CONDS), size=n_rows)
+        detector = EmissionAttackDetector(
+            _sampler, self.CONDS, h=0.3, g_size=30,
+            feature_indices=self.FEATURES, seed=5,
+        ).fit()
+        got = detector.score(x, self.CONDS[claim_idx])
+
+        windows = self._windows(5)
+        want = np.empty(n_rows)
+        for i, (row, ci) in enumerate(zip(x, claim_idx)):
+            total = 0.0
+            for d, distr in enumerate(windows[ci]):
+                ft = self.FEATURES[d]
+                total += float(distr.score_samples(np.array([row[ft]]))[0])
+            want[i] = total / len(self.FEATURES)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 9])
+    def test_attacker_log_likelihoods(self, n_rows):
+        x = np.random.default_rng(n_rows).normal(size=(n_rows, 12))
+        attacker = SideChannelAttacker(
+            _sampler, self.CONDS, h=0.3, g_size=30,
+            feature_indices=self.FEATURES, seed=5,
+        ).fit()
+        got = attacker.log_likelihoods(x)
+
+        want = np.empty((n_rows, len(self.CONDS)))
+        for ci, per_feature in enumerate(self._windows(5)):
+            total = np.zeros(n_rows)
+            for d, distr in enumerate(per_feature):
+                total += distr.score_samples(x[:, self.FEATURES[d]])
+            want[:, ci] = total
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSample:

@@ -47,6 +47,20 @@ class TestRocCurve:
             roc_curve([], [1.0])
 
 
+class TestRocAucTies:
+    def test_heavy_ties_match_brute_force(self):
+        # Four distinct values shared by 300 scores: nearly every pair ties.
+        rng = np.random.default_rng(3)
+        clean = rng.integers(0, 4, size=170).astype(float)
+        attack = rng.integers(0, 3, size=130).astype(float)
+        diff = clean[:, None] - attack[None, :]
+        brute = np.mean(diff > 0) + 0.5 * np.mean(diff == 0)
+        assert roc_auc(clean, attack) == pytest.approx(brute, rel=1e-12)
+
+    def test_all_tied_is_half(self):
+        assert roc_auc(np.full(5, 2.0), np.full(7, 2.0)) == 0.5
+
+
 class TestOperatingPoints:
     def test_threshold_for_fpr(self):
         clean, attack = separable()

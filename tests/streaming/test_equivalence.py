@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.events import EventBus, WindowBatchScored
+from repro.security import parzen
 from repro.streaming import (
     StreamSession,
     TraceReplay,
@@ -152,16 +153,18 @@ class TestStreamedFeaturesMatchOffline:
         ]
         np.testing.assert_array_equal(np.concatenate(pieces), offline)
 
-    def test_parzen_chunk_size_does_not_change_scores(self, noise_monitor):
+    def test_parzen_chunk_size_does_not_change_scores(
+        self, noise_monitor, monkeypatch
+    ):
+        """The fused Parzen kernel's block size never changes a score."""
         samples, claims, calibration = noise_monitor
         windows, starts = frame_signal(samples, WINDOW, HOP)
         features = calibration.extractor.transform(windows)
         claim_idx = claims.window_claims(starts)
         base = calibration.scorer.score_windows(features, claim_idx)
-        for chunk in (1, 7, 1000):
-            got = calibration.scorer.score_windows(
-                features, claim_idx, chunk_size=chunk
-            )
+        for block in (1, 7, 1000, 10**7):
+            monkeypatch.setattr(parzen, "BLOCK_ELEMENTS", block)
+            got = calibration.scorer.score_windows(features, claim_idx)
             np.testing.assert_array_equal(got, base)
 
 

@@ -105,13 +105,11 @@ class FlakyScorer:
         self.fail_on = fail_on
         self.calls = 0
 
-    def score_windows(self, features, claim_indices, *, chunk_size=None):
+    def score_windows(self, features, claim_indices):
         self.calls += 1
         if self.calls in self.fail_on:
             raise FloatingPointError("scoring blew up")
-        return self.inner.score_windows(
-            features, claim_indices, chunk_size=chunk_size
-        )
+        return self.inner.score_windows(features, claim_indices)
 
 
 class TestScorerFailure:
@@ -151,11 +149,9 @@ class GatedScorer:
         self.inner = inner
         self.gate = gate
 
-    def score_windows(self, features, claim_indices, *, chunk_size=None):
+    def score_windows(self, features, claim_indices):
         assert self.gate.wait(timeout=RUN_TIMEOUT), "producer never finished"
-        return self.inner.score_windows(
-            features, claim_indices, chunk_size=chunk_size
-        )
+        return self.inner.score_windows(features, claim_indices)
 
 
 class TestBackpressure:
@@ -247,12 +243,10 @@ class TestBackpressure:
         inner = calibration.scorer
 
         class CapturingScorer:
-            def score_windows(self, features, claim_indices, *, chunk_size=None):
+            def score_windows(self, features, claim_indices):
                 assert producer_done.wait(timeout=RUN_TIMEOUT)
                 captured.append(np.asarray(features).copy())
-                return inner.score_windows(
-                    features, claim_indices, chunk_size=chunk_size
-                )
+                return inner.score_windows(features, claim_indices)
 
         session.scorer = CapturingScorer()
         metrics = run_with_timeout(session)
