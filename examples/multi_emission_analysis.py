@@ -44,13 +44,13 @@ def main():
     reports = pipeline.run(data)
 
     rows = []
-    for (emission, _gcode), report in sorted(
+    for key, report in sorted(
         reports.items(), key=lambda kv: -kv[1].leakage.accuracy
     ):
         rows.append(
             [
-                emission,
-                EMISSION_LABELS[emission],
+                key.first,
+                EMISSION_LABELS[key.first],
                 report.leakage.accuracy,
                 report.leakage.leakage_ratio,
                 report.verdict().split(" ")[0],

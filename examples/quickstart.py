@@ -15,7 +15,7 @@ from repro.manufacturing import (
     printer_architecture,
     record_case_study_dataset,
 )
-from repro.pipeline import CGANConfig, GANSec, GANSecConfig
+from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
 
 SEED = 7
 
@@ -38,13 +38,13 @@ def main():
     )
     # The case study models the frame's acoustic emission (F18)
     # conditioned on the incoming G/M-code signal flow (F1).
-    data = {("F18", GCODE_FLOW): dataset}
-    reports = pipeline.run(data)
+    key = FlowPairKey("F18", GCODE_FLOW)
+    reports = pipeline.run({key: dataset})
 
     print()
     print(pipeline.summary())
     print()
-    report = reports[("F18", GCODE_FLOW)]
+    report = reports[key]
     print(report.to_text(condition_names=["Cond1 (X)", "Cond2 (Y)", "Cond3 (Z)"]))
 
 

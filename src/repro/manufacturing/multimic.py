@@ -12,9 +12,9 @@ by re-rendering each run with placement-specific coupling gains:
 * the frame microphone hears every motor (the original mix).
 
 The result is one aligned :class:`FlowPairDataset` per emission flow
-name — exactly the ``{(F_signal, F_emission): dataset}`` mapping the
-:class:`~repro.pipeline.gansec.GANSec` pipeline consumes for a true
-multi-pair run.
+name — exactly the ``{FlowPairKey(F_emission, F_signal): dataset}``
+mapping the :class:`~repro.pipeline.gansec.GANSec` pipeline consumes
+for a true multi-pair run.
 """
 
 from __future__ import annotations
@@ -75,11 +75,15 @@ def record_per_emission_datasets(
     """Record the case-study workload through every monitored emission.
 
     Returns ``(data, extractors)`` where ``data`` maps
-    ``(emission_flow, GCODE_FLOW)`` name tuples to row-aligned
+    ``FlowPairKey(emission_flow, GCODE_FLOW)`` to row-aligned
     :class:`FlowPairDataset` objects (ready for
     :meth:`GANSec.train_models`), and ``extractors`` maps emission flow
     names to their fitted feature extractors.
     """
+    # Imported here: repro.manufacturing stays importable without
+    # loading repro.pipeline (the CLI's start-up path).
+    from repro.pipeline.pairs import FlowPairKey
+
     program_rng, render_rng = spawn_rngs(seed, 2)
     printer = Printer3D(sample_rate=sample_rate, seed=0)
     encoder = encoder or SingleMotorEncoder()
@@ -130,7 +134,7 @@ def record_per_emission_datasets(
     for flow_name, segs in per_flow_segments.items():
         extractor = FrequencyFeatureExtractor(sample_rate, n_bins=n_bins)
         features = extractor.fit_transform(segs)
-        data[(flow_name, GCODE_FLOW)] = FlowPairDataset(
+        data[FlowPairKey(flow_name, GCODE_FLOW)] = FlowPairDataset(
             features, cond_matrix, name=f"{flow_name}|{GCODE_FLOW}"
         )
         extractors[flow_name] = extractor

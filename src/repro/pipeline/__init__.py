@@ -1,22 +1,18 @@
 """End-to-end GAN-Sec pipeline (the Figure 4 automatic model-generation
 method): Algorithm 1 → Algorithm 2 per flow pair → Algorithm 3 reports.
 
-Training fans out over the :mod:`repro.runtime` executors; pair
-identities are :class:`~repro.pipeline.pairs.FlowPairKey` values (plain
-tuples still work everywhere but are deprecated).
+Training fans out over the :mod:`repro.runtime` executors; every pair
+is identified by a :class:`~repro.pipeline.pairs.FlowPairKey`.
 
-Experiments execute as a :class:`~repro.pipeline.rungraph.RunGraph` of
-fingerprinted stages over a content-addressed artifact store, which is
-what makes :func:`run_experiment` resumable (see
-:func:`experiment_status` / :func:`invalidate_stage`).
+:class:`GANSec` calls the three steps directly.  Experiments execute as
+a :class:`~repro.pipeline.rungraph.RunGraph` of fingerprinted stages
+over a content-addressed artifact store, which is what makes
+:func:`run_experiment` resumable (see :func:`experiment_status` /
+:func:`invalidate_stage`).
 """
 
 from repro.pipeline.config import AnalysisConfig, CGANConfig, GANSecConfig
-from repro.pipeline.pairs import (
-    FlowPairKey,
-    PairDataRegistry,
-    as_pair_key,
-)
+from repro.pipeline.pairs import FlowPairKey
 from repro.pipeline.gansec import GANSec, PairModel
 from repro.pipeline.rungraph import (
     RunGraph,
@@ -42,12 +38,10 @@ __all__ = [
     "FlowPairKey",
     "GANSec",
     "GANSecConfig",
-    "PairDataRegistry",
     "PairModel",
     "RunGraph",
     "Stage",
     "StageOutcome",
-    "as_pair_key",
     "build_experiment_stages",
     "experiment_status",
     "invalidate_stage",

@@ -16,31 +16,35 @@
 3. **Security analysis** (Algorithm 3 + attack models): likelihood
    metrics, side-channel leakage, and a designer-facing report per pair.
 
-The historical data is supplied as a
-:class:`~repro.pipeline.pairs.PairDataRegistry` (or, deprecated, a
-plain ``(F_i name, F_j name) -> FlowPairDataset`` dict) — in the case
-study that single entry is the (acoustic features | G-code condition)
-dataset recorded from the simulated printer.
+The historical data is a ``dict`` mapping
+:class:`~repro.pipeline.pairs.FlowPairKey` to
+:class:`~repro.flows.dataset.FlowPairDataset` — in the case study that
+single entry is the (acoustic features | G-code condition) dataset
+recorded from the simulated printer.  :meth:`GANSec.run` is the three
+steps called in a row; the persistent, resumable version of the same
+pipeline is :func:`repro.pipeline.experiment.run_experiment`.
 """
 
 from __future__ import annotations
 
-import re
+import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.errors import (
     ConfigurationError,
     DataError,
     NotFittedError,
     PairTrainingError,
+    SerializationError,
 )
 from repro.flows.dataset import FlowPairDataset
 from repro.gan.cgan import ConditionalGAN
 from repro.graph.architecture import CPPSArchitecture
 from repro.graph.builder import GraphGenerationResult, generate
 from repro.pipeline.config import GANSecConfig
-from repro.pipeline.pairs import FlowPairKey, PairDataRegistry, as_pair_key
+from repro.pipeline.pairs import FlowPairKey
 from repro.runtime.events import (
     EpochProgress,
     EventBus,
@@ -51,33 +55,40 @@ from repro.runtime.events import (
 )
 from repro.runtime.analysis import ConditionSampleCache
 from repro.runtime.executors import get_executor
-from repro.runtime.training import (
-    PairTrainingJob,
-    build_pair_cgan,
-    run_training_job,
-)
+from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
-from repro.utils.rng import as_rng, derive_rngs, fresh_entropy
+from repro.utils.atomic import atomic_write_text
+from repro.utils.rng import derive_rngs, fresh_entropy
 
-#: Pair-directory names that are safe to build from raw flow names; any
-#: other name goes through the indexed layout + manifest.json.
-_SAFE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9 .\-]*$")
 _MANIFEST_NAME = "manifest.json"
+
+
+def _require_pair_key(value) -> FlowPairKey:
+    """Reject anything but a :class:`FlowPairKey` at the public entry points."""
+    if not isinstance(value, FlowPairKey):
+        raise ConfigurationError(
+            f"flow pairs must be given as FlowPairKey(first, second), got {value!r}"
+        )
+    return value
+
+
+def _require_pair_data(data) -> dict:
+    if not data:
+        raise DataError("no pair data supplied")
+    for key in data:
+        _require_pair_key(key)
+    return data
 
 
 @dataclass
 class PairModel:
     """A trained model + split data for one flow pair."""
 
-    pair_names: FlowPairKey
+    key: FlowPairKey
     cgan: ConditionalGAN
     train_set: FlowPairDataset
     test_set: FlowPairDataset
     report: SecurityReport | None = None
-
-    @property
-    def key(self) -> FlowPairKey:
-        return self.pair_names
 
 
 class GANSec:
@@ -101,7 +112,6 @@ class GANSec:
         self.config = config or GANSecConfig()
         self.graph_result: GraphGenerationResult | None = None
         self.models: dict[FlowPairKey, PairModel] = {}
-        self._rng = as_rng(self.config.seed)
         # Root entropy for the schedule-independent per-pair seed
         # fan-out (see repro.utils.rng.derive_rngs).
         if isinstance(self.config.seed, int):
@@ -126,34 +136,33 @@ class GANSec:
         return self._root_entropy
 
     # -- step 1: Algorithm 1 -----------------------------------------------------
-    def generate_graph(self, data) -> GraphGenerationResult:
+    def generate_graph(self, data: dict) -> GraphGenerationResult:
         """Run Algorithm 1 against the flows covered by *data*.
 
-        *data* is a :class:`~repro.pipeline.pairs.PairDataRegistry`
-        (or legacy tuple-keyed dict); its keys define which flows have
+        *data* maps :class:`~repro.pipeline.pairs.FlowPairKey` to
+        ``FlowPairDataset``; its keys define which flows have
         historical observations.
         """
-        registry = PairDataRegistry.coerce(data)
-        self.graph_result = generate(self.architecture, registry.flow_names())
+        _require_pair_data(data)
+        flow_names = {name for key in data for name in (key.first, key.second)}
+        self.graph_result = generate(self.architecture, flow_names)
         return self.graph_result
 
     # -- step 2: Algorithm 2 -----------------------------------------------------
-    def _build_cgan(self, feature_dim: int, condition_dim: int, seed) -> ConditionalGAN:
-        return build_pair_cgan(self.config.cgan, feature_dim, condition_dim, seed)
-
     def _trainable_name_pairs(self) -> set:
         # The paper: "Each pair is then supplied to the CGAN to model
         # Pr(F_i|F_j) or Pr(F_j|F_i)" — Algorithm 1 orders pairs causally,
         # but either conditioning direction may be trained.
         trainable = set()
         for fp in self.graph_result.trainable_pairs:
-            trainable.add(fp.names)
-            trainable.add(fp.names[::-1])
+            first, second = fp.names
+            trainable.add(FlowPairKey(first, second))
+            trainable.add(FlowPairKey(second, first))
         return trainable
 
     def train_models(
         self,
-        data,
+        data: dict,
         *,
         pairs=None,
         workers: int | None = None,
@@ -166,11 +175,10 @@ class GANSec:
         Parameters
         ----------
         data:
-            :class:`~repro.pipeline.pairs.PairDataRegistry` (or legacy
-            ``(F_i, F_j) name tuple -> FlowPairDataset`` dict).
+            ``FlowPairKey -> FlowPairDataset`` dict.
         pairs:
-            Optional subset of pair keys to train; defaults to every
-            registered pair that survived Algorithm 1's pruning.
+            Optional subset of *data*'s keys to train; defaults to
+            all of them.
         workers:
             Worker count for the pair fan-out; defaults to
             ``config.workers``.  Results are identical for any value.
@@ -197,20 +205,20 @@ class GANSec:
             after every pair was attempted; successful models are kept
             on :attr:`models`.
         """
-        registry = PairDataRegistry.coerce(data)
+        _require_pair_data(data)
         if self.graph_result is None:
-            self.generate_graph(registry)
+            self.generate_graph(data)
         trainable_names = self._trainable_name_pairs()
         if pairs is not None:
-            selected = [as_pair_key(p) for p in pairs]
+            selected = [_require_pair_key(p) for p in pairs]
         else:
-            selected = registry.keys()
+            selected = list(data)
         for key in selected:
-            if key not in registry:
-                raise DataError(f"no dataset supplied for pair {key.as_tuple()}")
+            if key not in data:
+                raise DataError(f"no dataset supplied for pair {key}")
             if key not in trainable_names:
                 raise ConfigurationError(
-                    f"pair {key.as_tuple()} was pruned by Algorithm 1 (not "
+                    f"pair {key} was pruned by Algorithm 1 (not "
                     "reachable or not covered by data); cannot train"
                 )
 
@@ -225,7 +233,7 @@ class GANSec:
         jobs = [
             PairTrainingJob(
                 key=key,
-                dataset=registry[key],
+                dataset=data[key],
                 cgan=cfg.cgan,
                 test_fraction=cfg.analysis.test_fraction,
                 root_entropy=self._root_entropy,
@@ -279,7 +287,7 @@ class GANSec:
                     _emit_progress(str(job.key), it, tot, d_loss, g_loss)
             if outcome.ok:
                 self.models[job.key] = PairModel(
-                    pair_names=job.key,
+                    key=job.key,
                     cgan=outcome.cgan,
                     train_set=outcome.train_set,
                     test_set=outcome.test_set,
@@ -323,7 +331,7 @@ class GANSec:
     # -- step 3: Algorithm 3 + reporting ------------------------------------------
     def analyze(
         self,
-        pair_names=None,
+        pair: FlowPairKey | None = None,
         *,
         workers: int | None = None,
         executor=None,
@@ -343,6 +351,9 @@ class GANSec:
 
         Parameters
         ----------
+        pair:
+            The one :class:`FlowPairKey` to analyze; ``None`` analyzes
+            every trained pair.
         workers:
             Worker count for the analysis fan-out; defaults to
             ``config.analysis_workers``.
@@ -361,14 +372,14 @@ class GANSec:
 
         if not self.models:
             raise NotFittedError("train_models() must run before analyze()")
-        if pair_names is not None:
-            targets = [as_pair_key(pair_names)]
+        if pair is not None:
+            targets = [_require_pair_key(pair)]
         else:
             targets = list(self.models)
         cfg = self.config.analysis
         for key in targets:
             if key not in self.models:
-                raise DataError(f"pair {key.as_tuple()} has no trained model")
+                raise DataError(f"pair {key} has no trained model")
         if workers is None:
             workers = self.config.analysis_workers
         likelihoods = run_security_analysis(
@@ -413,7 +424,7 @@ class GANSec:
 
     def run(
         self,
-        data,
+        data: dict,
         *,
         workers: int | None = None,
         executor=None,
@@ -425,85 +436,44 @@ class GANSec:
         *workers* / *executor* drive the Algorithm 2 training fan-out;
         *analysis_workers* (defaulting to ``config.analysis_workers``)
         drives the Algorithm 3 fan-out.  The shared *bus* receives both
-        stages' events — including the ``StageStarted`` /
-        ``StageCompleted`` lifecycle of the three Figure 4 steps, which
-        run as an ephemeral (in-memory, never-skipping)
-        :class:`~repro.pipeline.rungraph.RunGraph`.  The persistent,
-        resumable variant of this graph is
-        :func:`repro.pipeline.experiment.run_experiment`.
+        steps' events.  The persistent, resumable version of this
+        pipeline is :func:`repro.pipeline.experiment.run_experiment`.
         """
-        from repro.pipeline.rungraph import RunGraph, Stage
-
-        registry = PairDataRegistry.coerce(data)
-        reports: dict[FlowPairKey, SecurityReport] = {}
-
-        def run_graph_stage(_ctx):
-            self.generate_graph(registry)
-            return {}, {"trainable_pairs": len(self.graph_result.trainable_pairs)}
-
-        def run_train_stage(_ctx):
-            self.train_models(registry, workers=workers, executor=executor, bus=bus)
-            return {}, {"trained": len(self.models)}
-
-        def run_analyze_stage(_ctx):
-            reports.update(
-                self.analyze(workers=analysis_workers, executor=executor, bus=bus)
-            )
-            return {}, {"analyzed": len(reports)}
-
-        graph = RunGraph(
-            [
-                Stage("graph", run=run_graph_stage),
-                Stage("train", run=run_train_stage, deps=("graph",)),
-                Stage("analyze", run=run_analyze_stage, deps=("train",)),
-            ],
-            store=None,
-            manifest=None,
-            bus=bus,
-            resume=False,
-        )
-        graph.execute(None)
-        return reports
+        self.generate_graph(data)
+        self.train_models(data, workers=workers, executor=executor, bus=bus)
+        return self.analyze(workers=analysis_workers, executor=executor, bus=bus)
 
     # -- persistence ----------------------------------------------------------
-    @staticmethod
-    def _pair_dirname(index: int, key: FlowPairKey) -> str:
-        """Directory name for one pair: readable when safe, indexed otherwise.
-
-        Flow names containing ``__`` (the legacy separator), path
-        metacharacters, or anything else hostile get a neutral
-        ``pair_NNNN`` directory; identity always lives in the manifest.
-        """
-        if _SAFE_NAME.match(key.first) and _SAFE_NAME.match(key.second):
-            return f"{key.first}__{key.second}"
-        return f"pair_{index:04d}"
-
-    def save(self, directory) -> "Path":
+    def save(self, directory) -> Path:
         """Persist all trained pair models (CGAN + splits) to *directory*.
 
-        Layout: one subdirectory per pair holding a ``manifest.json``
-        (the authoritative pair identity), the CGAN (see
+        Layout: one ``pair_NNNN`` subdirectory per pair holding a
+        ``manifest.json`` (the pair identity), the CGAN (see
         :func:`repro.gan.serialization.save_cgan`), and the train/test
-        datasets.  Directory names are only cosmetic: hostile flow
-        names (e.g. containing ``__``) fall back to ``pair_NNNN``.
+        datasets.  A directory that already holds saved pairs is
+        refused, so a later :meth:`load` never sees stale pairs.
         """
-        import json
-        from pathlib import Path
-
         from repro.flows.io import save_dataset
         from repro.gan.serialization import save_cgan
 
         if not self.models:
             raise NotFittedError("nothing to save: train_models() first")
         directory = Path(directory)
+        stale = next(directory.glob(f"*/{_MANIFEST_NAME}"), None)
+        if stale is not None:
+            raise SerializationError(
+                f"{directory} already holds saved pair models ({stale}); "
+                "save into a new directory"
+            )
         for index, (key, model) in enumerate(self.models.items()):
-            pair_dir = directory / self._pair_dirname(index, key)
+            pair_dir = directory / f"pair_{index:04d}"
             pair_dir.mkdir(parents=True, exist_ok=True)
-            (pair_dir / _MANIFEST_NAME).write_text(
+            atomic_write_text(
+                pair_dir / _MANIFEST_NAME,
                 json.dumps(
                     {"version": 1, "first": key.first, "second": key.second},
                     indent=2,
-                )
+                ),
             )
             save_cgan(model.cgan, pair_dir / "cgan")
             save_dataset(model.train_set, pair_dir / "train.npz")
@@ -514,13 +484,8 @@ class GANSec:
         """Restore pair models saved by :meth:`save` into this pipeline.
 
         Pair identity is read from each subdirectory's ``manifest.json``;
-        directories written by older versions (no manifest, names
-        encoded as ``<first>__<second>``) are still understood.
+        subdirectories without one are ignored.
         """
-        import json
-        from pathlib import Path
-
-        from repro.errors import SerializationError
         from repro.flows.io import load_dataset
         from repro.gan.serialization import load_cgan
 
@@ -528,24 +493,17 @@ class GANSec:
         if not directory.is_dir():
             raise SerializationError(f"no such model directory: {directory}")
         loaded: dict[FlowPairKey, PairModel] = {}
-        for pair_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
-            manifest_path = pair_dir / _MANIFEST_NAME
-            if manifest_path.exists():
-                try:
-                    manifest = json.loads(manifest_path.read_text())
-                    key = FlowPairKey(manifest["first"], manifest["second"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise SerializationError(
-                        f"corrupt pair manifest at {manifest_path}: {exc}"
-                    ) from exc
-            elif "__" in pair_dir.name:
-                # Legacy layout: identity encoded in the directory name.
-                first, second = pair_dir.name.split("__", 1)
-                key = FlowPairKey(first, second)
-            else:
-                continue
+        for manifest_path in sorted(directory.glob(f"*/{_MANIFEST_NAME}")):
+            pair_dir = manifest_path.parent
+            try:
+                manifest = json.loads(manifest_path.read_text())
+                key = FlowPairKey(manifest["first"], manifest["second"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise SerializationError(
+                    f"corrupt pair manifest at {manifest_path}: {exc}"
+                ) from exc
             loaded[key] = PairModel(
-                pair_names=key,
+                key=key,
                 cgan=load_cgan(pair_dir / "cgan"),
                 train_set=load_dataset(pair_dir / "train.npz"),
                 test_set=load_dataset(pair_dir / "test.npz"),

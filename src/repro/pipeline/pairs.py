@@ -1,40 +1,24 @@
-"""Typed flow-pair keys and the dataset registry.
+"""Typed flow-pair keys.
 
-Historically every pipeline mapping was keyed by a raw ``(str, str)``
-tuple of flow names.  :class:`FlowPairKey` replaces that with a frozen,
-hashable value object that still *compares and hashes like* the tuple it
-replaces — so existing call sites (``models[("F18", "F1")]``,
-``("F18", "F1") in reports``) keep working while new code gets
-``key.first`` / ``key.second`` / ``key.reversed()`` and string parsing.
-
-:class:`PairDataRegistry` is the typed replacement for the raw
-``dict[(str, str), FlowPairDataset]`` threaded through
-:meth:`~repro.pipeline.gansec.GANSec.generate_graph` /
-:meth:`~repro.pipeline.gansec.GANSec.train_models`.  Plain dicts (and
-plain tuples) are still accepted everywhere through :func:`as_pair_key`
-/ :meth:`PairDataRegistry.coerce`, which normalize them and emit a
-``DeprecationWarning``.
+Every pipeline mapping — datasets, trained models, reports — is keyed
+by :class:`FlowPairKey`, a frozen, hashable value object naming one
+ordered flow pair.  Plain tuples and ``"A|B"`` strings are not keys:
+they neither compare equal to one nor find one in a dict.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError
 
-#: Separator used by ``str(key)`` / ``FlowPairKey.parse``.
+#: Separator used by ``str(key)``.
 PAIR_SEPARATOR = "|"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FlowPairKey:
-    """Identity of one ordered flow pair ``(F_first | F_second)``.
-
-    The key hashes and compares equal to the plain ``(first, second)``
-    tuple, supports iteration/indexing like a 2-tuple, and round-trips
-    through ``str()`` / :meth:`parse`.
-    """
+    """Identity of one ordered flow pair ``(F_first | F_second)``."""
 
     first: str
     second: str
@@ -46,143 +30,9 @@ class FlowPairKey:
                     f"FlowPairKey.{label} must be a non-empty string, got {value!r}"
                 )
 
-    # -- construction ---------------------------------------------------------
-    @classmethod
-    def parse(cls, text: str) -> "FlowPairKey":
-        """Parse ``"F18|F1"`` (whitespace-tolerant) into a key."""
-        if not isinstance(text, str):
-            raise ConfigurationError(f"cannot parse FlowPairKey from {text!r}")
-        parts = [p.strip() for p in text.split(PAIR_SEPARATOR)]
-        if len(parts) != 2 or not all(parts):
-            raise ConfigurationError(
-                f"expected '<first>{PAIR_SEPARATOR}<second>', got {text!r}"
-            )
-        return cls(parts[0], parts[1])
-
-    def reversed(self) -> "FlowPairKey":
-        """The opposite conditioning direction, ``(second | first)``."""
-        return FlowPairKey(self.second, self.first)
-
-    # -- tuple interoperability ------------------------------------------------
-    def as_tuple(self) -> tuple:
-        return (self.first, self.second)
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def __len__(self):
-        return 2
-
-    def __eq__(self, other):
-        if isinstance(other, FlowPairKey):
-            return self.as_tuple() == other.as_tuple()
-        if isinstance(other, tuple):
-            return self.as_tuple() == other
-        return NotImplemented
-
-    def __hash__(self):
-        # Must match hash((first, second)) so FlowPairKey-keyed dicts
-        # accept plain-tuple lookups (and vice versa).
-        return hash(self.as_tuple())
-
     def __str__(self):
         return f"{self.first}{PAIR_SEPARATOR}{self.second}"
 
     def label(self) -> str:
         """Human-facing form used in report headers."""
         return f"({self.first} | {self.second})"
-
-    def __repr__(self):
-        return f"FlowPairKey({self.first!r}, {self.second!r})"
-
-
-def as_pair_key(value, *, warn_on_tuple: bool = True) -> FlowPairKey:
-    """Normalize *value* into a :class:`FlowPairKey`.
-
-    Accepts an existing key (returned unchanged), a ``"A|B"`` string, or
-    — deprecated — a 2-sequence of flow names, in which case a
-    ``DeprecationWarning`` is emitted unless *warn_on_tuple* is false.
-    """
-    if isinstance(value, FlowPairKey):
-        return value
-    if isinstance(value, str):
-        return FlowPairKey.parse(value)
-    try:
-        first, second = value
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"cannot interpret {value!r} as a flow pair key"
-        ) from None
-    if warn_on_tuple:
-        warnings.warn(
-            "passing flow pairs as plain tuples is deprecated; use "
-            f"FlowPairKey({first!r}, {second!r})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return FlowPairKey(str(first), str(second))
-
-
-class PairDataRegistry:
-    """Typed mapping of :class:`FlowPairKey` -> ``FlowPairDataset``.
-
-    Provides the flow-name bookkeeping Algorithm 1 needs
-    (:meth:`flow_names`) plus dict-style access that accepts keys,
-    strings, or legacy tuples.
-    """
-
-    def __init__(self, datasets=None):
-        self._datasets: dict = {}
-        if datasets:
-            for key, dataset in dict(datasets).items():
-                self.add(key, dataset)
-
-    @classmethod
-    def coerce(cls, data) -> "PairDataRegistry":
-        """Accept a registry (unchanged) or a legacy dict (normalized)."""
-        if isinstance(data, cls):
-            return data
-        if data is None:
-            raise DataError("no pair data supplied")
-        return cls(data)
-
-    def add(self, key, dataset) -> FlowPairKey:
-        key = as_pair_key(key)
-        self._datasets[key] = dataset
-        return key
-
-    def flow_names(self) -> set:
-        """Every flow name that appears in some registered pair."""
-        names = set()
-        for key in self._datasets:
-            names.add(key.first)
-            names.add(key.second)
-        return names
-
-    def keys(self) -> list:
-        return list(self._datasets)
-
-    def items(self):
-        return self._datasets.items()
-
-    def __getitem__(self, key):
-        return self._datasets[as_pair_key(key, warn_on_tuple=False)]
-
-    def __contains__(self, key):
-        try:
-            return as_pair_key(key, warn_on_tuple=False) in self._datasets
-        except ConfigurationError:
-            return False
-
-    def __len__(self):
-        return len(self._datasets)
-
-    def __iter__(self):
-        return iter(self._datasets)
-
-    def __repr__(self):
-        return f"PairDataRegistry({sorted(str(k) for k in self._datasets)})"

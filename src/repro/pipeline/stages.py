@@ -92,7 +92,7 @@ class ExperimentRunContext:
             self.values["dataset"] = dataset
         return dataset
 
-    def registry(self) -> dict:
+    def pair_data(self) -> dict:
         return {self.pair: self.dataset()}
 
 
@@ -134,7 +134,7 @@ def _hydrate_pair_model(ctx: ExperimentRunContext, key: FlowPairKey) -> None:
         ctx.pipeline.config.analysis.test_fraction, seed=split_rng
     )
     ctx.pipeline.models[key] = PairModel(
-        pair_names=key, cgan=cgan, train_set=train_set, test_set=test_set
+        key=key, cgan=cgan, train_set=train_set, test_set=test_set
     )
 
 
@@ -216,7 +216,7 @@ def train_group_runner(group: str, batch, ctx: ExperimentRunContext):
     abort = None
     try:
         ctx.pipeline.train_models(
-            ctx.registry(),
+            ctx.pair_data(),
             pairs=list(stage_for_key),
             bus=ctx.bus,
             checkpoint_plan=plan or None,

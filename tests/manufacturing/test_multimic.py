@@ -13,6 +13,7 @@ from repro.manufacturing.multimic import (
     record_per_emission_datasets,
 )
 from repro.manufacturing.printer import Printer3D
+from repro.pipeline import FlowPairKey
 
 
 class TestMicrophoneGains:
@@ -77,7 +78,7 @@ class TestRecording:
     def test_one_dataset_per_emission(self, recorded):
         data, extractors = recorded
         expected = {
-            (flow, GCODE_FLOW) for flow in MONITORED_EMISSIONS.values()
+            FlowPairKey(flow, GCODE_FLOW) for flow in MONITORED_EMISSIONS.values()
         }
         assert set(data) == expected
         assert set(extractors) == set(MONITORED_EMISSIONS.values())
@@ -95,8 +96,8 @@ class TestRecording:
         # On the X-motor microphone (F14), X segments should be the
         # loudest relative to other mics' X segments (crosstalk < 1).
         x_cond = np.array([1.0, 0.0, 0.0])
-        f14 = data[("F14", GCODE_FLOW)]
-        f16 = data[("F16", GCODE_FLOW)]  # Z-motor mic.
+        f14 = data[FlowPairKey("F14", GCODE_FLOW)]
+        f16 = data[FlowPairKey("F16", GCODE_FLOW)]  # Z-motor mic.
         x_rows = f14.mask_for_condition(x_cond)
         # Features are scaled per dataset, so compare discriminability:
         # X rows on the X mic should separate from non-X rows more than

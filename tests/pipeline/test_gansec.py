@@ -55,17 +55,20 @@ class TestTrainStep:
 
 class TestRunStageEvents:
     def test_run_emits_stage_lifecycle(self, case_dataset, fast_config):
-        from repro.runtime.events import EventBus, StageCompleted, StageStarted
+        """run() emits the whole training envelope, then the analysis one."""
+        from repro.runtime.events import EventBus
 
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
         pipe = GANSec(printer_architecture(), fast_config)
         reports = pipe.run({FlowPairKey("F18", GCODE_FLOW): case_dataset}, bus=bus)
-        started = [e.stage for e in events if isinstance(e, StageStarted)]
-        completed = [e.stage for e in events if isinstance(e, StageCompleted)]
-        assert started == ["graph", "train", "analyze"]
-        assert completed == started
+        kinds = [e.kind for e in events]
+        assert kinds[0] == "TrainingStarted"
+        assert kinds[-1] == "AnalysisCompleted"
+        assert kinds.count("TrainingFinished") == 1
+        assert kinds.count("AnalysisStarted") == 1
+        assert kinds.index("TrainingFinished") < kinds.index("AnalysisStarted")
         assert FlowPairKey("F18", GCODE_FLOW) in reports
 
 

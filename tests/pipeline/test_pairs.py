@@ -1,11 +1,15 @@
-"""Tests for the typed flow-pair API (repro.pipeline.pairs)."""
+"""Tests for the typed flow-pair key (repro.pipeline.pairs) and the
+pair-key check at GANSec's entry points."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
-from repro.pipeline import FlowPairKey, PairDataRegistry, as_pair_key
+from repro.flows.dataset import FlowPairDataset
+from repro.graph.generators import random_factory
+from repro.pipeline import FlowPairKey, GANSec
 
 
 class TestFlowPairKey:
@@ -13,44 +17,29 @@ class TestFlowPairKey:
         key = FlowPairKey("F18", "F1")
         assert key.first == "F18"
         assert key.second == "F1"
-        assert key.reversed() == FlowPairKey("F1", "F18")
-        assert key.reversed().reversed() == key
+        reversed_key = FlowPairKey(key.second, key.first)
+        assert reversed_key != key
+        assert hash(reversed_key) != hash(key)
 
     def test_tuple_equality_and_hash(self):
-        key = FlowPairKey("F18", "F1")
-        assert key == ("F18", "F1")
-        assert ("F18", "F1") == key
-        assert key != ("F1", "F18")
-        assert hash(key) == hash(("F18", "F1"))
+        key = FlowPairKey("A", "B")
+        assert key != ("A", "B")
+        assert ("A", "B") != key
+        assert key == FlowPairKey("A", "B")
+        assert hash(key) == hash(FlowPairKey("A", "B"))
 
     def test_interchangeable_as_dict_key(self):
+        """Equal keys find each other's entries; tuples and strings don't."""
         store = {FlowPairKey("A", "B"): 1}
-        assert ("A", "B") in store
-        assert store[("A", "B")] == 1
-        tuple_store = {("A", "B"): 2}
-        assert FlowPairKey("A", "B") in tuple_store
-        assert tuple_store[FlowPairKey("A", "B")] == 2
-
-    def test_tuple_protocol(self):
-        key = FlowPairKey("A", "B")
-        first, second = key
-        assert (first, second) == ("A", "B")
-        assert key[0] == "A" and key[1] == "B"
-        assert key[::-1] == ("B", "A")
-        assert len(key) == 2
-        assert key.as_tuple() == ("A", "B")
+        assert store[FlowPairKey("A", "B")] == 1
+        assert ("A", "B") not in store
+        assert "A|B" not in store
 
     def test_str_parse_roundtrip(self):
         key = FlowPairKey("F18", "F1")
         assert str(key) == "F18|F1"
-        assert FlowPairKey.parse(str(key)) == key
-        assert FlowPairKey.parse("  F18 | F1 ") == key
+        assert FlowPairKey(*str(key).split("|")) == key
         assert key.label() == "(F18 | F1)"
-
-    @pytest.mark.parametrize("bad", ["F18", "A|B|C", "|B", "A|", 42])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ConfigurationError):
-            FlowPairKey.parse(bad)
 
     @pytest.mark.parametrize("first,second", [("", "B"), ("A", ""), (1, "B")])
     def test_rejects_non_string_names(self, first, second):
@@ -67,67 +56,28 @@ class TestFlowPairKey:
         assert pickle.loads(pickle.dumps(key)) == key
 
 
+def _dataset():
+    return FlowPairDataset(np.zeros((4, 2)), np.tile(np.eye(2), (2, 1)), name="toy")
+
+
 class TestAsPairKey:
+    """What GANSec accepts as a pair key in its data."""
+
     def test_key_passthrough(self):
-        key = FlowPairKey("A", "B")
-        assert as_pair_key(key) is key
+        pipe = GANSec(random_factory(4, seed=0))
+        result = pipe.generate_graph({FlowPairKey("A", "B"): _dataset()})
+        assert pipe.graph_result is result
 
-    def test_string_parsed(self):
-        assert as_pair_key("A|B") == FlowPairKey("A", "B")
-
-    def test_tuple_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="plain tuples"):
-            key = as_pair_key(("A", "B"))
-        assert key == FlowPairKey("A", "B")
-
-    def test_tuple_warning_suppressible(self, recwarn):
-        as_pair_key(("A", "B"), warn_on_tuple=False)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    @pytest.mark.parametrize("bad", [42, ("A",), ("A", "B", "C"), None])
+    @pytest.mark.parametrize(
+        "bad", [42, ("A",), ("A", "B", "C"), None, ("A", "B"), "A|B"]
+    )
     def test_rejects_non_pairs(self, bad):
-        with pytest.raises(ConfigurationError):
-            as_pair_key(bad)
+        pipe = GANSec(random_factory(4, seed=0))
+        with pytest.raises(ConfigurationError, match=r"FlowPairKey\(first, second\)"):
+            pipe.generate_graph({bad: _dataset()})
 
-
-class TestPairDataRegistry:
-    def _dataset(self):
-        import numpy as np
-
-        from repro.flows.dataset import FlowPairDataset
-
-        return FlowPairDataset(
-            np.zeros((4, 2)), np.tile(np.eye(2), (2, 1)), name="toy"
-        )
-
-    def test_coerce_dict_and_lookup_styles(self):
-        ds = self._dataset()
-        with pytest.warns(DeprecationWarning):
-            registry = PairDataRegistry.coerce({("A", "B"): ds})
-        assert len(registry) == 1
-        assert FlowPairKey("A", "B") in registry
-        assert ("A", "B") in registry
-        assert "A|B" in registry
-        assert registry[FlowPairKey("A", "B")] is ds
-        assert registry[("A", "B")] is ds
-
-    def test_coerce_registry_passthrough(self):
-        registry = PairDataRegistry({FlowPairKey("A", "B"): self._dataset()})
-        assert PairDataRegistry.coerce(registry) is registry
-
-    def test_coerce_none_rejected(self):
-        with pytest.raises(DataError):
-            PairDataRegistry.coerce(None)
-
-    def test_flow_names(self):
-        registry = PairDataRegistry(
-            {
-                FlowPairKey("A", "B"): self._dataset(),
-                FlowPairKey("B", "C"): self._dataset(),
-            }
-        )
-        assert registry.flow_names() == {"A", "B", "C"}
-
-    def test_contains_garbage_is_false(self):
-        registry = PairDataRegistry()
-        assert 42 not in registry
+    @pytest.mark.parametrize("data", [None, {}])
+    def test_missing_data_rejected(self, data):
+        pipe = GANSec(random_factory(4, seed=0))
+        with pytest.raises(DataError, match="no pair data"):
+            pipe.generate_graph(data)

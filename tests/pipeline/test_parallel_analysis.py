@@ -1,4 +1,4 @@
-"""Parallel security analysis through GANSec: determinism, shim, events.
+"""Parallel security analysis through GANSec: determinism, pair keys, events.
 
 The analysis counterpart of test_parallel.py: GANSec.analyze fans out
 per-(pair, condition) jobs over the executors, and with a fixed
@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.flows.dataset import FlowPairDataset
 from repro.graph.builder import generate
 from repro.graph.generators import random_factory
@@ -94,12 +95,19 @@ class TestAnalyzeDeterminism:
 
 
 class TestTupleShim:
-    def test_tuple_pair_warns_in_analyze(self, trained_pipe):
+    """Tuples are not pair keys: there is no shim that converts them."""
+
+    def test_tuple_rejected_at_every_entry_point(self, trained_pipe):
         pipe, keys = trained_pipe
         key = keys[0]
-        with pytest.warns(DeprecationWarning, match="FlowPairKey"):
-            reports = pipe.analyze((key.first, key.second))
-        assert set(reports) == {key}
+        as_tuple = (key.first, key.second)
+        dataset = pipe.models[key].train_set
+        with pytest.raises(ConfigurationError, match="FlowPairKey"):
+            pipe.analyze(as_tuple)
+        with pytest.raises(ConfigurationError, match="FlowPairKey"):
+            pipe.train_models({key: dataset}, pairs=[as_tuple])
+        with pytest.raises(ConfigurationError, match="FlowPairKey"):
+            pipe.train_models({as_tuple: dataset})
 
     def test_flowpairkey_does_not_warn(self, trained_pipe):
         pipe, keys = trained_pipe
@@ -107,16 +115,6 @@ class TestTupleShim:
             warnings.simplefilter("error", DeprecationWarning)
             reports = pipe.analyze(keys[0])
         assert set(reports) == {keys[0]}
-
-    def test_tuple_and_key_give_identical_report(self, trained_pipe):
-        pipe, keys = trained_pipe
-        key = keys[0]
-        with pytest.warns(DeprecationWarning):
-            via_tuple = pipe.analyze((key.first, key.second))[key]
-        via_key = pipe.analyze(key)[key]
-        np.testing.assert_array_equal(
-            via_tuple.likelihood.avg_correct, via_key.likelihood.avg_correct
-        )
 
 
 class TestAnalysisEvents:

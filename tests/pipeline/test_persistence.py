@@ -1,5 +1,7 @@
 """Tests for GANSec pipeline save/load."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,21 +74,19 @@ def _tiny_pair_model(key) -> PairModel:
     train, test = dataset.split(0.25, seed=0)
     cgan = ConditionalGAN(3, 2, noise_dim=4, seed=0)
     cgan.train(train, iterations=10, batch_size=8)
-    return PairModel(pair_names=key, cgan=cgan, train_set=train, test_set=test)
+    return PairModel(key=key, cgan=cgan, train_set=train, test_set=test)
 
 
 class TestHostilePairNames:
-    """Pair identity must survive names the directory layout can't encode.
+    """Pair identity must survive names no directory name could encode.
 
-    The legacy layout encoded names as ``<first>__<second>`` and split
-    on the first ``__`` at load time — any flow name containing ``__``
-    (or path metacharacters) came back corrupted.  Identity now lives
-    in a per-pair manifest.json.
+    Flow names may contain ``__``, slashes or dots; identity lives in a
+    per-pair manifest.json and directories are named ``pair_NNNN``.
     """
 
     HOSTILE_KEYS = [
-        FlowPairKey("A__B", "C"),          # legacy separator inside a name
-        FlowPairKey("left__", "__right"),  # separator at the edges
+        FlowPairKey("A__B", "C"),          # "__" inside a name
+        FlowPairKey("left__", "__right"),  # "__" at the edges
         FlowPairKey("with/slash", "dot..dot"),
         FlowPairKey("F18", "F1"),          # plain names keep working too
     ]
@@ -107,7 +107,7 @@ class TestHostilePairNames:
         for key in self.HOSTILE_KEYS:
             original = pipe.models[key]
             restored = fresh.models[key]
-            assert restored.pair_names == key
+            assert restored.key == key
             cond = original.test_set.unique_conditions()[0]
             np.testing.assert_allclose(
                 original.cgan.generate_for_condition(cond, 3, seed=5),
@@ -117,8 +117,10 @@ class TestHostilePairNames:
     def test_manifest_written_per_pair(self, tmp_path):
         pipe = self._pipeline_with_models()
         pipe.save(tmp_path / "models")
-        pair_dirs = [p for p in (tmp_path / "models").iterdir() if p.is_dir()]
-        assert len(pair_dirs) == len(self.HOSTILE_KEYS)
+        pair_dirs = sorted((tmp_path / "models").iterdir())
+        assert [p.name for p in pair_dirs] == [
+            f"pair_{i:04d}" for i in range(len(self.HOSTILE_KEYS))
+        ]
         for pair_dir in pair_dirs:
             assert (pair_dir / "manifest.json").exists()
 
@@ -129,21 +131,23 @@ class TestHostilePairNames:
             assert "/" not in pair_dir.name
             assert ".." not in pair_dir.name
 
-    def test_legacy_layout_still_loads(self, tmp_path):
-        """Directories written before manifests (name-encoded) load fine."""
+    def test_directory_without_manifest_loads_nothing(self, tmp_path):
+        """A pair directory without manifest.json is not a saved pair,
+        even when its name spells out the flows."""
         model = _tiny_pair_model(FlowPairKey("F18", "F1"))
-        legacy_dir = tmp_path / "models" / "F18__F1"
+        pair_dir = tmp_path / "models" / "F18__F1"
 
         from repro.flows.io import save_dataset
         from repro.gan.serialization import save_cgan
 
-        save_cgan(model.cgan, legacy_dir / "cgan")
-        save_dataset(model.train_set, legacy_dir / "train.npz")
-        save_dataset(model.test_set, legacy_dir / "test.npz")
+        save_cgan(model.cgan, pair_dir / "cgan")
+        save_dataset(model.train_set, pair_dir / "train.npz")
+        save_dataset(model.test_set, pair_dir / "test.npz")
 
         pipe = GANSec(printer_architecture(), GANSecConfig(seed=0))
-        loaded = pipe.load(tmp_path / "models")
-        assert FlowPairKey("F18", "F1") in loaded
+        with pytest.raises(SerializationError, match="no pair models"):
+            pipe.load(tmp_path / "models")
+        assert pipe.models == {}
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         pipe = self._pipeline_with_models()
@@ -155,3 +159,40 @@ class TestHostilePairNames:
         fresh = GANSec(printer_architecture(), GANSecConfig(seed=0))
         with pytest.raises(SerializationError, match="manifest"):
             fresh.load(tmp_path / "models")
+
+
+class TestSaveDefects:
+    def test_save_over_saved_pairs_refused(self, tmp_path):
+        """Re-saving into a populated directory must not leave stale pairs
+        for load() to return."""
+        keys = [FlowPairKey(f"F{i}", "F1") for i in (14, 15, 16)]
+        three = GANSec(printer_architecture(), GANSecConfig(seed=0))
+        for key in keys:
+            three.models[key] = _tiny_pair_model(key)
+        three.save(tmp_path / "models")
+
+        one = GANSec(printer_architecture(), GANSecConfig(seed=0))
+        one.models[keys[0]] = three.models[keys[0]]
+        with pytest.raises(SerializationError, match="already holds"):
+            one.save(tmp_path / "models")
+        fresh = GANSec(printer_architecture(), GANSecConfig(seed=0))
+        assert set(fresh.load(tmp_path / "models")) == set(keys)
+
+    def test_manifest_written_atomically(self, tmp_path, monkeypatch):
+        """A crash while writing manifest.json leaves no torn manifest
+        behind for load() to trip over."""
+
+        def torn_write(self, data, *args, **kwargs):
+            with open(self, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("simulated crash mid-write")
+
+        key = FlowPairKey("F18", "F1")
+        pipe = GANSec(printer_architecture(), GANSecConfig(seed=0))
+        pipe.models[key] = _tiny_pair_model(key)
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="simulated crash"):
+            pipe.save(tmp_path / "models")
+        monkeypatch.undo()
+        assert list((tmp_path / "models").glob("*/manifest.json")) == []

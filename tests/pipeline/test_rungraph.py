@@ -157,44 +157,18 @@ class TestInvalidation:
         assert _names(events, StageStarted) == ["b"]
 
 
-class TestEphemeral:
-    def test_no_store_runs_everything_with_events(self, tmp_path):
-        bus = EventBus()
-        events = _collect(bus)
-        ran = []
-
-        def make_run(name):
-            def run(ctx):
-                ran.append(name)
-                return {}, {}
-
-            return run
-
-        stages = [
-            Stage("x", run=make_run("x")),
-            Stage("y", run=make_run("y"), deps=("x",)),
-        ]
-        graph = RunGraph(stages, None, None, bus=bus, resume=False)
-        graph.execute(object())
-        graph.execute(object())  # nothing persists, nothing skips
-        assert ran == ["x", "y", "x", "y"]
-        assert _names(events, StageSkipped) == []
-
-
 class TestGraphValidation:
-    def test_unknown_dep_rejected(self):
+    def test_unknown_dep_rejected(self, rundir):
         with pytest.raises(ConfigurationError, match="nope"):
-            RunGraph([Stage("a", run=None, deps=("nope",))], None, None)
+            build(rundir, [Stage("a", run=None, deps=("nope",))])
 
-    def test_duplicate_names_rejected(self):
+    def test_duplicate_names_rejected(self, rundir):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            RunGraph(
-                [Stage("a", run=None), Stage("a", run=None)], None, None
-            )
+            build(rundir, [Stage("a", run=None), Stage("a", run=None)])
 
-    def test_group_without_runner_rejected(self):
+    def test_group_without_runner_rejected(self, rundir):
         with pytest.raises(ConfigurationError, match="group"):
-            RunGraph([Stage("a", run=None, group="g")], None, None)
+            build(rundir, [Stage("a", run=None, group="g")])
 
 
 class TestGroups:
