@@ -36,14 +36,14 @@ def _cgan_attacker_accuracy(train, test):
     cgan = ConditionalGAN(train.feature_dim, train.condition_dim, seed=BENCH_SEED)
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.2, g_size=200, seed=BENCH_SEED
+        cgan, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
     ).fit()
     return attacker.evaluate(test).accuracy
 
 
 def _sampler_attacker_accuracy(sampler, test):
     attacker = SideChannelAttacker(
-        sampler, test.unique_conditions(), h=0.2, g_size=200, seed=BENCH_SEED
+        sampler, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
     ).fit()
     return attacker.evaluate(test).accuracy
 

@@ -44,7 +44,7 @@ def _evaluate(encoder, segments, total_segments):
     )
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.2, g_size=150, seed=BENCH_SEED
+        cgan, test.unique_conditions(), h=0.2, g_size=150, root_entropy=BENCH_SEED
     ).fit()
     report = attacker.evaluate(test)
     coverage = len(ds) / total_segments

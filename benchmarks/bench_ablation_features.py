@@ -46,7 +46,7 @@ def _evaluate(segments, method, n_bins):
     cgan = ConditionalGAN(ds.feature_dim, ds.condition_dim, seed=BENCH_SEED)
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.2, g_size=150, seed=BENCH_SEED
+        cgan, test.unique_conditions(), h=0.2, g_size=150, root_entropy=BENCH_SEED
     ).fit()
     return attacker.evaluate(test).accuracy
 

@@ -20,7 +20,7 @@ ITERATIONS = 1500
 
 def _attack_accuracy(model, test):
     attacker = SideChannelAttacker(
-        model, test.unique_conditions(), h=0.2, g_size=200, seed=BENCH_SEED
+        model, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
     ).fit()
     return attacker.evaluate(test).accuracy
 

@@ -25,7 +25,7 @@ def _train_and_attack(train, test, k):
     cgan.train(train, iterations=ITERATIONS, batch_size=32, k_disc=k)
     final = cgan.history.final()
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.2, g_size=200, seed=BENCH_SEED
+        cgan, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
     ).fit()
     accuracy = attacker.evaluate(test).accuracy
     return final["d_loss"], final["g_loss"], accuracy

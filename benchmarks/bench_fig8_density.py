@@ -21,7 +21,9 @@ GRID = np.linspace(0.0, 1.0, 101)
 
 
 def _densities(cgan, train):
-    ft = choose_analysis_feature(cgan, train, h=H, objective="peak", seed=BENCH_SEED)
+    ft = choose_analysis_feature(
+        cgan, train, h=H, objective="peak", root_entropy=BENCH_SEED
+    )
     curves = {}
     for i, cond in enumerate(train.unique_conditions()):
         samples = cgan.generate_for_condition(cond, G_SIZE, seed=BENCH_SEED + i)

@@ -25,7 +25,7 @@ def _channel_accuracy(dataset):
     )
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.2, g_size=200, seed=BENCH_SEED
+        cgan, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
     ).fit()
     return attacker.evaluate(test).accuracy
 

@@ -48,7 +48,7 @@ def main():
         h=0.2,
         g_size=250,
         feature_indices=top_features,
-        seed=SEED,
+        root_entropy=SEED,
     ).fit()
     threshold = detector.calibrate(train, false_positive_rate=0.05)
     print(f"[defender] detector calibrated: threshold={threshold:.2f} "

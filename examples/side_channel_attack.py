@@ -48,7 +48,7 @@ def main():
     segments = collect_segments([run])
     observed = build_dataset(segments, extractor, encoder, fit_extractor=False)
     attacker = SideChannelAttacker(
-        cgan, train_ds.unique_conditions(), h=0.2, g_size=250, seed=SEED
+        cgan, train_ds.unique_conditions(), h=0.2, g_size=250, root_entropy=SEED
     ).fit()
 
     true_seq = [condition_label(s.active_axes) for s in segments]

@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import DataError
 from repro.flows.io import load_dataset, save_dataset
 from repro.gan.cgan import ConditionalGAN
 from repro.gan.serialization import load_cgan, save_cgan
@@ -51,7 +52,8 @@ from repro.manufacturing import (
 from repro.security import (
     build_security_report,
     choose_analysis_feature,
-    likelihood_h_sweep,
+    security_analysis,
+    security_analysis_h_sweep,
 )
 from repro.utils.tables import format_grouped_table
 
@@ -164,13 +166,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _run_analyze(args) -> int:
-    from repro.security import security_analysis
+    from repro.runtime.analysis import ConditionSampleCache
 
     dataset = load_dataset(args.dataset)
     cgan = load_cgan(args.model)
     _train, test = dataset.split(args.test_fraction, seed=args.seed)
-    # The Algorithm 3 table goes through the parallel engine; the rest
-    # of the report (attacker, MI) runs serially as before.
+    # The Algorithm 3 table goes through the parallel engine; the
+    # attacker then refits its cached draws.
+    cache = ConditionSampleCache()
     likelihood = security_analysis(
         cgan,
         test,
@@ -179,6 +182,7 @@ def _run_analyze(args) -> int:
         root_entropy=args.seed,
         pair=dataset.name,
         workers=args.analysis_workers,
+        cache=cache,
     )
     report = build_security_report(
         cgan,
@@ -186,7 +190,9 @@ def _run_analyze(args) -> int:
         pair_name=dataset.name,
         h=args.h,
         g_size=args.g_size,
-        seed=args.seed,
+        root_entropy=args.seed,
+        pair=dataset.name,
+        cache=cache,
         likelihood=likelihood,
     )
     print(report.to_text())
@@ -198,16 +204,19 @@ def _cmd_table1(args) -> int:
     cgan = load_cgan(args.model)
     train, test = dataset.split(args.test_fraction, seed=args.seed)
     ft = choose_analysis_feature(
-        cgan, train, h=0.2, objective="peak", seed=args.seed
+        cgan, train, h=0.2, objective="peak", root_entropy=args.seed
     )
     h_values = (0.2, 0.4, 0.6, 0.8, 1.0)
-    sweep = likelihood_h_sweep(
+    # Same draws as `analyze` with the same seed: feature ft of its
+    # table at h equals this table's column.
+    sweep = security_analysis_h_sweep(
         cgan,
         test,
         h_values=h_values,
         feature_indices=[ft],
         g_size=args.g_size,
-        seed=args.seed,
+        root_entropy=args.seed,
+        pair=dataset.name,
     )
     conds = test.unique_conditions()
     values = [
@@ -250,7 +259,8 @@ def _cmd_detect(args) -> int:
         h=args.h,
         g_size=args.g_size,
         feature_indices=top,
-        seed=args.seed,
+        root_entropy=args.seed,
+        pair=dataset.name,
     ).fit()
     detector.calibrate(train, false_positive_rate=args.fpr)
     attack_features, attack_claims = axis_swap_attack(test, seed=args.seed)
@@ -331,6 +341,11 @@ def _cmd_stream(args) -> int:
         claims = _load_claim_track(args.claims)
         if args.calibration_wav:
             cal = read_wav(args.calibration_wav)
+            if cal.sample_rate != sample_rate:
+                raise DataError(
+                    f"calibration WAV {args.calibration_wav} is sampled at "
+                    f"{cal.sample_rate:g} Hz but {args.wav} at {sample_rate:g} Hz"
+                )
             cal_samples = cal.samples
             cal_claims = _load_claim_track(args.calibration_claims or args.claims)
         else:

@@ -1,4 +1,4 @@
-"""Conditional GAN core (Algorithm 2) plus baselines and evaluation."""
+"""Conditional GAN core (Algorithm 2) plus baselines."""
 
 from repro.gan.noise import GaussianNoise, NoisePrior, UniformNoise, get_noise_prior
 from repro.gan.history import TrainingHistory
@@ -6,11 +6,6 @@ from repro.gan.cgan import ConditionalGAN, default_discriminator, default_genera
 from repro.gan.gan import GAN
 from repro.gan.serialization import load_cgan, save_cgan
 from repro.gan.wgan import WassersteinConditionalGAN, default_critic
-from repro.gan.evaluation import (
-    discriminator_accuracy,
-    feature_moment_gap,
-    per_condition_sample_spread,
-)
 
 __all__ = [
     "ConditionalGAN",
@@ -23,10 +18,7 @@ __all__ = [
     "default_critic",
     "default_discriminator",
     "default_generator",
-    "discriminator_accuracy",
-    "feature_moment_gap",
     "get_noise_prior",
     "load_cgan",
-    "per_condition_sample_spread",
     "save_cgan",
 ]

@@ -58,7 +58,7 @@ from repro.runtime.executors import get_executor
 from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
 from repro.utils.atomic import atomic_write_text
-from repro.utils.rng import derive_rngs, fresh_entropy
+from repro.utils.rng import fresh_entropy
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -404,10 +404,7 @@ class GANSec:
         reports: dict[FlowPairKey, SecurityReport] = {}
         for key in targets:
             model = self.models[key]
-            # One schedule-independent stream per pair, like training.
-            (report_rng,) = derive_rngs(
-                self._root_entropy, ("analyze", key.first, key.second), 1
-            )
+            # The attacker refits the draws Algorithm 3 just cached.
             report = build_security_report(
                 model.cgan,
                 model.test_set,
@@ -415,7 +412,9 @@ class GANSec:
                 h=cfg.h,
                 g_size=cfg.g_size,
                 feature_indices=cfg.feature_indices,
-                seed=report_rng,
+                root_entropy=self._root_entropy,
+                pair=str(key),
+                cache=self._sample_cache,
                 likelihood=likelihoods[key],
             )
             model.report = report

@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.utils.rng import derive_rngs
+from repro.utils.rng import derive_rngs, fresh_entropy
+
+
+#: Pair label of draws made outside a flow-pair pipeline; Algorithm 3,
+#: the attacker and the detector default to it so that, given one root,
+#: they fit the same samples.
+DEFAULT_PAIR = "analysis"
 
 
 def condition_tokens(condition) -> tuple:
@@ -190,6 +196,20 @@ def as_sampler(generator_sampler):
     )
 
 
+def resolve_root_entropy(root_entropy) -> int:
+    """The integer root of the derived draw streams; ``None`` draws
+    fresh entropy.  Anything else (a shared ``Generator`` included)
+    raises :class:`~repro.errors.ConfigurationError`: every stream is
+    derived from the root, never consumed in sequence."""
+    if root_entropy is None:
+        return fresh_entropy()
+    if not isinstance(root_entropy, (int, np.integer)):
+        raise ConfigurationError(
+            f"root_entropy must be an int or None, got {type(root_entropy).__name__}"
+        )
+    return int(root_entropy)
+
+
 def draw_condition_samples(
     sampler, pair: str, condition, g_size: int, root_entropy: int, *, cache=None
 ) -> np.ndarray:
@@ -211,6 +231,31 @@ def draw_condition_samples(
     if cache is not None:
         cache.put(key, generated)
     return generated
+
+
+def fit_condition_model(
+    sampler,
+    conditions,
+    *,
+    h: float,
+    g_size: int,
+    root_entropy,
+    pair: str,
+    cache=None,
+    feature_indices=None,
+):
+    """A :class:`~repro.security.parzen.ConditionalParzen` fitted to
+    ``g_size`` draws per row of *conditions*, each from its cell's
+    :func:`draw_condition_samples` stream.  *root_entropy* may be ``None``
+    (fresh entropy) or an int, as checked by :func:`resolve_root_entropy`."""
+    from repro.security.parzen import ConditionalParzen  # Avoids a cycle.
+
+    root_entropy = resolve_root_entropy(root_entropy)
+    draws = [
+        draw_condition_samples(sampler, pair, cond, g_size, root_entropy, cache=cache)
+        for cond in np.atleast_2d(conditions)
+    ]
+    return ConditionalParzen(h, draws, feature_indices=feature_indices)
 
 
 def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:

@@ -14,7 +14,7 @@ currently limited data".  These baselines make that claim testable:
   classifies emissions by distance to per-condition feature centroids.
 
 All samplers expose the ``(condition, n, rng) -> samples`` interface of
-:func:`repro.security.likelihood.security_likelihood_analysis`, so every
+:func:`repro.security.engine.security_analysis`, so every
 Algorithm 3 analysis and attacker can run unchanged against a baseline —
 the comparison the ablation benchmark ``bench_ablation_baselines`` runs.
 """

@@ -17,9 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.flows.dataset import FlowPairDataset, condition_indices
-from repro.runtime.analysis import as_sampler
-from repro.security.parzen import ConditionalParzen
-from repro.utils.rng import as_rng
+from repro.runtime.analysis import DEFAULT_PAIR, as_sampler, fit_condition_model
 from repro.utils.tables import format_table
 from repro.utils.validation import check_positive
 
@@ -97,6 +95,9 @@ class SideChannelAttacker:
         Feature columns used for inference (``None`` = all).
     g_size:
         Generated samples per condition for the attacker's models.
+    root_entropy / pair / cache:
+        The draws' derived streams and sample cache, as in
+        :func:`~repro.runtime.analysis.draw_condition_samples`.
     """
 
     def __init__(
@@ -107,7 +108,9 @@ class SideChannelAttacker:
         h: float = 0.2,
         feature_indices=None,
         g_size: int = 200,
-        seed=None,
+        root_entropy: int | None = None,
+        pair: str = DEFAULT_PAIR,
+        cache=None,
     ):
         check_positive(h, "h")
         check_positive(g_size, "g_size")
@@ -120,7 +123,9 @@ class SideChannelAttacker:
             None if feature_indices is None else np.asarray(feature_indices, dtype=int)
         )
         self.g_size = int(g_size)
-        self._seed = seed
+        self.root_entropy = root_entropy
+        self.pair = str(pair)
+        self.cache = cache
         self._model = None
 
     @property
@@ -131,10 +136,15 @@ class SideChannelAttacker:
         """Draw generator samples and fit per-condition, per-feature
         1-D Parzen models (the same factorized structure Algorithm 3
         uses)."""
-        rng = as_rng(self._seed)
-        draws = [self._sample(cond, self.g_size, rng) for cond in self.conditions]
-        self._model = ConditionalParzen(
-            self.h, draws, feature_indices=self.feature_indices
+        self._model = fit_condition_model(
+            self._sample,
+            self.conditions,
+            h=self.h,
+            g_size=self.g_size,
+            root_entropy=self.root_entropy,
+            pair=self.pair,
+            cache=self.cache,
+            feature_indices=self.feature_indices,
         )
         return self
 
@@ -202,9 +212,12 @@ def leakage_vs_training_data(
     modified according to the attacker capability".  *make_cgan* is a
     zero-argument factory returning a fresh untrained CGAN.
 
+    *seed* drives the split, the subsets and the training; each
+    attacker's draw root is taken from the same stream.
+
     Returns a list of ``(fraction, n_train, accuracy)`` tuples.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     train, test = dataset.split(test_fraction, seed=rng)
     results = []
     for frac in fractions:
@@ -217,8 +230,9 @@ def leakage_vs_training_data(
         )
         cgan = make_cgan()
         cgan.train(subset, iterations=iterations, seed=rng)
+        root = int(rng.integers(2**63))
         attacker = SideChannelAttacker(
-            cgan, test.unique_conditions(), h=h, seed=rng
+            cgan, test.unique_conditions(), h=h, root_entropy=root
         ).fit()
         report = attacker.evaluate(test)
         results.append((float(frac), len(subset), report.accuracy))

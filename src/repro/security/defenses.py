@@ -261,7 +261,7 @@ def evaluate_defense(
         )
         cgan.train(train, iterations=iterations, batch_size=32)
         attacker = SideChannelAttacker(
-            cgan, test.unique_conditions(), h=h, g_size=g_size, seed=base_seed
+            cgan, test.unique_conditions(), h=h, g_size=g_size, root_entropy=base_seed
         ).fit()
         accuracy = attacker.evaluate(test).accuracy
         mi = float(feature_leakage_profile(dataset).mean())

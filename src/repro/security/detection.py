@@ -22,9 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.flows.dataset import FlowPairDataset, condition_indices
-from repro.runtime.analysis import as_sampler
-from repro.security.parzen import ConditionalParzen
-from repro.utils.rng import as_rng
+from repro.runtime.analysis import DEFAULT_PAIR, as_sampler, fit_condition_model
 from repro.utils.validation import check_positive
 
 
@@ -84,6 +82,11 @@ def roc_auc(clean_scores: np.ndarray, attack_scores: np.ndarray) -> float:
 class EmissionAttackDetector:
     """Likelihood-ratio attack detector built on the CGAN generator.
 
+    The same detector scores offline claims (condition vectors,
+    :meth:`score`) and the streaming monitor's windows (condition
+    indices, :meth:`score_windows`).  Rows are scored independently, so
+    any batching of windows gives bitwise-identical scores.
+
     Parameters
     ----------
     generator_sampler:
@@ -96,6 +99,11 @@ class EmissionAttackDetector:
         Feature columns used for scoring (``None`` = all).
     g_size:
         Generator samples per condition.
+    root_entropy / pair / cache:
+        The draws' derived streams and sample cache, as in
+        :func:`~repro.runtime.analysis.draw_condition_samples`: a
+        detector and an Algorithm 3 analysis with the same root, pair
+        and ``g_size`` fit the same draws.
     """
 
     def __init__(
@@ -106,9 +114,12 @@ class EmissionAttackDetector:
         h: float = 0.2,
         feature_indices=None,
         g_size: int = 200,
-        seed=None,
+        root_entropy: int | None = None,
+        pair: str = DEFAULT_PAIR,
+        cache=None,
     ):
         check_positive(h, "h")
+        check_positive(g_size, "g_size")
         self._sample = as_sampler(generator_sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         self.h = float(h)
@@ -116,16 +127,23 @@ class EmissionAttackDetector:
             None if feature_indices is None else np.asarray(feature_indices, dtype=int)
         )
         self.g_size = int(g_size)
-        self._seed = seed
+        self.root_entropy = root_entropy
+        self.pair = str(pair)
+        self.cache = cache
         self._model = None
         self.threshold = None
 
     def fit(self) -> "EmissionAttackDetector":
         """Fit per-condition, per-feature Parzen models from G samples."""
-        rng = as_rng(self._seed)
-        draws = [self._sample(cond, self.g_size, rng) for cond in self.conditions]
-        self._model = ConditionalParzen(
-            self.h, draws, feature_indices=self.feature_indices
+        self._model = fit_condition_model(
+            self._sample,
+            self.conditions,
+            h=self.h,
+            g_size=self.g_size,
+            root_entropy=self.root_entropy,
+            pair=self.pair,
+            cache=self.cache,
+            feature_indices=self.feature_indices,
         )
         return self
 
@@ -135,17 +153,26 @@ class EmissionAttackDetector:
         Higher = emission consistent with the claim (normal); lower =
         suspicious.
         """
-        if self._model is None:
-            raise NotFittedError("EmissionAttackDetector.fit() not called")
+        self._require_fitted()
         features = np.atleast_2d(np.asarray(features, dtype=float))
         claimed = np.atleast_2d(np.asarray(claimed_conditions, dtype=float))
         if claimed.shape[0] == 1 and features.shape[0] > 1:
             claimed = np.tile(claimed, (features.shape[0], 1))
         if features.shape[0] != claimed.shape[0]:
             raise DataError("features and claimed_conditions are misaligned")
-        claim_idx = condition_indices(self.conditions, claimed)
+        return self.score_windows(features, condition_indices(self.conditions, claimed))
+
+    def score_windows(self, features, claim_indices) -> np.ndarray:
+        """:meth:`score` with each claim given as an index into
+        :attr:`conditions` (the streaming monitor's per-window claims)."""
+        self._require_fitted()
         model = self._model
-        return model.joint_log_density(features, claim_idx) / model.n_features
+        features = np.atleast_2d(np.asarray(features, dtype=float))
+        return model.joint_log_density(features, claim_indices) / model.n_features
+
+    def _require_fitted(self) -> None:
+        if self._model is None:
+            raise NotFittedError("EmissionAttackDetector.fit() not called")
 
     def calibrate(
         self, clean_set: FlowPairDataset, *, false_positive_rate: float = 0.05

@@ -1,11 +1,8 @@
-"""Parallel, batched security-analysis engine (Algorithm 3 at scale).
+"""Parallel, batched security-analysis engine: the one Algorithm 3 path.
 
-:func:`repro.security.likelihood.security_likelihood_analysis` is the
-paper-faithful serial reference: one Python loop over conditions and
-features, one RNG threaded through the whole run.  This module is the
-production path: every (pair, condition) cell of the likelihood table
-becomes an independent :class:`~repro.runtime.analysis.AnalysisJob`
-fanned out over the :mod:`repro.runtime.executors`, with
+Every (pair, condition) cell of the likelihood table is an independent
+:class:`~repro.runtime.analysis.AnalysisJob` fanned out over the
+:mod:`repro.runtime.executors`, with
 
 * **fused scoring** — all test points are evaluated against the
   kernels of every feature in small fixed-size blocks
@@ -39,9 +36,11 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import (
+    DEFAULT_PAIR,
     AnalysisJob,
     ConditionSampleCache,
     as_sampler,
+    resolve_root_entropy,
     run_analysis_job,
 )
 from repro.runtime.events import (
@@ -52,7 +51,6 @@ from repro.runtime.events import (
 )
 from repro.runtime.executors import get_executor
 from repro.security.likelihood import LikelihoodResult, resolve_analysis_target
-from repro.utils.rng import fresh_entropy
 from repro.utils.validation import check_positive
 
 
@@ -95,7 +93,7 @@ class _PreparedTarget:
 
 
 def _prepare_target(target: AnalysisTarget) -> _PreparedTarget:
-    """Validate one target the same way the serial reference does."""
+    """Validate one target and resolve its label and sampler."""
     label = target.label if target.label is not None else str(target.key)
     conditions, feature_indices = resolve_analysis_target(
         target.test_set, target.conditions, target.feature_indices, label=label
@@ -131,7 +129,8 @@ def run_security_analysis(
     root_entropy:
         Integer seed root for the per-(pair, condition) RNG derivation;
         ``None`` draws fresh entropy (still deterministic *within* the
-        run, but not reproducible across runs).
+        run, but not reproducible across runs).  Anything else raises
+        :class:`~repro.errors.ConfigurationError`.
     executor / workers:
         Fan-out selection, as in :meth:`GANSec.train_models`: ``None``
         picks serial for 0/1 workers and the process executor otherwise.
@@ -156,9 +155,7 @@ def run_security_analysis(
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
         return {}
-    if root_entropy is None:
-        root_entropy = fresh_entropy()
-    root_entropy = int(root_entropy)
+    root_entropy = resolve_root_entropy(root_entropy)
     bus = bus if bus is not None else EventBus()
 
     jobs: list = []
@@ -278,20 +275,22 @@ def security_analysis(
     h: float = 0.2,
     g_size: int = 200,
     root_entropy: int | None = None,
-    pair: str = "analysis",
+    pair: str = DEFAULT_PAIR,
     executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> LikelihoodResult:
-    """Single-pair convenience wrapper around :func:`run_security_analysis`.
+    """Algorithm 3 for one flow pair: :func:`run_security_analysis` on a
+    single target keyed by *pair*.
 
-    The batched, parallel drop-in for
-    :func:`~repro.security.likelihood.security_likelihood_analysis`.
-    Note the seed contract differs deliberately: *root_entropy* must be
-    an integer (or ``None``), never a shared ``Generator`` — schedule
-    independence requires each (pair, condition) stream to be derived,
-    not consumed in sequence.
+    *generator_sampler* is a trained
+    :class:`~repro.gan.cgan.ConditionalGAN` or any callable
+    ``(condition, n, rng) -> (n, d) samples``; *conditions* default to
+    the test set's distinct conditions and *feature_indices* to every
+    column.  *root_entropy* must be an integer (or ``None``), never a
+    shared ``Generator``: schedule independence requires each
+    (pair, condition) stream to be derived, not consumed in sequence.
     """
     target = AnalysisTarget(
         key=pair,

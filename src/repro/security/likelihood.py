@@ -18,6 +18,11 @@ a sharp, condition-specific emission model — i.e. the physical emission
 *leaks* the cyber condition (confidentiality risk), and dually the same
 model can *detect* integrity/availability attacks that change the
 condition-emission relationship.
+
+The engine (:mod:`repro.security.engine`) runs the algorithm; this
+module holds its result types, its input validation, the Lines 9-15
+scoring of one condition (:func:`condition_likelihoods`), and the
+repeated and feature-selection analyses built on the engine.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.runtime.analysis import as_sampler
+from repro.runtime.analysis import resolve_root_entropy
 from repro.security.parzen import ConditionalParzen
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import stable_entropy
 from repro.utils.tables import format_table
-from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -94,62 +98,6 @@ class LikelihoodResult:
         )
 
 
-def security_likelihood_analysis(
-    generator_sampler,
-    test_set: FlowPairDataset,
-    *,
-    conditions=None,
-    feature_indices=None,
-    h: float = 0.2,
-    g_size: int = 200,
-    seed=None,
-) -> LikelihoodResult:
-    """Run Algorithm 3.
-
-    Parameters
-    ----------
-    generator_sampler:
-        Either a trained :class:`~repro.gan.cgan.ConditionalGAN` or any
-        callable ``(condition_vector, n, seed) -> (n, d) samples`` —
-        Algorithm 3 only needs ``G(Z | C_i)``.
-    test_set:
-        Held-out labeled observations ``X_test``.
-    conditions:
-        Condition vectors to analyze; defaults to the distinct
-        conditions present in *test_set*.
-    feature_indices:
-        ``FtIndices``; defaults to *all* feature columns.
-    h:
-        Parzen window width.
-    g_size:
-        ``GSize`` — generated samples per condition.
-    """
-    check_positive(h, "h")
-    check_positive(g_size, "g_size")
-    sample = as_sampler(generator_sampler)
-    rng = as_rng(seed)
-    conditions, feature_indices = resolve_analysis_target(
-        test_set, conditions, feature_indices
-    )
-    # Line 6: X_G from G(Z | C_i), one shared stream in condition order.
-    draws = [sample(cond, g_size, rng) for cond in conditions]
-    # Line 8: a 1-D Parzen window per (condition, feature).
-    model = ConditionalParzen(h, draws, feature_indices=feature_indices)
-    tables = [
-        condition_likelihoods(
-            model, test_set.features, ci, test_set.mask_for_condition(cond)
-        )
-        for ci, cond in enumerate(conditions)
-    ]
-    return LikelihoodResult(
-        conditions=conditions,
-        feature_indices=feature_indices,
-        avg_correct=np.array([cor for cor, _ in tables]),
-        avg_incorrect=np.array([inc for _, inc in tables]),
-        h=h,
-    )
-
-
 def resolve_analysis_target(
     test_set: FlowPairDataset, conditions=None, feature_indices=None, *, label=None
 ) -> tuple:
@@ -193,25 +141,6 @@ def condition_likelihoods(
     incorrect = ~correct_mask
     avg_inc = masked_mean(incorrect) if incorrect.any() else np.zeros(model.n_features)
     return masked_mean(correct_mask), avg_inc
-
-
-def likelihood_h_sweep(
-    generator_sampler,
-    test_set: FlowPairDataset,
-    *,
-    h_values=(0.2, 0.4, 0.6, 0.8, 1.0),
-    **kwargs,
-) -> dict:
-    """Run Algorithm 3 for several Parzen widths (the Table I sweep).
-
-    Returns ``{h: LikelihoodResult}``.
-    """
-    out = {}
-    for h in h_values:
-        out[float(h)] = security_likelihood_analysis(
-            generator_sampler, test_set, h=float(h), **kwargs
-        )
-    return out
 
 
 @dataclass
@@ -261,23 +190,29 @@ def repeated_likelihood_analysis(
     test_set: FlowPairDataset,
     *,
     n_repeats: int = 5,
-    seed=None,
+    root_entropy: int | None = None,
     **kwargs,
 ) -> RepeatedLikelihoodResult:
     """Run Algorithm 3 *n_repeats* times with fresh generator noise.
 
-    Accepts the same keyword arguments as
-    :func:`security_likelihood_analysis`; each repeat derives its own
-    seed from *seed*, so results carry honest Monte-Carlo error bars.
+    Accepts the keyword arguments of
+    :func:`~repro.security.engine.security_analysis`; repeat ``r`` runs
+    on its own root, ``stable_entropy(root_entropy, "repeat", r)``, so
+    results carry honest Monte-Carlo error bars.
     """
+    from repro.security.engine import security_analysis  # Avoids a cycle.
+
     if n_repeats < 2:
         raise ConfigurationError(f"n_repeats must be >= 2, got {n_repeats}")
-    child_rngs = spawn_rngs(seed, n_repeats)
+    root = resolve_root_entropy(root_entropy)
     cors, incs = [], []
     last = None
-    for rng in child_rngs:
-        last = security_likelihood_analysis(
-            generator_sampler, test_set, seed=rng, **kwargs
+    for r in range(n_repeats):
+        last = security_analysis(
+            generator_sampler,
+            test_set,
+            root_entropy=stable_entropy(root, "repeat", r),
+            **kwargs,
         )
         cors.append(last.avg_correct)
         incs.append(last.avg_incorrect)
@@ -303,7 +238,7 @@ def choose_analysis_feature(
     h: float = 0.2,
     g_size: int = 150,
     objective: str = "balanced",
-    seed=None,
+    root_entropy: int | None = None,
 ) -> int:
     """Pick the single feature for a Table-I-style analysis.
 
@@ -327,6 +262,7 @@ def choose_analysis_feature(
 
     Returns the chosen feature index.
     """
+    from repro.security.engine import security_analysis  # Avoids a cycle.
     from repro.security.mutual_information import feature_leakage_profile
 
     if objective not in ("balanced", "peak"):
@@ -342,13 +278,13 @@ def choose_analysis_feature(
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
         raise ConfigurationError("no candidate features given")
-    result = security_likelihood_analysis(
+    result = security_analysis(
         generator_sampler,
         calibration_set,
         feature_indices=candidates,
         h=h,
         g_size=g_size,
-        seed=seed,
+        root_entropy=root_entropy,
     )
     margins = result.margin()  # (n_conds, n_candidates)
     if objective == "peak":

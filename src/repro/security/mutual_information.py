@@ -15,8 +15,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.runtime.analysis import as_sampler
-from repro.utils.rng import as_rng
+from repro.runtime.analysis import (
+    DEFAULT_PAIR,
+    as_sampler,
+    draw_condition_samples,
+    resolve_root_entropy,
+)
 
 
 def histogram_mutual_information(
@@ -82,25 +86,28 @@ def generator_leakage_profile(
     *,
     n_per_condition: int = 200,
     bins: int = 16,
-    seed=None,
+    root_entropy: int | None = None,
 ) -> np.ndarray:
     """Per-feature MI computed on *generated* samples.
 
     Comparing this with :func:`feature_leakage_profile` on real data
     shows how faithfully the CGAN reproduces the leakage structure —
-    the property GAN-Sec's design-time analysis relies on.
+    the property GAN-Sec's design-time analysis relies on.  The draws
+    are those an Algorithm 3 analysis with the same *root_entropy* and
+    ``g_size = n_per_condition`` makes.
     """
     sample = as_sampler(generator_sampler)
-    rng = as_rng(seed)
+    root_entropy = resolve_root_entropy(root_entropy)
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    features = []
-    labels = []
-    for ci, cond in enumerate(conditions):
-        gen = sample(cond, n_per_condition, rng)
-        features.append(gen)
-        labels.extend([ci] * n_per_condition)
-    features = np.vstack(features)
-    labels = np.asarray(labels)
+    features = np.vstack(
+        [
+            draw_condition_samples(
+                sample, DEFAULT_PAIR, cond, n_per_condition, root_entropy
+            )
+            for cond in conditions
+        ]
+    )
+    labels = np.repeat(np.arange(len(conditions)), n_per_condition)
     return np.array(
         [
             histogram_mutual_information(features[:, d], labels, bins=bins)

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flows.dataset import FlowPairDataset
+from repro.runtime.analysis import (
+    DEFAULT_PAIR,
+    ConditionSampleCache,
+    resolve_root_entropy,
+)
 from repro.security.confidentiality import LeakageReport, SideChannelAttacker
-from repro.security.likelihood import LikelihoodResult, security_likelihood_analysis
+from repro.security.engine import security_analysis
+from repro.security.likelihood import LikelihoodResult
 from repro.security.mutual_information import (
     condition_entropy_bits,
     feature_leakage_profile,
@@ -90,7 +96,9 @@ def build_security_report(
     g_size: int = 200,
     feature_indices=None,
     include_detection: bool = False,
-    seed=None,
+    root_entropy: int | None = None,
+    pair: str = DEFAULT_PAIR,
+    cache: ConditionSampleCache | None = None,
     likelihood: LikelihoodResult | None = None,
 ) -> SecurityReport:
     """Run the full analysis suite for one trained CGAN + test set.
@@ -100,46 +108,37 @@ def build_security_report(
     against an axis-swap integrity attack synthesized from the test set
     (needs at least two distinct conditions).
 
+    Algorithm 3, the attacker and the detector all fit the same draws:
+    one per condition from the ``(root_entropy, pair, condition)``
+    stream, served from *cache* when one is given.
     *likelihood* injects a precomputed Algorithm 3 result — the parallel
     engine (:mod:`repro.security.engine`) computes the likelihood tables
     for a whole batch of pairs in one fan-out and hands each pair's
     table in here, so the report builder does not redo the scoring.
     """
+    root_entropy = resolve_root_entropy(root_entropy)
+    fit_args = dict(
+        h=h,
+        g_size=g_size,
+        feature_indices=feature_indices,
+        root_entropy=root_entropy,
+        pair=pair,
+        cache=cache,
+    )
     conditions = test_set.unique_conditions()
     if likelihood is None:
-        likelihood = security_likelihood_analysis(
-            cgan,
-            test_set,
-            conditions=conditions,
-            feature_indices=feature_indices,
-            h=h,
-            g_size=g_size,
-            seed=seed,
+        likelihood = security_analysis(
+            cgan, test_set, conditions=conditions, **fit_args
         )
-    attacker = SideChannelAttacker(
-        cgan,
-        conditions,
-        h=h,
-        feature_indices=feature_indices,
-        g_size=g_size,
-        seed=seed,
-    ).fit()
-    leakage = attacker.evaluate(test_set)
+    leakage = SideChannelAttacker(cgan, conditions, **fit_args).evaluate(test_set)
     mi_profile = feature_leakage_profile(test_set)
     detection = None
     if include_detection:
         from repro.security.attacks import axis_swap_attack
         from repro.security.detection import EmissionAttackDetector
 
-        detector = EmissionAttackDetector(
-            cgan,
-            conditions,
-            h=h,
-            feature_indices=feature_indices,
-            g_size=g_size,
-            seed=seed,
-        ).fit()
-        attack_features, attack_claims = axis_swap_attack(test_set, seed=seed)
+        detector = EmissionAttackDetector(cgan, conditions, **fit_args).fit()
+        attack_features, attack_claims = axis_swap_attack(test_set, seed=root_entropy)
         detection = detector.evaluate(test_set, attack_features, attack_claims)
     return SecurityReport(
         pair_name=pair_name,

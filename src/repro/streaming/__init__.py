@@ -6,9 +6,9 @@ a long-lived service over incrementally arriving samples:
 
 * :mod:`~repro.streaming.windowing` — bounded ring buffer and
   hop-based windowing (any chunking, identical windows);
-* :mod:`~repro.streaming.scoring` — batched per-window Parzen
-  likelihoods under the claimed condition;
-* :mod:`~repro.streaming.calibration` — fitting extractor, scorer, and
+* :mod:`~repro.streaming.calibration` — fitting extractor, scorer (the
+  offline :class:`~repro.security.detection.EmissionAttackDetector`,
+  scoring batches of windows under their claimed conditions), and
   decision layer from a clean labeled trace (CGAN or empirical);
 * :mod:`~repro.streaming.session` — the driver: bounded queue with
   backpressure, graceful drain, metrics, typed events;
@@ -34,7 +34,6 @@ from repro.streaming.replay import (
     inject_claim_attack,
     synthetic_printer_stream,
 )
-from repro.streaming.scoring import StreamingScorer
 from repro.streaming.session import (
     BACKPRESSURE_POLICIES,
     StreamMetrics,
@@ -51,7 +50,6 @@ __all__ = [
     "StreamScenario",
     "StreamSession",
     "StreamWindower",
-    "StreamingScorer",
     "TraceReplay",
     "Window",
     "calibrate_stream_monitor",

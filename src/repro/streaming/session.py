@@ -4,7 +4,7 @@
 
     chunk source → bounded queue (backpressure) → StreamWindower
         → FrequencyFeatureExtractor (cached filter bank, batched)
-        → StreamingScorer (batched Parzen scoring)
+        → EmissionAttackDetector (batched Parzen scoring)
         → sequential decision layer (CUSUM/EWMA)
         → typed events on the EventBus
 
@@ -24,8 +24,9 @@ happens when the producer outruns the scorer:
 Failures are isolated: a batch whose scoring raises is reported
 (:class:`~repro.runtime.events.WindowBatchFailed`) and the session
 continues; a producer that dies mid-stream has its error recorded and
-everything it delivered is still scored and drained.  ``run()`` always
-returns a complete :class:`StreamMetrics`.
+everything it delivered is still scored and drained.  ``run()``
+returns a complete :class:`StreamMetrics`; only a non-finite chunk
+stops it, with a :class:`~repro.errors.DataError`.
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ class StreamSession:
     extractor:
         Fitted :class:`~repro.dsp.features.FrequencyFeatureExtractor`.
     scorer:
-        Fitted :class:`~repro.streaming.scoring.StreamingScorer`.
+        Fitted :class:`~repro.security.detection.EmissionAttackDetector`
+        (its :meth:`score_windows` is called on each batch).
     claims:
         :class:`~repro.streaming.replay.ClaimTrack` giving the claimed
         condition at every sample (window claim = claim at its start).
@@ -369,11 +371,13 @@ class StreamSession:
         )
 
     def run(self) -> StreamMetrics:
-        """Consume the whole stream (or until :meth:`stop`); never raises.
+        """Consume the whole stream (or until :meth:`stop`).
 
         Blocks the calling thread; a daemon producer thread feeds the
         queue.  Returns the session metrics, with :attr:`StreamMetrics.error`
-        set if the producer died mid-stream.
+        set if the producer died mid-stream.  The one error raised is the
+        windower's :class:`~repro.errors.DataError` for a chunk holding
+        NaN or ±inf; ``StreamFinished`` is still emitted.
         """
         if self._started:
             raise ConfigurationError("StreamSession.run() already consumed")

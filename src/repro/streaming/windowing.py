@@ -196,10 +196,19 @@ class StreamWindower:
         return self._consumed - self._next_start
 
     def push(self, chunk) -> list:
-        """Feed one chunk; return the windows it completed (maybe [])."""
+        """Feed one chunk; return the windows it completed (maybe []).
+
+        A chunk that is not 1-D or holds NaN or ±inf raises
+        :class:`~repro.errors.DataError` before any of it is buffered.
+        """
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim != 1:
             raise DataError(f"chunk must be 1-D, got shape {chunk.shape}")
+        if not np.isfinite(chunk).all():
+            raise DataError(
+                f"chunk holds {int(np.count_nonzero(~np.isfinite(chunk)))} "
+                "non-finite sample(s)"
+            )
         out = []
         offset = 0
         n = len(chunk)

@@ -77,7 +77,7 @@ class TestDownstreamCompatibility:
         wgan = small_wgan(seed=2)
         wgan.train(toy_dataset, iterations=1200, k_disc=5)
         attacker = SideChannelAttacker(
-            wgan, toy_dataset.unique_conditions(), h=0.1, seed=0
+            wgan, toy_dataset.unique_conditions(), h=0.1, root_entropy=0
         ).fit()
         report = attacker.evaluate(toy_dataset)
         assert report.accuracy > 0.8

@@ -61,7 +61,7 @@ class TestDetectorRocIntegration:
             center = 0.2 if cond[0] == 1.0 else 0.8
             return np.clip(rng.normal(center, 0.05, size=(n, 4)), 0, 1)
 
-        detector = EmissionAttackDetector(oracle, conds, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, conds, h=0.1, root_entropy=0).fit()
         clean = detector.score(toy_dataset.features, toy_dataset.conditions)
         attacked = detector.score(
             toy_dataset.features, toy_dataset.conditions[:, ::-1]

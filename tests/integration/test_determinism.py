@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.gan import ConditionalGAN
 from repro.manufacturing import record_case_study_dataset
-from repro.security import SideChannelAttacker, security_likelihood_analysis
+from repro.security import SideChannelAttacker, security_analysis
 
 
 def run_once(seed=2024):
@@ -14,11 +14,11 @@ def run_once(seed=2024):
     train, test = ds.split(0.3, seed=seed)
     cgan = ConditionalGAN(ds.feature_dim, ds.condition_dim, seed=seed)
     cgan.train(train, iterations=120, batch_size=16)
-    res = security_likelihood_analysis(
-        cgan, test, feature_indices=[5], h=0.3, g_size=40, seed=seed
+    res = security_analysis(
+        cgan, test, feature_indices=[5], h=0.3, g_size=40, root_entropy=seed
     )
     attacker = SideChannelAttacker(
-        cgan, test.unique_conditions(), h=0.3, g_size=40, seed=seed
+        cgan, test.unique_conditions(), h=0.3, g_size=40, root_entropy=seed
     ).fit()
     report = attacker.evaluate(test)
     return ds, cgan, res, report
@@ -32,8 +32,8 @@ class TestDeterminism:
         np.testing.assert_allclose(
             cgan1.history.d_loss, cgan2.history.d_loss
         )
-        np.testing.assert_allclose(res1.avg_correct, res2.avg_correct)
-        np.testing.assert_allclose(res1.avg_incorrect, res2.avg_incorrect)
+        np.testing.assert_array_equal(res1.avg_correct, res2.avg_correct)
+        np.testing.assert_array_equal(res1.avg_incorrect, res2.avg_incorrect)
         assert rep1.accuracy == rep2.accuracy
 
     def test_different_seeds_differ(self):

@@ -19,7 +19,7 @@ from repro.security import (
     EmissionAttackDetector,
     SideChannelAttacker,
     axis_swap_attack,
-    security_likelihood_analysis,
+    security_analysis,
 )
 
 
@@ -33,15 +33,15 @@ class TestPaperStory:
     def test_confidentiality_leakage_above_chance(self, trained_cgan, case_split):
         _train, test = case_split
         attacker = SideChannelAttacker(
-            trained_cgan, test.unique_conditions(), h=0.2, seed=0
+            trained_cgan, test.unique_conditions(), h=0.2, root_entropy=0
         ).fit()
         report = attacker.evaluate(test)
         assert report.accuracy > 0.5  # Chance is 1/3.
 
     def test_algorithm3_margin_positive_on_average(self, trained_cgan, case_split):
         _train, test = case_split
-        res = security_likelihood_analysis(
-            trained_cgan, test, h=0.2, g_size=100, seed=0
+        res = security_analysis(
+            trained_cgan, test, h=0.2, g_size=100, root_entropy=0
         )
         # Averaged over all features and conditions, correct likelihood
         # exceeds incorrect likelihood: the generator learned the
@@ -51,7 +51,7 @@ class TestPaperStory:
     def test_integrity_attack_detected(self, trained_cgan, case_split):
         train, test = case_split
         detector = EmissionAttackDetector(
-            trained_cgan, train.unique_conditions(), h=0.2, seed=0
+            trained_cgan, train.unique_conditions(), h=0.2, root_entropy=0
         ).fit()
         detector.calibrate(train, false_positive_rate=0.1)
         attack_features, attack_claims = axis_swap_attack(test, seed=1)
@@ -72,7 +72,7 @@ class TestSecretObjectAttack:
             segments, extractor, encoder, fit_extractor=False
         )
         attacker = SideChannelAttacker(
-            trained_cgan, secret_ds.unique_conditions(), h=0.2, seed=0
+            trained_cgan, secret_ds.unique_conditions(), h=0.2, root_entropy=0
         ).fit()
         report = attacker.evaluate(secret_ds)
         assert report.accuracy > report.chance_accuracy

@@ -1,5 +1,6 @@
 """Tests for repro.pipeline.gansec (the Figure 4 end-to-end driver)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
@@ -78,6 +79,27 @@ class TestAnalyzeStep:
         report = reports[FlowPairKey("F18", GCODE_FLOW)]
         assert report.leakage.accuracy >= 0.0
         assert "VERDICT" in report.to_text()
+
+    def test_generator_runs_once_per_condition(self, pipeline_run, monkeypatch):
+        # Algorithm 3 and the report's attacker fit the same draws: the
+        # attacker's come from the sample cache Algorithm 3 filled.
+        from repro.gan.cgan import ConditionalGAN
+
+        pipe, _ = pipeline_run
+        drawn = []
+        generate = ConditionalGAN.generate_for_condition
+
+        def counting(cgan, condition, n, *, seed=None):
+            drawn.append(tuple(np.asarray(condition, dtype=float)))
+            return generate(cgan, condition, n, seed=seed)
+
+        monkeypatch.setattr(ConditionalGAN, "generate_for_condition", counting)
+        pipe._sample_cache.clear()
+        hits = pipe._sample_cache.hits
+        (report,) = pipe.analyze(executor="serial").values()
+        conditions = {tuple(c) for c in report.likelihood.conditions}
+        assert sorted(drawn) == sorted(conditions)
+        assert pipe._sample_cache.hits - hits == len(conditions)
 
     def test_analyze_before_train_raises(self, fast_config):
         pipe = GANSec(printer_architecture(), fast_config)

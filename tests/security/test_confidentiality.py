@@ -24,47 +24,54 @@ def blind(cond, n, rng):
 
 class TestAttacker:
     def test_oracle_attacker_near_perfect(self, toy_dataset):
-        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0).fit()
+        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0).fit()
         report = attacker.evaluate(toy_dataset)
         assert report.accuracy > 0.95
         assert report.leakage_ratio > 1.9
 
     def test_blind_attacker_near_chance(self, toy_dataset):
-        attacker = SideChannelAttacker(blind, CONDS, h=0.1, seed=0).fit()
-        report = attacker.evaluate(toy_dataset)
-        assert 0.25 <= report.accuracy <= 0.75
+        # Each class of the toy set sits in one tight cluster, so a single
+        # blind fit scores near 0, 0.5 or 1 by luck; chance shows in the
+        # mean over roots.
+        accuracies = [
+            SideChannelAttacker(blind, CONDS, h=0.1, root_entropy=root)
+            .evaluate(toy_dataset)
+            .accuracy
+            for root in range(20)
+        ]
+        assert 0.3 <= np.mean(accuracies) <= 0.7
 
     def test_confusion_matrix_totals(self, toy_dataset):
-        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0).fit()
+        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0).fit()
         report = attacker.evaluate(toy_dataset)
         assert report.confusion.sum() == len(toy_dataset)
 
     def test_feature_subset(self, toy_dataset):
         attacker = SideChannelAttacker(
-            oracle, CONDS, h=0.1, feature_indices=[0, 1], seed=0
+            oracle, CONDS, h=0.1, feature_indices=[0, 1], root_entropy=0
         ).fit()
         report = attacker.evaluate(toy_dataset)
         assert report.accuracy > 0.9
 
     def test_infer_shapes(self, toy_dataset):
-        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0).fit()
+        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0).fit()
         preds = attacker.infer(toy_dataset.features[:10])
         assert preds.shape == (10,)
         assert set(preds) <= {0, 1}
 
     def test_unfitted_raises(self, toy_dataset):
-        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0)
+        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0)
         with pytest.raises(NotFittedError):
             attacker.log_likelihoods(toy_dataset.features)
 
     def test_evaluate_autofits(self, toy_dataset):
-        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0)
+        attacker = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0)
         report = attacker.evaluate(toy_dataset)  # No explicit fit().
         assert report.accuracy > 0.9
 
     def test_unknown_test_label_raises(self, toy_dataset):
         attacker = SideChannelAttacker(
-            oracle, np.array([[1.0, 0.0], [0.5, 0.5]]), h=0.1, seed=0
+            oracle, np.array([[1.0, 0.0], [0.5, 0.5]]), h=0.1, root_entropy=0
         ).fit()
         with pytest.raises(DataError):
             attacker.evaluate(toy_dataset)
@@ -78,7 +85,7 @@ class TestAttacker:
             SideChannelAttacker(oracle, CONDS, h=0.0)
 
     def test_report_table(self, toy_dataset):
-        report = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0).evaluate(
+        report = SideChannelAttacker(oracle, CONDS, h=0.1, root_entropy=0).evaluate(
             toy_dataset
         )
         table = report.to_table()
@@ -90,7 +97,7 @@ class TestRealPipeline:
     def test_trained_cgan_beats_chance(self, trained_cgan, case_split):
         _train, test = case_split
         attacker = SideChannelAttacker(
-            trained_cgan, test.unique_conditions(), h=0.2, seed=0
+            trained_cgan, test.unique_conditions(), h=0.2, root_entropy=0
         ).fit()
         report = attacker.evaluate(test)
         # Even a briefly trained CGAN leaks well above chance on the

@@ -32,7 +32,7 @@ class TestRocAuc:
 
 class TestDetector:
     def test_detects_swapped_conditions(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         detector.calibrate(toy_dataset, false_positive_rate=0.05)
         # Attack: claim the *other* condition for each sample.
         swapped = toy_dataset.conditions[:, ::-1]
@@ -44,7 +44,7 @@ class TestDetector:
         assert report.false_positive_rate < 0.15
 
     def test_clean_data_scores_high(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         clean = detector.score(toy_dataset.features, toy_dataset.conditions)
         swapped = detector.score(
             toy_dataset.features, toy_dataset.conditions[:, ::-1]
@@ -52,39 +52,39 @@ class TestDetector:
         assert clean.mean() > swapped.mean()
 
     def test_calibrate_threshold_quantile(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         thr = detector.calibrate(toy_dataset, false_positive_rate=0.1)
         scores = detector.score(toy_dataset.features, toy_dataset.conditions)
         fpr = (scores < thr).mean()
         assert fpr <= 0.15
 
     def test_detect_requires_calibration(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         with pytest.raises(NotFittedError):
             detector.detect(toy_dataset.features, toy_dataset.conditions)
 
     def test_score_requires_fit(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0)
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0)
         with pytest.raises(NotFittedError):
             detector.score(toy_dataset.features, toy_dataset.conditions)
 
     def test_unknown_claim_raises(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         with pytest.raises(DataError):
             detector.score(toy_dataset.features[:1], np.array([[0.5, 0.5]]))
 
     def test_broadcast_single_claim(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         scores = detector.score(toy_dataset.features[:5], np.array([1.0, 0.0]))
         assert scores.shape == (5,)
 
     def test_calibrate_rejects_bad_fpr(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         with pytest.raises(ConfigurationError):
             detector.calibrate(toy_dataset, false_positive_rate=1.0)
 
     def test_evaluate_autocalibrates(self, toy_dataset):
-        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, seed=0).fit()
+        detector = EmissionAttackDetector(oracle, CONDS, h=0.1, root_entropy=0).fit()
         report = detector.evaluate(
             toy_dataset, toy_dataset.features, toy_dataset.conditions[:, ::-1]
         )

@@ -20,13 +20,18 @@ from repro.runtime.analysis import (
     analysis_rng,
     condition_tokens,
 )
+from repro.security.confidentiality import SideChannelAttacker
+from repro.security.detection import EmissionAttackDetector
 from repro.security.engine import (
     AnalysisTarget,
     run_security_analysis,
     security_analysis,
     security_analysis_h_sweep,
 )
+from repro.security.likelihood import repeated_likelihood_analysis
+from repro.security.mutual_information import generator_leakage_profile
 from repro.security.parzen import ParzenWindow
+from repro.utils.rng import stable_entropy
 
 ROOT = 20190325
 
@@ -254,6 +259,73 @@ class TestValidation:
             security_analysis(
                 gaussian_sampler, toy_dataset, conditions=[[0.5, 0.5]]
             )
+
+    @pytest.mark.parametrize(
+        "root", [np.random.default_rng(0), 1.5, "7"], ids=["generator", "float", "str"]
+    )
+    def test_root_entropy_must_be_int_or_none(self, toy_dataset, root):
+        conds = toy_dataset.unique_conditions()
+        sampler = gaussian_sampler
+        draws = [
+            lambda: security_analysis(sampler, toy_dataset, root_entropy=root),
+            EmissionAttackDetector(sampler, conds, root_entropy=root).fit,
+            SideChannelAttacker(sampler, conds, root_entropy=root).fit,
+            lambda: generator_leakage_profile(sampler, conds, root_entropy=root),
+        ]
+        for draw in draws:
+            with pytest.raises(ConfigurationError, match="root_entropy"):
+                draw()
+
+
+class TestOneDrawPath:
+    """Algorithm 3, the detector, the attacker and the repeats all fit
+    draws from the same derived (root, pair, condition) streams."""
+
+    def test_detector_and_attacker_reuse_the_analysis_draws(self, toy_dataset):
+        cache = ConditionSampleCache()
+        _run(toy_dataset, cache=cache)
+        conds = toy_dataset.unique_conditions()
+        kwargs = dict(h=0.2, g_size=50, root_entropy=ROOT, pair="toy")
+        detector = EmissionAttackDetector(
+            gaussian_sampler, conds, cache=cache, **kwargs
+        ).fit()
+        attacker = SideChannelAttacker(
+            gaussian_sampler, conds, cache=cache, **kwargs
+        ).fit()
+        assert cache.stats()["hits"] == 2 * len(conds)
+        x, claims = toy_dataset.features, toy_dataset.conditions
+        fresh = EmissionAttackDetector(gaussian_sampler, conds, **kwargs).fit()
+        np.testing.assert_array_equal(detector.score(x, claims), fresh.score(x, claims))
+        fresh = SideChannelAttacker(gaussian_sampler, conds, **kwargs).fit()
+        np.testing.assert_array_equal(
+            attacker.log_likelihoods(x), fresh.log_likelihoods(x)
+        )
+
+    def test_window_score_is_the_claim_score(self, toy_dataset):
+        conds = toy_dataset.unique_conditions()
+        detector = EmissionAttackDetector(
+            gaussian_sampler, conds, g_size=50, root_entropy=ROOT
+        ).fit()
+        claim_idx = np.arange(len(toy_dataset)) % len(conds)
+        np.testing.assert_array_equal(
+            detector.score_windows(toy_dataset.features, claim_idx),
+            detector.score(toy_dataset.features, conds[claim_idx]),
+        )
+
+    def test_repeats_run_on_derived_roots(self, toy_dataset):
+        res = repeated_likelihood_analysis(
+            gaussian_sampler, toy_dataset, n_repeats=2, g_size=50, root_entropy=ROOT
+        )
+        runs = [
+            security_analysis(
+                gaussian_sampler,
+                toy_dataset,
+                g_size=50,
+                root_entropy=stable_entropy(ROOT, "repeat", r),
+            ).avg_correct
+            for r in range(2)
+        ]
+        np.testing.assert_array_equal(res.mean_correct, np.mean(runs, axis=0))
 
 
 class TestEvents:

@@ -1,15 +1,13 @@
-"""Tests for repro.security.likelihood (Algorithm 3)."""
+"""Tests for Algorithm 3 (repro.security.engine entry points) and
+repro.security.likelihood."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import (
-    choose_analysis_feature,
-    likelihood_h_sweep,
-    security_likelihood_analysis,
-)
+from repro.security.engine import security_analysis, security_analysis_h_sweep
+from repro.security.likelihood import choose_analysis_feature
 
 
 def perfect_sampler(cond, n, rng):
@@ -26,8 +24,8 @@ def useless_sampler(cond, n, rng):
 
 class TestAlgorithm3:
     def test_oracle_generator_high_margin(self, toy_dataset):
-        res = security_likelihood_analysis(
-            perfect_sampler, toy_dataset, h=0.1, g_size=150, seed=0
+        res = security_analysis(
+            perfect_sampler, toy_dataset, h=0.1, g_size=150, root_entropy=0
         )
         assert res.avg_correct.shape == (2, 4)
         # With a perfect conditional model, Cor >> Inc for both conditions.
@@ -35,61 +33,61 @@ class TestAlgorithm3:
         assert np.all(margins.mean(axis=1) > 0.1)
 
     def test_condition_blind_generator_no_margin(self, toy_dataset):
-        res = security_likelihood_analysis(
-            useless_sampler, toy_dataset, h=0.1, g_size=150, seed=0
+        res = security_analysis(
+            useless_sampler, toy_dataset, h=0.1, g_size=150, root_entropy=0
         )
         margins = res.margin().mean(axis=1)
         assert np.all(np.abs(margins) < 0.05)
 
     def test_feature_indices_subset(self, toy_dataset):
-        res = security_likelihood_analysis(
-            perfect_sampler, toy_dataset, feature_indices=[0, 2], h=0.2, seed=0
+        res = security_analysis(
+            perfect_sampler, toy_dataset, feature_indices=[0, 2], h=0.2, root_entropy=0
         )
         assert res.avg_correct.shape == (2, 2)
         np.testing.assert_array_equal(res.feature_indices, [0, 2])
 
     def test_explicit_conditions(self, toy_dataset):
         conds = np.array([[1.0, 0.0]])
-        res = security_likelihood_analysis(
-            perfect_sampler, toy_dataset, conditions=conds, h=0.2, seed=0
+        res = security_analysis(
+            perfect_sampler, toy_dataset, conditions=conds, h=0.2, root_entropy=0
         )
         assert res.avg_correct.shape[0] == 1
 
     def test_missing_test_condition_raises(self, toy_dataset):
         conds = np.array([[0.5, 0.5]])
         with pytest.raises(DataError):
-            security_likelihood_analysis(
+            security_analysis(
                 perfect_sampler, toy_dataset, conditions=conds, h=0.2
             )
 
     def test_rejects_bad_h_and_gsize(self, toy_dataset):
         with pytest.raises(ConfigurationError):
-            security_likelihood_analysis(perfect_sampler, toy_dataset, h=0.0)
+            security_analysis(perfect_sampler, toy_dataset, h=0.0)
         with pytest.raises(ConfigurationError):
-            security_likelihood_analysis(perfect_sampler, toy_dataset, g_size=0)
+            security_analysis(perfect_sampler, toy_dataset, g_size=0)
 
     def test_rejects_bad_feature_indices(self, toy_dataset):
         with pytest.raises(ConfigurationError):
-            security_likelihood_analysis(
+            security_analysis(
                 perfect_sampler, toy_dataset, feature_indices=[99]
             )
 
     def test_rejects_non_sampler(self, toy_dataset):
         with pytest.raises(ConfigurationError):
-            security_likelihood_analysis("not a sampler", toy_dataset)
+            security_analysis("not a sampler", toy_dataset)
 
     def test_trained_cgan_accepted(self, trained_cgan, case_split):
         _train, test = case_split
-        res = security_likelihood_analysis(
-            trained_cgan, test, feature_indices=[10], h=0.3, g_size=50, seed=0
+        res = security_analysis(
+            trained_cgan, test, feature_indices=[10], h=0.3, g_size=50, root_entropy=0
         )
         assert np.all(np.isfinite(res.avg_correct))
 
 
 class TestResultObject:
     def test_summary_and_table(self, toy_dataset):
-        res = security_likelihood_analysis(
-            perfect_sampler, toy_dataset, h=0.2, g_size=100, seed=0
+        res = security_analysis(
+            perfect_sampler, toy_dataset, h=0.2, g_size=100, root_entropy=0
         )
         summaries = res.per_condition_summary()
         assert len(summaries) == 2
@@ -100,24 +98,24 @@ class TestResultObject:
 
 class TestHSweep:
     def test_sweep_keys(self, toy_dataset):
-        sweep = likelihood_h_sweep(
+        sweep = security_analysis_h_sweep(
             perfect_sampler,
             toy_dataset,
             h_values=(0.2, 0.5),
             g_size=80,
-            seed=0,
+            root_entropy=0,
         )
         assert set(sweep) == {0.2, 0.5}
 
     def test_incorrect_likelihood_rises_with_h(self, toy_dataset):
         # The paper's Table I trend: larger windows over-smooth, so the
         # incorrect-condition likelihood creeps up toward the correct one.
-        sweep = likelihood_h_sweep(
+        sweep = security_analysis_h_sweep(
             perfect_sampler,
             toy_dataset,
             h_values=(0.1, 1.0),
             g_size=120,
-            seed=0,
+            root_entropy=0,
         )
         inc_small = sweep[0.1].avg_incorrect.mean()
         inc_large = sweep[1.0].avg_incorrect.mean()
@@ -145,7 +143,7 @@ class TestFeatureChoice:
             )
 
         choice = choose_analysis_feature(
-            sampler, ds, candidates=[0, 1, 2], h=0.1, seed=0
+            sampler, ds, candidates=[0, 1, 2], h=0.1, root_entropy=0
         )
         assert choice == 0
 
@@ -166,7 +164,7 @@ class TestRepeatedAnalysis:
             n_repeats=3,
             h=0.1,
             g_size=80,
-            seed=0,
+            root_entropy=0,
         )
         assert res.mean_correct.shape == (2, 4)
         assert res.std_correct.shape == (2, 4)
@@ -181,7 +179,7 @@ class TestRepeatedAnalysis:
             n_repeats=4,
             h=0.1,
             g_size=150,
-            seed=0,
+            root_entropy=0,
         )
         # Monte-Carlo error well below the oracle's Cor/Inc margin.
         assert res.std_correct.mean() < res.margin().mean()
@@ -190,10 +188,10 @@ class TestRepeatedAnalysis:
         from repro.security.likelihood import repeated_likelihood_analysis
 
         a = repeated_likelihood_analysis(
-            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, seed=5
+            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, root_entropy=5
         )
         b = repeated_likelihood_analysis(
-            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, seed=5
+            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, root_entropy=5
         )
         np.testing.assert_allclose(a.mean_correct, b.mean_correct)
 
@@ -201,7 +199,7 @@ class TestRepeatedAnalysis:
         from repro.security.likelihood import repeated_likelihood_analysis
 
         res = repeated_likelihood_analysis(
-            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, seed=1
+            perfect_sampler, toy_dataset, n_repeats=2, h=0.1, g_size=50, root_entropy=1
         )
         table = res.to_table()
         assert "±" in table

@@ -17,14 +17,16 @@ from repro.errors import (
 )
 from repro.gan import ConditionalGAN
 from repro.security import (
+    AnalysisTarget,
     EmissionAttackDetector,
     SideChannelAttacker,
     choose_analysis_feature,
-    likelihood_h_sweep,
+    repeated_likelihood_analysis,
     roc_auc,
     roc_curve,
+    run_security_analysis,
     security_analysis,
-    security_likelihood_analysis,
+    security_analysis_h_sweep,
 )
 
 CONDS = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -42,11 +44,11 @@ def untrained_cgan():
 class TestLikelihoodEntryPoints:
     def test_untrained_cgan_raises(self, untrained_cgan, toy_dataset):
         with pytest.raises(NotFittedError):
-            security_likelihood_analysis(untrained_cgan, toy_dataset)
+            repeated_likelihood_analysis(untrained_cgan, toy_dataset, n_repeats=2)
 
     def test_h_sweep_untrained_cgan_raises(self, untrained_cgan, toy_dataset):
         with pytest.raises(NotFittedError):
-            likelihood_h_sweep(untrained_cgan, toy_dataset)
+            security_analysis_h_sweep(untrained_cgan, toy_dataset)
 
     def test_choose_feature_untrained_cgan_raises(
         self, untrained_cgan, toy_dataset
@@ -59,10 +61,11 @@ class TestLikelihoodEntryPoints:
             security_analysis(untrained_cgan, toy_dataset)
 
     def test_condition_shape_mismatch_raises(self, toy_dataset):
+        target = AnalysisTarget(
+            "pair", dummy_sampler, toy_dataset, conditions=[[1.0, 0.0, 0.0]]
+        )
         with pytest.raises(ShapeError):
-            security_likelihood_analysis(
-                dummy_sampler, toy_dataset, conditions=[[1.0, 0.0, 0.0]]
-            )
+            run_security_analysis([target])
 
     def test_engine_condition_shape_mismatch_raises(self, toy_dataset):
         with pytest.raises(ShapeError):
@@ -83,21 +86,21 @@ class TestDetectionEntryPoints:
 
     def test_detect_before_calibrate_raises(self):
         detector = EmissionAttackDetector(
-            dummy_sampler, CONDS, g_size=20, seed=0
+            dummy_sampler, CONDS, g_size=20, root_entropy=0
         ).fit()
         with pytest.raises(NotFittedError):
             detector.detect(np.zeros((3, 4)), CONDS[0])
 
     def test_misaligned_claims_raise(self):
         detector = EmissionAttackDetector(
-            dummy_sampler, CONDS, g_size=20, seed=0
+            dummy_sampler, CONDS, g_size=20, root_entropy=0
         ).fit()
         with pytest.raises(DataError):
             detector.score(np.zeros((3, 4)), CONDS)  # 3 samples, 2 claims
 
     def test_unknown_claimed_condition_raises(self):
         detector = EmissionAttackDetector(
-            dummy_sampler, CONDS, g_size=20, seed=0
+            dummy_sampler, CONDS, g_size=20, root_entropy=0
         ).fit()
         with pytest.raises(DataError):
             detector.score(np.zeros((1, 4)), [[0.5, 0.5]])
@@ -148,7 +151,7 @@ class TestConfidentialityEntryPoints:
 
     def test_feature_width_mismatch_raises(self):
         attacker = SideChannelAttacker(
-            dummy_sampler, CONDS, g_size=20, seed=0
+            dummy_sampler, CONDS, g_size=20, root_entropy=0
         ).fit()
         with pytest.raises(DataError):
             attacker.log_likelihoods(np.zeros((2, 7)))
@@ -158,7 +161,7 @@ class TestConfidentialityEntryPoints:
             dummy_sampler,
             [[1.0, 0.0], [0.5, 0.5]],  # does not cover toy's [0,1]
             g_size=20,
-            seed=0,
+            root_entropy=0,
         ).fit()
         with pytest.raises(DataError):
             attacker.evaluate(toy_dataset)

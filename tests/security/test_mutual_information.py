@@ -71,7 +71,7 @@ class TestProfiles:
             return np.clip(rng.normal(center, 0.05, size=(n, 4)), 0, 1)
 
         profile = generator_leakage_profile(
-            oracle, toy_dataset.unique_conditions(), n_per_condition=150, seed=0
+            oracle, toy_dataset.unique_conditions(), n_per_condition=150, root_entropy=0
         )
         assert profile.shape == (4,)
         assert np.all(profile > 0.5)  # Every feature leaks in the oracle.
@@ -80,7 +80,7 @@ class TestProfiles:
         _train, test = case_split
         real = feature_leakage_profile(test)
         gen = generator_leakage_profile(
-            trained_cgan, test.unique_conditions(), n_per_condition=100, seed=0
+            trained_cgan, test.unique_conditions(), n_per_condition=100, root_entropy=0
         )
         assert real.shape == gen.shape
         # The CGAN should reproduce at least the rough leakage structure.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError, NotFittedError, ShapeError
+from repro.runtime.analysis import DEFAULT_PAIR, analysis_rng
 from repro.security import parzen
 from repro.security.confidentiality import SideChannelAttacker
 from repro.security.detection import EmissionAttackDetector
@@ -16,7 +17,6 @@ from repro.security.parzen import (
     resolve_chunk_size,
     silverman_bandwidth,
 )
-from repro.utils.rng import as_rng
 
 
 def naive_log_density(kernels, x, h):
@@ -346,14 +346,13 @@ class TestViewsMatchPerFeatureLoop:
     CONDS = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     FEATURES = [0, 3, 4, 5, 6, 7, 8, 9, 10, 11]  # 10 >= 8: pairwise != serial
 
-    def _windows(self, seed):
-        rng = as_rng(seed)
+    def _windows(self, root_entropy):
+        draws = (
+            _sampler(c, 30, analysis_rng(root_entropy, DEFAULT_PAIR, c))
+            for c in self.CONDS
+        )
         return [
-            [
-                ParzenWindow(0.3).fit(d[:, ft])
-                for ft in self.FEATURES
-            ]
-            for d in (_sampler(c, 30, rng) for c in self.CONDS)
+            [ParzenWindow(0.3).fit(d[:, ft]) for ft in self.FEATURES] for d in draws
         ]
 
     @pytest.mark.parametrize("n_rows", [1, 2, 9])
@@ -363,7 +362,7 @@ class TestViewsMatchPerFeatureLoop:
         claim_idx = rng.integers(0, len(self.CONDS), size=n_rows)
         detector = EmissionAttackDetector(
             _sampler, self.CONDS, h=0.3, g_size=30,
-            feature_indices=self.FEATURES, seed=5,
+            feature_indices=self.FEATURES, root_entropy=5,
         ).fit()
         got = detector.score(x, self.CONDS[claim_idx])
 
@@ -382,7 +381,7 @@ class TestViewsMatchPerFeatureLoop:
         x = np.random.default_rng(n_rows).normal(size=(n_rows, 12))
         attacker = SideChannelAttacker(
             _sampler, self.CONDS, h=0.3, g_size=30,
-            feature_indices=self.FEATURES, seed=5,
+            feature_indices=self.FEATURES, root_entropy=5,
         ).fit()
         got = attacker.log_likelihoods(x)
 

@@ -7,7 +7,7 @@ class TestSecurityReport:
     def test_full_report_structure(self, trained_cgan, case_split):
         _train, test = case_split
         report = build_security_report(
-            trained_cgan, test, pair_name="(F18 | F1)", h=0.2, g_size=80, seed=0
+            trained_cgan, test, pair_name="(F18 | F1)", h=0.2, g_size=80, root_entropy=0
         )
         assert report.pair_name == "(F18 | F1)"
         assert report.condition_entropy > 1.0  # 3 roughly-uniform conditions.
@@ -17,7 +17,7 @@ class TestSecurityReport:
     def test_text_rendering(self, trained_cgan, case_split):
         _train, test = case_split
         report = build_security_report(
-            trained_cgan, test, h=0.2, g_size=80, seed=0
+            trained_cgan, test, h=0.2, g_size=80, root_entropy=0
         )
         text = report.to_text(condition_names=["X", "Y", "Z"])
         assert "GAN-Sec security report" in text
@@ -27,7 +27,7 @@ class TestSecurityReport:
     def test_verdict_levels(self, trained_cgan, case_split):
         _train, test = case_split
         report = build_security_report(
-            trained_cgan, test, h=0.2, g_size=80, seed=0
+            trained_cgan, test, h=0.2, g_size=80, root_entropy=0
         )
         assert report.verdict() in {
             "SEVERE leakage: emissions reveal the cyber signal",
@@ -38,7 +38,7 @@ class TestSecurityReport:
     def test_leaked_bits_bound(self, trained_cgan, case_split):
         _train, test = case_split
         report = build_security_report(
-            trained_cgan, test, h=0.2, g_size=80, seed=0
+            trained_cgan, test, h=0.2, g_size=80, root_entropy=0
         )
         assert report.leaked_bits_upper_bound <= report.condition_entropy + 0.3
 
@@ -52,7 +52,7 @@ class TestDetectionSection:
             h=0.2,
             g_size=80,
             include_detection=True,
-            seed=0,
+            root_entropy=0,
         )
         assert report.detection is not None
         assert 0.0 <= report.detection.auc <= 1.0
@@ -62,7 +62,7 @@ class TestDetectionSection:
     def test_absent_by_default(self, trained_cgan, case_split):
         _train, test = case_split
         report = build_security_report(
-            trained_cgan, test, h=0.2, g_size=80, seed=0
+            trained_cgan, test, h=0.2, g_size=80, root_entropy=0
         )
         assert report.detection is None
         assert "Integrity/availability" not in report.to_text()

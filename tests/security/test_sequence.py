@@ -118,7 +118,9 @@ class TestSequenceAttacker:
 
     def test_smoothing_beats_independent(self):
         true, feats = self._noisy_sequence(seed=3)
-        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, seed=0).fit()
+        base = SideChannelAttacker(
+            self.oracle, self.CONDS, h=0.15, root_entropy=0
+        ).fit()
         independent_acc = float((base.infer(feats) == true).mean())
 
         transition = TransitionModel(2, smoothing=1.0)
@@ -130,12 +132,12 @@ class TestSequenceAttacker:
         assert smoothed_acc >= independent_acc
 
     def test_state_count_mismatch(self):
-        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, seed=0)
+        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, root_entropy=0)
         with pytest.raises(ConfigurationError):
             SequenceAttacker(base, TransitionModel(3))
 
     def test_autofits_base(self):
-        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, seed=0)
+        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, root_entropy=0)
         attacker = SequenceAttacker(base, TransitionModel(2))
         _true, feats = self._noisy_sequence(seed=1, n=5)
         path = attacker.infer_sequence(feats)

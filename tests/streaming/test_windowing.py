@@ -155,6 +155,21 @@ class TestStreamWindower:
         with pytest.raises(DataError):
             StreamWindower(4, 2).push(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_chunk_before_buffering(self, bad):
+        x = np.arange(12, dtype=float)
+        windower = StreamWindower(4, 2)
+        first = windower.push(x[:3])
+        with pytest.raises(DataError, match="non-finite"):
+            windower.push([x[3], bad, x[4]])
+        assert windower.samples_consumed == 3
+        # The stream continues as if the bad chunk never arrived.
+        rest = windower.push(x[3:])
+        offline, _ = frame_signal(x, 4, 2)
+        np.testing.assert_array_equal(
+            np.stack([w.samples for w in first + rest]), offline
+        )
+
     @settings(max_examples=50, deadline=None)
     @given(
         data=st.data(),

@@ -294,6 +294,31 @@ class TestStreamCommand:
         assert rc == 0
         assert "windows scored" in capsys.readouterr().out
 
+    def test_calibration_wav_rate_mismatch_is_loud(self, tmp_path):
+        import json
+
+        import numpy as np
+
+        from repro.errors import DataError
+        from repro.flows.energy import EnergyFlowData
+        from repro.manufacturing.wav import write_wav
+
+        samples = np.random.default_rng(0).normal(size=4800)
+        write_wav(EnergyFlowData(samples, 12000.0), tmp_path / "trace.wav")
+        write_wav(EnergyFlowData(samples, 8000.0), tmp_path / "cal.wav")
+        claims_path = tmp_path / "claims.json"
+        claims_path.write_text(json.dumps({
+            "boundaries": [0, 2400],
+            "span_conditions": [0, 1],
+            "conditions": [[1.0, 0.0], [0.0, 1.0]],
+        }))
+        with pytest.raises(DataError, match="8000 Hz"):
+            main(
+                ["stream", "--wav", str(tmp_path / "trace.wav"),
+                 "--calibration-wav", str(tmp_path / "cal.wav"),
+                 "--claims", str(claims_path), "--g-size", "16"]
+            )
+
     def test_wav_claims_missing_key_is_loud(self, tmp_path):
         import json
 
