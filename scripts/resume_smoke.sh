@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Resume smoke test: run a tiny experiment, SIGTERM it mid-training,
 # resume it, and require the final summary.json to be byte-identical to
-# an uninterrupted reference run.  CI uploads both run manifests.
+# an uninterrupted reference run, and `experiment status` to list all
+# five stages as verified.  CI uploads both run manifests.
 #
 # Usage: scripts/resume_smoke.sh [workdir]   (default: ./resume-smoke)
 set -euo pipefail
@@ -50,4 +51,17 @@ for artifact in summary.json history.csv report.txt analysis.json; do
     cmp "$REF/$artifact" "$INT/$artifact"
     echo "identical: $artifact"
 done
+
+echo "== status of the resumed run =="
+STATUS="$(python -m repro.cli experiment status "$INT")"
+echo "$STATUS"
+STAGES="$(grep -cE '^(record|graph|train\[F18\|F1\]|analyze\[F18\|F1\]|report) ' <<<"$STATUS" || true)"
+if [ "$STAGES" -ne 5 ]; then
+    echo "ERROR: status lists $STAGES of the 5 stages" >&2
+    exit 1
+fi
+if grep -q STALE <<<"$STATUS"; then
+    echo "ERROR: status reports STALE outputs" >&2
+    exit 1
+fi
 echo "resume smoke test passed"

@@ -2,10 +2,10 @@
 
 ``manifest.json`` at the root of a run directory records, for every
 completed stage, the fingerprint it executed under, digests of every
-output artifact, wall-clock timings, and free-form metadata.  A re-run
-loads the manifest, recomputes each stage's fingerprint, and skips the
-stage iff the fingerprints match *and* every recorded output still
-verifies on disk.
+output artifact, its duration (monotonic clock) and wall-clock start and
+finish times, and free-form metadata.  A re-run loads the manifest,
+recomputes each stage's fingerprint, and skips the stage iff the
+fingerprints match *and* every recorded output still verifies on disk.
 
 Robustness rule: a missing, truncated, or otherwise corrupt manifest is
 never an error — it loads as an *empty* manifest, which simply means no

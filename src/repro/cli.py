@@ -80,6 +80,19 @@ def _profiled(args, func, profile_path) -> int:
     return rc
 
 
+def _report_handler_errors(bus) -> int:
+    """Print the event-subscriber failures *bus* collected; 1 if any."""
+    if not bus.handler_errors:
+        return 0
+    event, exc = bus.handler_errors[0]
+    print(
+        f"error: {len(bus.handler_errors)} event handler error(s); first, "
+        f"on {event.kind}: {type(exc).__name__}: {exc}",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def _cmd_record(args) -> int:
     dataset, _extractor, _encoder, runs = record_case_study_dataset(
         n_moves_per_axis=args.moves,
@@ -418,7 +431,7 @@ def _cmd_stream(args) -> int:
     if metrics.alarms:
         print(f"  alarm windows: {metrics.alarms}")
 
-    rc = 0
+    rc = _report_handler_errors(bus)
     if metrics.error:
         print("stream producer error:", metrics.error.strip().splitlines()[-1],
               file=sys.stderr)
@@ -475,13 +488,18 @@ def _run_experiment(args) -> int:
     print(f"experiment artifacts written to {result.directory}")
     for key, value in result.summary.items():
         print(f"  {key}: {value}")
-    return 0
+    return _report_handler_errors(bus)
 
 
 def _cmd_experiment_status(args) -> int:
+    from repro.errors import SerializationError
     from repro.pipeline.experiment import experiment_status
 
-    rows = experiment_status(args.dir)
+    try:
+        rows = experiment_status(args.dir)
+    except (FileNotFoundError, SerializationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not rows:
         print(f"no completed stages recorded under {args.dir}")
         return 0

@@ -28,11 +28,10 @@ Lifecycle of one :class:`repro.streaming.StreamSession` run::
       AttackDetected*                    (per decision-layer alarm)
     StreamFinished                       (once, also after failures)
 
-A staged pipeline run (:func:`repro.pipeline.experiment.run_experiment`,
-:class:`repro.pipeline.rungraph.RunGraph`) wraps each stage in
-``StageStarted``/``StageCompleted`` — or emits a single ``StageSkipped``
-when the stage's fingerprint matched a prior run and its recorded
-outputs verified on disk.
+A staged pipeline run (:func:`repro.pipeline.experiment.run_experiment`)
+wraps each of its five stages in ``StageStarted``/``StageCompleted`` —
+or emits a single ``StageSkipped`` when the stage's fingerprint matched
+a prior run and its recorded outputs verified on disk.
 
 The bus is thread-safe: ``ThreadExecutor`` workers emit concurrently.
 Process-executor workers cannot reach the parent's bus, so their
@@ -162,7 +161,7 @@ class AnalysisCompleted(RuntimeEvent):
 
 @dataclass(frozen=True)
 class StageStarted(RuntimeEvent):
-    """A run-graph stage began executing (its fingerprint missed)."""
+    """An experiment stage began executing (its fingerprint missed)."""
 
     stage: str
     fingerprint: str
@@ -171,7 +170,7 @@ class StageStarted(RuntimeEvent):
 
 @dataclass(frozen=True)
 class StageSkipped(RuntimeEvent):
-    """A run-graph stage was skipped: fingerprint matched and every
+    """An experiment stage was skipped: fingerprint matched and every
     recorded output artifact verified on disk."""
 
     stage: str
@@ -182,7 +181,7 @@ class StageSkipped(RuntimeEvent):
 
 @dataclass(frozen=True)
 class StageCompleted(RuntimeEvent):
-    """A run-graph stage finished executing and its outputs were
+    """An experiment stage finished executing and its outputs were
     recorded in the run manifest."""
 
     stage: str

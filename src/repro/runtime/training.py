@@ -63,8 +63,8 @@ class CheckpointSpec:
     """Where (and how often) one pair's training checkpoints live.
 
     ``fingerprint`` is an opaque configuration token (typically the
-    training stage's run-graph fingerprint): a checkpoint written under
-    one fingerprint is never resumed under another.
+    training stage's fingerprint): a checkpoint written under one
+    fingerprint is never resumed under another.
     """
 
     directory: str

@@ -1,17 +1,33 @@
-"""Tests for repro.pipeline.rungraph (the staged, resumable run graph)."""
+"""Tests for the experiment's skip-or-run stage runner.
+
+``_StageRunner`` in :mod:`repro.pipeline.experiment` runs or skips one
+fingerprinted stage at a time; :func:`run_experiment` is five calls to
+it.  The unit tests drive it on a two-stage chain ``a -> b``; the
+``TestExperimentRun`` tests cover the real experiment at a tiny size.
+"""
+
+import json
+import time
 
 import pytest
 
 from repro.artifacts.manifest import RunManifest
 from repro.artifacts.store import ArtifactStore
 from repro.errors import ConfigurationError
-from repro.pipeline.rungraph import RunGraph, Stage, stage_fingerprint
+from repro.pipeline import stage_fingerprint
+from repro.pipeline.experiment import (
+    ExperimentConfig,
+    _StageRunner,
+    run_experiment,
+)
 from repro.runtime.events import (
     EventBus,
     StageCompleted,
     StageSkipped,
     StageStarted,
 )
+
+ALL_STAGES = ["record", "graph", "train[F18|F1]", "analyze[F18|F1]", "report"]
 
 
 def _collect(bus):
@@ -24,27 +40,22 @@ def _names(events, kind):
     return [e.stage for e in events if isinstance(e, kind)]
 
 
-def make_stages(counts, store_payloads=None):
-    """Two-stage chain a -> b; each writes one artifact and bumps a counter."""
-    payloads = store_payloads or {"a": b"alpha", "b": b"beta"}
+def run_chain(rundir, counts, *, bus=None, resume=True, config_a=None):
+    """Run the chain a -> b; each stage writes one artifact and bumps a counter."""
+    store = ArtifactStore(rundir)
+    stage = _StageRunner(store, RunManifest.load(rundir), bus or EventBus(), resume)
 
-    def run_a(ctx):
+    def body_a(_fingerprint):
         counts["a"] += 1
-        return {"out_a": ctx.store.put_bytes("a.bin", payloads["a"])}, {"n": 1}
+        return {"out_a": store.put_bytes("a.bin", b"alpha")}, {"n": 1}
 
-    def run_b(ctx):
+    def body_b(_fingerprint):
         counts["b"] += 1
-        return {"out_b": ctx.store.put_bytes("b.bin", payloads["b"])}, {}
+        return {"out_b": store.put_bytes("b.bin", b"beta")}, {}
 
-    return [
-        Stage("a", run=run_a, config_slice={"k": 1}, outputs=("out_a",)),
-        Stage("b", run=run_b, deps=("a",), config_slice={"k": 2}, outputs=("out_b",)),
-    ]
-
-
-class Ctx:
-    def __init__(self, store):
-        self.store = store
+    stage("a", config_a or {"k": 1}, (), ("out_a",), body_a)
+    stage("b", {"k": 2}, ("a",), ("out_b",), body_b)
+    return stage
 
 
 @pytest.fixture()
@@ -52,179 +63,87 @@ def rundir(tmp_path):
     return tmp_path / "run"
 
 
-def build(rundir, stages, *, bus=None, resume=True):
-    store = ArtifactStore(rundir)
-    manifest = RunManifest.load(rundir)
-    graph = RunGraph(stages, store, manifest, bus=bus, resume=resume)
-    return graph, Ctx(store)
+@pytest.fixture()
+def counts():
+    return {"a": 0, "b": 0}
 
 
 class TestExecution:
-    def test_runs_in_order_and_records(self, rundir):
-        counts = {"a": 0, "b": 0}
+    def test_runs_in_order_and_records(self, rundir, counts):
         bus = EventBus()
         events = _collect(bus)
-        graph, ctx = build(rundir, make_stages(counts), bus=bus)
-        outcomes = graph.execute(ctx)
+        stage = run_chain(rundir, counts, bus=bus)
 
         assert counts == {"a": 1, "b": 1}
-        assert [o.status for o in outcomes.values()] == ["completed", "completed"]
+        assert stage.executed == {"a", "b"}
         assert _names(events, StageStarted) == ["a", "b"]
         assert _names(events, StageCompleted) == ["a", "b"]
         loaded = RunManifest.load(rundir)
         assert set(loaded.names()) == {"a", "b"}
+        assert loaded.get("a").meta == {"n": 1}
 
-    def test_warm_rerun_skips_everything(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
+    def test_warm_rerun_skips_everything(self, rundir, counts):
+        run_chain(rundir, counts)
 
         bus = EventBus()
         events = _collect(bus)
-        graph2, ctx2 = build(rundir, make_stages(counts), bus=bus)
-        outcomes = graph2.execute(ctx2)
+        stage = run_chain(rundir, counts, bus=bus)
 
         assert counts == {"a": 1, "b": 1}
-        assert all(o.status == "skipped" for o in outcomes.values())
+        assert stage.executed == set()
         assert _names(events, StageSkipped) == ["a", "b"]
         assert _names(events, StageStarted) == []
 
-    def test_resume_false_reruns_everything(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
-        graph2, ctx2 = build(rundir, make_stages(counts), resume=False)
-        graph2.execute(ctx2)
+    def test_resume_false_reruns_everything(self, rundir, counts):
+        run_chain(rundir, counts)
+        run_chain(rundir, counts, resume=False)
         assert counts == {"a": 2, "b": 2}
 
     def test_missing_declared_output_is_an_error(self, rundir):
-        stage = Stage("a", run=lambda ctx: ({}, {}), outputs=("out_a",))
-        graph, ctx = build(rundir, [stage])
+        stage = _StageRunner(
+            ArtifactStore(rundir), RunManifest.load(rundir), EventBus(), True
+        )
         with pytest.raises(ConfigurationError, match="out_a"):
-            graph.execute(ctx)
+            stage("a", {}, (), ("out_a",), lambda _fp: ({}, {}))
+        assert "a" not in RunManifest.load(rundir)
 
 
 class TestInvalidation:
-    def test_config_change_reruns_stage_and_downstream(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
-
-        changed = make_stages(counts)
-        changed[0].config_slice = {"k": 99}
-        graph2, ctx2 = build(rundir, changed)
-        outcomes = graph2.execute(ctx2)
+    def test_config_change_reruns_stage_and_downstream(self, rundir, counts):
+        run_chain(rundir, counts)
+        stage = run_chain(rundir, counts, config_a={"k": 99})
         # a re-runs for its new config; b re-runs because its input
         # fingerprint changed (cascade), even though b's config did not.
         assert counts == {"a": 2, "b": 2}
-        assert all(o.executed for o in outcomes.values())
+        assert stage.executed == {"a", "b"}
 
-    def test_downstream_cascade_even_with_identical_bytes(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
+    def test_downstream_cascade_even_with_identical_bytes(self, rundir, counts):
+        run_chain(rundir, counts)
         # Force a to re-run; it regenerates byte-identical output, but b
         # must still re-run: "a executed" is the invalidation signal,
         # not byte equality.
         manifest = RunManifest.load(rundir)
         manifest.remove("a")
         manifest.save()
-        graph2, ctx2 = build(rundir, make_stages(counts))
-        graph2.execute(ctx2)
+        run_chain(rundir, counts)
         assert counts == {"a": 2, "b": 2}
 
-    def test_deleted_output_reruns_stage(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
+    def test_deleted_output_reruns_stage(self, rundir, counts):
+        run_chain(rundir, counts)
         (rundir / "a.bin").unlink()
-        graph2, ctx2 = build(rundir, make_stages(counts))
-        graph2.execute(ctx2)
+        run_chain(rundir, counts)
         assert counts["a"] == 2
 
-    def test_tampered_output_reruns_stage(self, rundir):
-        counts = {"a": 0, "b": 0}
-        graph, ctx = build(rundir, make_stages(counts))
-        graph.execute(ctx)
+    def test_tampered_output_reruns_stage(self, rundir, counts):
+        run_chain(rundir, counts)
         (rundir / "b.bin").write_bytes(b"evil")
         bus = EventBus()
         events = _collect(bus)
-        graph2, ctx2 = build(rundir, make_stages(counts), bus=bus)
-        graph2.execute(ctx2)
+        run_chain(rundir, counts, bus=bus)
         # a untouched and verified -> skipped; b detected as tampered.
         assert counts == {"a": 1, "b": 2}
         assert _names(events, StageSkipped) == ["a"]
         assert _names(events, StageStarted) == ["b"]
-
-
-class TestGraphValidation:
-    def test_unknown_dep_rejected(self, rundir):
-        with pytest.raises(ConfigurationError, match="nope"):
-            build(rundir, [Stage("a", run=None, deps=("nope",))])
-
-    def test_duplicate_names_rejected(self, rundir):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            build(rundir, [Stage("a", run=None), Stage("a", run=None)])
-
-    def test_group_without_runner_rejected(self, rundir):
-        with pytest.raises(ConfigurationError, match="group"):
-            build(rundir, [Stage("a", run=None, group="g")])
-
-
-class TestGroups:
-    def _grouped(self, rundir, runner, *, bus=None):
-        store = ArtifactStore(rundir)
-        manifest = RunManifest.load(rundir)
-        stages = [
-            Stage("t1", run=None, group="g", outputs=("o",), config_slice={"p": 1}),
-            Stage("t2", run=None, group="g", outputs=("o",), config_slice={"p": 2}),
-        ]
-        graph = RunGraph(
-            stages, store, manifest, bus=bus, group_runners={"g": runner}
-        )
-        return graph, Ctx(store)
-
-    def test_batch_runs_together_and_records_each(self, rundir):
-        batches = []
-
-        def runner(group, batch, ctx):
-            batches.append([stage.name for stage, _fp in batch])
-            results = {
-                stage.name: (
-                    {"o": ctx.store.put_bytes(f"{stage.name}.bin", b"x")},
-                    {},
-                )
-                for stage, _fp in batch
-            }
-            return results, None
-
-        graph, ctx = self._grouped(rundir, runner)
-        outcomes = graph.execute(ctx)
-        assert batches == [["t1", "t2"]]
-        assert all(o.executed for o in outcomes.values())
-        # Second run: both members skip individually, runner never called.
-        graph2, ctx2 = self._grouped(rundir, runner)
-        outcomes2 = graph2.execute(ctx2)
-        assert batches == [["t1", "t2"]]
-        assert all(o.status == "skipped" for o in outcomes2.values())
-
-    def test_partial_failure_records_successes_then_raises(self, rundir):
-        def runner(group, batch, ctx):
-            results = {}
-            for stage, _fp in batch:
-                if stage.name == "t1":
-                    results[stage.name] = (
-                        {"o": ctx.store.put_bytes("t1.bin", b"x")},
-                        {},
-                    )
-            return results, RuntimeError("t2 exploded")
-
-        graph, ctx = self._grouped(rundir, runner)
-        with pytest.raises(RuntimeError, match="t2 exploded"):
-            graph.execute(ctx)
-        manifest = RunManifest.load(rundir)
-        assert "t1" in manifest
-        assert "t2" not in manifest
 
 
 class TestFingerprint:
@@ -241,3 +160,88 @@ class TestFingerprint:
         assert stage_fingerprint("s", {"a": 1, "b": 2}, {}) == stage_fingerprint(
             "s", {"b": 2, "a": 1}, {}
         )
+
+    def test_default_config_fingerprints_pinned(self, rundir, monkeypatch):
+        """Run directories written by earlier versions keep resuming.
+
+        The default config runs until training starts, on a one-move
+        recording: the record and graph fingerprints depend only on
+        their config slices, not on what the stages produce.
+        """
+        import repro.pipeline.experiment as experiment
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        real_record = experiment.record_case_study_dataset
+        monkeypatch.setattr(
+            experiment,
+            "record_case_study_dataset",
+            lambda **kw: real_record(**{**kw, "n_moves_per_axis": 1}),
+        )
+        monkeypatch.setattr(experiment.GANSec, "train_models", stop)
+        bus = EventBus()
+        events = _collect(bus)
+        with pytest.raises(Stop):
+            run_experiment(ExperimentConfig(), rundir, bus=bus)
+
+        started = {e.stage: e.fingerprint for e in events if isinstance(e, StageStarted)}
+        assert started["record"] == (
+            "f5d64ca099195fa0a04a8622b689deadcd6d24d929d757e7aa42e9dc88e2163d"
+        )
+        assert started["graph"] == (
+            "e167a4a3e9eaacc432c56e3ba1d8125bbc02b16960ca1d811046f26738342951"
+        )
+
+
+TINY = dict(
+    name="tiny-resume",
+    seed=7,
+    n_moves_per_axis=4,
+    n_bins=30,
+    iterations=40,
+    checkpoint_every=20,
+)
+
+
+def run_with_events(out_dir, **kwargs):
+    bus = EventBus()
+    events = _collect(bus)
+    run_experiment(ExperimentConfig(**TINY), out_dir, bus=bus, **kwargs)
+    return events
+
+
+class TestExperimentRun:
+    def test_second_run_skips_all_five_stages(self, rundir):
+        first = run_with_events(rundir)
+        assert _names(first, StageStarted) == ALL_STAGES
+
+        second = run_with_events(rundir)
+        assert _names(second, StageSkipped) == ALL_STAGES
+        assert _names(second, StageStarted) == []
+
+        fresh = run_with_events(rundir, resume=False)
+        assert _names(fresh, StageStarted) == ALL_STAGES
+        assert _names(fresh, StageSkipped) == []
+
+    def test_durations_survive_a_wall_clock_step_back(self, rundir, monkeypatch):
+        # Every wall-clock read is one second earlier than the last, as
+        # if NTP kept stepping the clock back mid-stage.
+        wall = [time.time()]
+
+        def stepping_back():
+            wall[0] -= 1.0
+            return wall[0]
+
+        monkeypatch.setattr(time, "time", stepping_back)
+        events = run_with_events(rundir)
+
+        completed = [e for e in events if isinstance(e, StageCompleted)]
+        assert [e.stage for e in completed] == ALL_STAGES
+        assert all(e.seconds >= 0 for e in completed)
+        stages = json.loads((rundir / "manifest.json").read_text())["stages"]
+        assert len(stages) == 5
+        assert all(s["seconds"] >= 0 for s in stages)

@@ -145,6 +145,17 @@ class TestExperimentStatusAndInvalidate:
         assert main(["experiment", "status", str(tmp_path)]) == 0
         assert "no completed stages" in capsys.readouterr().out
 
+    def test_status_missing_dir_fails(self, tmp_path, capsys):
+        assert main(["experiment", "status", str(tmp_path / "nope")]) == 1
+        assert "no such run directory" in capsys.readouterr().err
+
+    def test_status_corrupt_manifest_fails(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"schema": "gansec-run-')
+        assert main(["experiment", "status", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json is unreadable" in err
+        assert "re-executes every stage" in err
+
     def test_invalidate_then_resume_reruns_stage(self, rundir, capsys):
         assert main(["experiment", "invalidate", str(rundir), "report"]) == 0
         assert "invalidated" in capsys.readouterr().out
@@ -164,6 +175,40 @@ class TestExperimentStatusAndInvalidate:
     def test_invalidate_unknown_stage_fails(self, rundir, capsys):
         assert main(["experiment", "invalidate", str(rundir), "bogus"]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestHandlerErrors:
+    """A crashing event subscriber makes the command fail, not vanish."""
+
+    @pytest.fixture()
+    def crashing_progress(self, monkeypatch):
+        from repro.runtime.reporters import ConsoleProgressReporter
+
+        def crash(self, event):
+            raise RuntimeError("progress reporter crashed")
+
+        monkeypatch.setattr(ConsoleProgressReporter, "handle", crash)
+
+    def test_experiment_reports_handler_errors(
+        self, tmp_path, capsys, crashing_progress
+    ):
+        rc = main(
+            ["experiment", "--out", str(tmp_path / "exp"), "--moves", "4",
+             "--iterations", "40", "--seed", "7", "--progress"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "event handler error(s)" in err
+        assert "RuntimeError: progress reporter crashed" in err
+
+    def test_stream_reports_handler_errors(self, capsys, crashing_progress):
+        rc = main(
+            [*TestStreamCommand.COMMON, "--attack-spans", "0", "--progress"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "event handler error(s)" in err
+        assert "RuntimeError: progress reporter crashed" in err
 
 
 class TestFeatureCacheFlag:
