@@ -90,7 +90,6 @@ def test_analysis_worker_sweep():
     rows = []
     tables = {}
     for workers in WORKER_SWEEP:
-        executor = "serial" if workers == 1 else "process"
         start = time.perf_counter()
         results = run_security_analysis(
             targets,
@@ -98,13 +97,11 @@ def test_analysis_worker_sweep():
             g_size=G_SIZE,
             root_entropy=BENCH_SEED,
             workers=workers,
-            executor=executor,
         )
         elapsed = time.perf_counter() - start
         rows.append(
             {
                 "workers": workers,
-                "executor": executor,
                 "jobs": N_PAIRS * N_CONDITIONS,
                 "wall-clock [s]": round(elapsed, 3),
                 "speedup": round(rows[0]["wall-clock [s]"] / elapsed, 2)

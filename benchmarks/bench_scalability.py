@@ -9,7 +9,7 @@ pruning (reachability + data coverage) cuts the modeling workload.
 
 The second half benchmarks Algorithm 2 at scale: the surviving pairs
 are independent CGANs, so ``GANSec.train_models`` fans them out over
-the :mod:`repro.runtime` executors.  The worker sweep reports
+``workers`` processes.  The worker sweep reports
 wall-clock per worker count and verifies that every schedule produces
 bitwise-identical generator weights.
 """
@@ -146,14 +146,12 @@ def test_parallel_training_worker_sweep():
                 cgan=CGANConfig(iterations=TRAIN_ITERATIONS), seed=BENCH_SEED
             ),
         )
-        executor = "serial" if workers == 1 else "process"
         start = time.perf_counter()
-        pipe.train_models(data, workers=workers, executor=executor)
+        pipe.train_models(data, workers=workers)
         elapsed = time.perf_counter() - start
         rows.append(
             {
                 "workers": workers,
-                "executor": executor,
                 "pairs": len(pipe.models),
                 "wall-clock [s]": round(elapsed, 3),
                 "speedup": round(rows[0]["wall-clock [s]"] / elapsed, 2)

@@ -474,8 +474,6 @@ def _run_experiment(args) -> int:
             seed=args.seed,
             n_moves_per_axis=args.moves,
             iterations=args.iterations,
-            workers=args.workers,
-            executor=args.executor,
             analysis_workers=args.analysis_workers,
             trace=args.trace,
             feature_cache=args.feature_cache,
@@ -591,10 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moves", type=int, default=30)
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel pair-training workers")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
-                   help="pair-training executor (default: by worker count)")
     p.add_argument("--analysis-workers", type=int, default=1,
                    help="parallel (pair, condition) analysis workers")
     p.add_argument("--trace", action="store_true",

@@ -1,7 +1,7 @@
 """End-to-end GAN-Sec pipeline (the Figure 4 automatic model-generation
 method): Algorithm 1 → Algorithm 2 per flow pair → Algorithm 3 reports.
 
-Training fans out over the :mod:`repro.runtime` executors; every pair
+Training fans out by :func:`repro.runtime.executors.fan_out`; every pair
 is identified by a :class:`~repro.pipeline.pairs.FlowPairKey`.
 
 :class:`GANSec` calls the three steps directly.  :func:`run_experiment`

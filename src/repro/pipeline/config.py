@@ -56,13 +56,13 @@ class AnalysisConfig:
 class GANSecConfig:
     """Top-level pipeline configuration.
 
-    ``workers`` / ``executor`` select the pair-training runtime (see
-    :mod:`repro.runtime`): 1 worker runs serially; more workers default
-    to the process executor unless *executor* names another one
-    (``"serial"`` / ``"thread"`` / ``"process"``).  ``analysis_workers``
-    does the same for the Algorithm 3 security-analysis fan-out
-    (per-(pair, condition) jobs); both stages produce results that are
-    bitwise-independent of the worker count.  ``progress_every``
+    ``workers`` sets the pair-training fan-out (see
+    :func:`repro.runtime.executors.fan_out`): one worker trains the
+    pairs in the calling thread, more train them on that many processes
+    (at most one per pair).  ``analysis_workers`` does the same for the
+    Algorithm 3 security-analysis fan-out (per-(pair, condition) jobs);
+    both stages produce results that are bitwise-independent of the
+    worker count.  ``progress_every``
     sets the cadence (in Algorithm 2 iterations) of
     :class:`~repro.runtime.events.EpochProgress` events; 0 disables
     them.  ``sample_cache_entries`` bounds the LRU cache of generated
@@ -76,7 +76,6 @@ class GANSecConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     seed: int | None = None
     workers: int = 1
-    executor: str | None = None
     analysis_workers: int = 1
     progress_every: int = 0
     sample_cache_entries: int = 64
@@ -96,13 +95,4 @@ class GANSecConfig:
         if self.progress_every < 0:
             raise ConfigurationError(
                 f"progress_every must be >= 0, got {self.progress_every}"
-            )
-        if self.executor is not None and self.executor not in (
-            "serial",
-            "thread",
-            "process",
-        ):
-            raise ConfigurationError(
-                "executor must be None, 'serial', 'thread', or 'process', "
-                f"got {self.executor!r}"
             )

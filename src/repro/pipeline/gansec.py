@@ -7,8 +7,8 @@
    reachability, and pruned to the pairs covered by historical data.
 2. **CGAN model generation** (Algorithm 2): one conditional GAN is
    trained per trainable flow pair from its aligned dataset.  Pairs are
-   independent, so training fans out over the :mod:`repro.runtime`
-   executors (``workers=`` / ``executor=``) with per-pair RNG streams
+   independent, so training fans out over ``workers`` processes
+   (:func:`repro.runtime.executors.fan_out`) with per-pair RNG streams
    derived from the pipeline seed and pair key alone — parallel runs
    are bitwise-identical to serial ones.  Per-pair failures are
    isolated: every pair is attempted, successes are kept, and a single
@@ -54,7 +54,7 @@ from repro.runtime.events import (
     TrainingStarted,
 )
 from repro.runtime.analysis import ConditionSampleCache
-from repro.runtime.executors import get_executor
+from repro.runtime.executors import check_workers, fan_out, pool_size
 from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
 from repro.utils.atomic import atomic_write_text
@@ -166,7 +166,6 @@ class GANSec:
         *,
         pairs=None,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
         checkpoint_plan: dict | None = None,
     ) -> dict[FlowPairKey, PairModel]:
@@ -181,11 +180,10 @@ class GANSec:
             all of them.
         workers:
             Worker count for the pair fan-out; defaults to
-            ``config.workers``.  Results are identical for any value.
-        executor:
-            ``"serial"`` / ``"thread"`` / ``"process"``, an
-            :class:`~repro.runtime.executors.Executor` instance, or
-            ``None`` to pick from ``config.executor`` / *workers*.
+            ``config.workers``.  ``min(workers, pairs)`` processes train
+            the pairs; one trains them in this thread with live
+            ``EpochProgress`` events.  Results are identical for any
+            value.
         bus:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             the structured training events.
@@ -225,9 +223,6 @@ class GANSec:
         cfg = self.config
         if workers is None:
             workers = cfg.workers
-        exec_obj = get_executor(
-            executor if executor is not None else cfg.executor, workers
-        )
         bus = bus if bus is not None else EventBus()
         checkpoint_plan = checkpoint_plan or {}
         jobs = [
@@ -245,12 +240,14 @@ class GANSec:
             for i, key in enumerate(selected)
         ]
 
+        pool = pool_size(workers, len(jobs))
+        in_process = pool == 1
         start = time.perf_counter()
         bus.emit(
             TrainingStarted(
                 total_pairs=len(jobs),
-                executor=getattr(exec_obj, "name", type(exec_obj).__name__),
-                workers=getattr(exec_obj, "workers", 1),
+                executor="serial" if in_process else "process",
+                workers=pool,
             )
         )
 
@@ -265,7 +262,7 @@ class GANSec:
                 )
             )
 
-        if exec_obj.in_process:
+        if in_process:
             def fn(job):
                 pair = str(job.key)
                 return run_training_job(
@@ -277,12 +274,12 @@ class GANSec:
             # must be picklable, and progress is replayed afterwards.
             fn = run_training_job
 
-        outcomes = exec_obj.map_pairs(fn, jobs)
+        outcomes = fan_out(fn, jobs, workers)
 
         failures: dict = {}
         completed: list = []
         for job, outcome in zip(jobs, outcomes):
-            if not exec_obj.in_process:
+            if not in_process:
                 for it, tot, d_loss, g_loss in outcome.progress:
                     _emit_progress(str(job.key), it, tot, d_loss, g_loss)
             if outcome.ok:
@@ -334,7 +331,6 @@ class GANSec:
         pair: FlowPairKey | None = None,
         *,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
     ) -> dict[FlowPairKey, SecurityReport]:
         """Run the security analysis for trained pairs.
@@ -342,12 +338,12 @@ class GANSec:
         The Algorithm 3 likelihood tables for every selected pair are
         computed by the parallel engine
         (:func:`repro.security.engine.run_security_analysis`): one job
-        per (pair, condition), fanned out over the same executors as
-        training, with fused Parzen scoring and a generated-sample
+        per (pair, condition), fanned out by the same worker-count rule
+        as training, with fused Parzen scoring and a generated-sample
         cache that persists across repeated ``analyze()`` calls.  The
         per-job RNG streams derive from the pipeline seed and the
-        (pair, condition) identity alone, so any *workers* / *executor*
-        choice yields bitwise-identical reports.
+        (pair, condition) identity alone, so any *workers* value
+        yields bitwise-identical reports.
 
         Parameters
         ----------
@@ -357,9 +353,6 @@ class GANSec:
         workers:
             Worker count for the analysis fan-out; defaults to
             ``config.analysis_workers``.
-        executor:
-            ``"serial"`` / ``"thread"`` / ``"process"``, an executor
-            instance, or ``None`` to pick from *workers*.
         bus:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             ``AnalysisStarted`` / ``ConditionScored`` /
@@ -396,7 +389,6 @@ class GANSec:
             h=cfg.h,
             g_size=cfg.g_size,
             root_entropy=self._root_entropy,
-            executor=executor,
             workers=workers,
             bus=bus,
             cache=self._sample_cache,
@@ -426,21 +418,22 @@ class GANSec:
         data: dict,
         *,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
         analysis_workers: int | None = None,
     ) -> dict[FlowPairKey, SecurityReport]:
         """Convenience: graph → training → analysis in one call.
 
-        *workers* / *executor* drive the Algorithm 2 training fan-out;
+        *workers* drives the Algorithm 2 training fan-out;
         *analysis_workers* (defaulting to ``config.analysis_workers``)
         drives the Algorithm 3 fan-out.  The shared *bus* receives both
         steps' events.  The persistent, resumable version of this
         pipeline is :func:`repro.pipeline.experiment.run_experiment`.
         """
+        if analysis_workers is not None:  # fail before training, not after
+            check_workers(analysis_workers, "analysis_workers")
         self.generate_graph(data)
-        self.train_models(data, workers=workers, executor=executor, bus=bus)
-        return self.analyze(workers=analysis_workers, executor=executor, bus=bus)
+        self.train_models(data, workers=workers, bus=bus)
+        return self.analyze(workers=analysis_workers, bus=bus)
 
     # -- persistence ----------------------------------------------------------
     def save(self, directory) -> Path:

@@ -2,8 +2,8 @@
 
 Algorithm 2 trains one independent CGAN per flow pair and Algorithm 3
 scores one independent Parzen table per (pair, condition); this package
-supplies the machinery to fan both out (serial / thread / process
-executors with a common ``map_pairs`` interface), keep them
+supplies the machinery to fan both out (:func:`fan_out`: the worker
+count alone picks an in-process loop or a process pool), keep them
 deterministic (per-work-item RNG streams derived from the pipeline seed
 and work-item identity, independent of worker scheduling), and observe
 them (a thread-safe event bus with console and JSONL consumers).
@@ -32,14 +32,7 @@ from repro.runtime.events import (
     TrainingFinished,
     TrainingStarted,
 )
-from repro.runtime.executors import (
-    EXECUTORS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
+from repro.runtime.executors import fan_out, pool_size
 from repro.runtime.reporters import (
     ConsoleProgressReporter,
     JsonlTraceWriter,
@@ -55,7 +48,6 @@ from repro.runtime.training import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "AnalysisCompleted",
     "AnalysisJob",
     "AnalysisOutcome",
@@ -66,26 +58,23 @@ __all__ = [
     "ConsoleProgressReporter",
     "EpochProgress",
     "EventBus",
-    "Executor",
     "JsonlTraceWriter",
     "PairFailed",
     "PairTrained",
     "PairTrainingJob",
     "PairTrainingOutcome",
-    "ProcessExecutor",
     "RuntimeEvent",
-    "SerialExecutor",
     "StageCompleted",
     "StageSkipped",
     "StageStarted",
-    "ThreadExecutor",
     "TrainingFinished",
     "TrainingStarted",
     "analysis_rng",
     "build_pair_cgan",
     "condition_tokens",
-    "get_executor",
+    "fan_out",
     "pair_rng_streams",
+    "pool_size",
     "read_trace",
     "run_analysis_job",
     "run_training_job",

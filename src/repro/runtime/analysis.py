@@ -3,14 +3,15 @@
 The security-analysis stage scores every test point against a Parzen
 window fitted to generator samples, independently for every analyzed
 condition of every flow pair.  :class:`AnalysisJob` packages one such
-(pair, condition) cell — picklable, so the :mod:`repro.runtime.executors`
-process pool can run it — and :func:`run_analysis_job` executes it with
-the fused :class:`~repro.security.parzen.ConditionalParzen` kernel.
+(pair, condition) cell — picklable, so the
+:func:`~repro.runtime.executors.fan_out` process pool can run it — and
+:func:`run_analysis_job` executes it with the fused
+:class:`~repro.security.parzen.ConditionalParzen` kernel.
 
 Determinism: the generator-noise stream for each job is derived from
 ``(root_entropy, pair label, condition)`` only (see
 :func:`analysis_rng`), never from a shared sequential stream, so any
-executor in any schedule produces bitwise-identical likelihood tables.
+schedule produces bitwise-identical likelihood tables.
 
 :class:`ConditionSampleCache` is a thread-safe LRU over generated
 condition samples keyed by ``(pair, condition, n, seed)``.  Because the
@@ -182,7 +183,7 @@ class _SamplerRef:
 
 def as_sampler(generator_sampler):
     """Normalize a trained CGAN or a callable into a picklable
-    ``(condition, n, rng) -> samples``, fit for the process executor."""
+    ``(condition, n, rng) -> samples``, fit for the process pool."""
     from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
 
     if isinstance(generator_sampler, ConditionalGAN):

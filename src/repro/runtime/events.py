@@ -33,10 +33,10 @@ wraps each of its five stages in ``StageStarted``/``StageCompleted`` —
 or emits a single ``StageSkipped`` when the stage's fingerprint matched
 a prior run and its recorded outputs verified on disk.
 
-The bus is thread-safe: ``ThreadExecutor`` workers emit concurrently.
-Process-executor workers cannot reach the parent's bus, so their
-``EpochProgress`` rows are recorded in the job result and replayed by
-the parent before ``PairTrained`` is emitted.
+The bus is thread-safe: the streaming producer thread and user threads
+may emit concurrently.  Process-pool workers cannot reach the parent's
+bus, so their ``EpochProgress`` rows are recorded in the job result and
+replayed by the parent before ``PairTrained`` is emitted.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ class StreamFinished(RuntimeEvent):
     windows_failed: int
     windows_dropped: int
     alarms: int
+    #: Subscriber exceptions the bus had captured by now.
+    handler_errors: int
     seconds: float
     windows_per_second: float
     error: str | None = None

@@ -1,158 +1,49 @@
-"""Executor abstraction for fanning work out over flow pairs.
+"""One fan-out rule for the per-pair and per-condition jobs.
 
 Each CGAN in Algorithm 2 trains on its own data split with its own RNG
-streams — the per-pair work is embarrassingly parallel.  The executors
-here share one interface, :meth:`Executor.map_pairs`, which applies a
-function to a list of jobs and returns the results **in job order**:
+streams, and each (pair, condition) cell of Algorithm 3 is scored on its
+own — the work is embarrassingly parallel.  :func:`fan_out` applies a
+function to a list of jobs and returns the results **in job order**.
+The worker count alone picks the schedule (:func:`pool_size`): a pool
+of one runs the jobs in a loop in the calling thread; a larger pool
+runs them on a process pool, so the mapped function and the jobs must
+be picklable (module-level function + dataclass payloads).
 
-* :class:`SerialExecutor` — plain loop; the reference schedule.
-* :class:`ThreadExecutor` — ``concurrent.futures`` thread pool; cheap
-  to start, shares memory (live event emission works), but the GIL
-  limits speedup to the numpy-heavy fraction of the training loop.
-* :class:`ProcessExecutor` — process pool; true CPU parallelism.  The
-  mapped function and jobs must be picklable (module-level function +
-  dataclass payloads).
-
-Determinism does **not** depend on the executor: per-pair RNG streams
-are derived from ``(pipeline seed, pair key)`` alone (see
-:func:`repro.utils.rng.derive_rngs`), so serial and parallel schedules
-produce bitwise-identical models.
+Determinism does **not** depend on the schedule: per-job RNG streams
+are derived from ``(pipeline seed, job identity)`` alone (see
+:func:`repro.utils.rng.derive_rngs`), so serial and process schedules
+produce bitwise-identical results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from numbers import Integral
 
 from repro.errors import ConfigurationError
 
 
-def _default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
+def check_workers(workers, name: str = "workers") -> int:
+    """Return *workers* if it is an int >= 1; raise otherwise."""
+    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {workers!r}")
+    return int(workers)
 
 
-class Executor:
-    """Common interface: apply ``fn`` to jobs, preserving order."""
-
-    #: Executor registry name (also what ``get_executor`` resolves).
-    name = "abstract"
-    #: True when ``fn`` runs in this interpreter (closures + live event
-    #: emission are allowed); False when jobs are shipped to workers.
-    in_process = True
-
-    def map_pairs(self, fn, jobs) -> list:
-        raise NotImplementedError
-
-    def __repr__(self):
-        workers = getattr(self, "workers", 1)
-        return f"{type(self).__name__}(workers={workers})"
+def pool_size(workers, n_jobs: int) -> int:
+    """Processes :func:`fan_out` uses for *n_jobs* jobs: ``min(workers,
+    n_jobs)``, at least 1; a pool of 1 is the calling thread."""
+    return max(1, min(check_workers(workers), n_jobs))
 
 
-class SerialExecutor(Executor):
-    """Run jobs one after another in the calling thread."""
+def fan_out(fn, jobs, workers) -> list:
+    """Apply *fn* to every job; results come back in job order.
 
-    name = "serial"
-    in_process = True
-
-    def __init__(self, workers: int | None = None):
-        self.workers = 1
-
-    def map_pairs(self, fn, jobs) -> list:
+    Exceptions raised by *fn* propagate to the caller.
+    """
+    jobs = list(jobs)
+    pool = pool_size(workers, len(jobs))
+    if pool == 1:
         return [fn(job) for job in jobs]
-
-
-class ThreadExecutor(Executor):
-    """Run jobs on a thread pool (shared memory, GIL-bound)."""
-
-    name = "thread"
-    in_process = True
-
-    def __init__(self, workers: int | None = None):
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers or _default_workers()
-
-    def map_pairs(self, fn, jobs) -> list:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(jobs))
-        ) as pool:
-            return list(pool.map(fn, jobs))
-
-
-class ProcessExecutor(Executor):
-    """Run jobs on a process pool (true CPU parallelism).
-
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to the machine's CPU count.
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"`` or ``None`` for the
-        platform default.  ``spawn`` children re-import the library, so
-        the package must be importable in fresh interpreters.
-    """
-
-    name = "process"
-    in_process = False
-
-    def __init__(self, workers: int | None = None, *, start_method: str | None = None):
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if start_method is not None:
-            valid = multiprocessing.get_all_start_methods()
-            if start_method not in valid:
-                raise ConfigurationError(
-                    f"start_method must be one of {valid}, got {start_method!r}"
-                )
-        self.workers = workers or _default_workers()
-        self.start_method = start_method
-
-    def map_pairs(self, fn, jobs) -> list:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        context = multiprocessing.get_context(self.start_method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs)), mp_context=context
-        ) as pool:
-            return list(pool.map(fn, jobs))
-
-
-#: Name -> executor class, for config / CLI resolution.
-EXECUTORS = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-}
-
-
-def get_executor(executor=None, workers: int | None = None) -> Executor:
-    """Resolve an executor spec into an :class:`Executor` instance.
-
-    *executor* may be an existing instance (returned unchanged), a
-    registry name (``"serial"`` / ``"thread"`` / ``"process"``), or
-    ``None`` — in which case ``workers`` picks the default: serial for
-    0/1 workers, process otherwise.
-    """
-    if isinstance(executor, Executor):
-        return executor
-    if executor is not None and not isinstance(executor, str):
-        # Duck-typed third-party executor: anything with map_pairs.
-        if hasattr(executor, "map_pairs"):
-            return executor
-        raise ConfigurationError(
-            f"executor must be a name or expose map_pairs(), got {executor!r}"
-        )
-    if executor is None:
-        executor = "serial" if not workers or workers <= 1 else "process"
-    try:
-        cls = EXECUTORS[executor]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-        ) from None
-    return cls(workers)
+    with ProcessPoolExecutor(max_workers=pool) as executor:
+        return list(executor.map(fn, jobs))

@@ -1,4 +1,4 @@
-"""Per-pair training jobs: the unit of work the executors fan out.
+"""Per-pair training jobs: the unit of work Algorithm 2 fans out.
 
 A :class:`PairTrainingJob` is a self-contained, picklable description
 of "train one CGAN for one flow pair": the pair key, its dataset, the
@@ -11,7 +11,8 @@ bad pair cannot abort the batch (failure isolation happens here, and
 Determinism: the job's three RNG streams (data split, training, weight
 init) are derived from ``(root_entropy, pair key)`` only — never from a
 shared sequential stream — so results are bitwise-identical no matter
-which executor ran the job or in what order.
+whether the job ran in this interpreter or a worker process, or in
+what order.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class PairTrainingOutcome:
     train_set: FlowPairDataset | None = None
     test_set: FlowPairDataset | None = None
     #: ``(iteration, total_iterations, d_loss, g_loss)`` rows collected
-    #: for deferred EpochProgress replay (process executor).
+    #: for deferred EpochProgress replay (process-pool runs).
     progress: list = field(default_factory=list)
     error: str | None = None
 
@@ -115,7 +116,7 @@ def run_training_job(job: PairTrainingJob, emit=None) -> PairTrainingOutcome:
 
     *emit*, when given, is called as ``emit(iteration, total, d_loss,
     g_loss)`` every ``job.progress_every`` iterations (live progress for
-    in-process executors).  The same rows are always recorded on the
+    in-process runs).  The same rows are always recorded on the
     outcome for after-the-fact replay.
     """
     start = time.perf_counter()

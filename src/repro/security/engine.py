@@ -1,8 +1,8 @@
 """Parallel, batched security-analysis engine: the one Algorithm 3 path.
 
 Every (pair, condition) cell of the likelihood table is an independent
-:class:`~repro.runtime.analysis.AnalysisJob` fanned out over the
-:mod:`repro.runtime.executors`, with
+:class:`~repro.runtime.analysis.AnalysisJob` fanned out by
+:func:`repro.runtime.executors.fan_out`, with
 
 * **fused scoring** — all test points are evaluated against the
   kernels of every feature in small fixed-size blocks
@@ -10,8 +10,8 @@ Every (pair, condition) cell of the likelihood table is an independent
   per-point or per-feature Python loops;
 * **deterministic fan-out** — each job's generator-noise stream is
   derived from ``(root_entropy, pair, condition)`` alone
-  (:func:`~repro.runtime.analysis.analysis_rng`), so serial, thread,
-  and process schedules produce bitwise-identical likelihood tables;
+  (:func:`~repro.runtime.analysis.analysis_rng`), so serial and process
+  schedules produce bitwise-identical likelihood tables;
 * **sample caching** — generated condition samples are reused through a
   :class:`~repro.runtime.analysis.ConditionSampleCache` keyed by
   ``(pair, condition, n, seed)``, which makes Table-I-style ``h``
@@ -49,7 +49,7 @@ from repro.runtime.events import (
     ConditionScored,
     EventBus,
 )
-from repro.runtime.executors import get_executor
+from repro.runtime.executors import check_workers, fan_out, pool_size
 from repro.security.likelihood import LikelihoodResult, resolve_analysis_target
 from repro.utils.validation import check_positive
 
@@ -113,8 +113,7 @@ def run_security_analysis(
     h: float = 0.2,
     g_size: int = 200,
     root_entropy: int | None = None,
-    executor=None,
-    workers: int | None = None,
+    workers: int = 1,
     bus: EventBus | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> dict:
@@ -131,10 +130,11 @@ def run_security_analysis(
         ``None`` draws fresh entropy (still deterministic *within* the
         run, but not reproducible across runs).  Anything else raises
         :class:`~repro.errors.ConfigurationError`.
-    executor / workers:
-        Fan-out selection, as in :meth:`GANSec.train_models`: ``None``
-        picks serial for 0/1 workers and the process executor otherwise.
-        Results are bitwise-identical for every choice.
+    workers:
+        Fan-out width, as in :meth:`GANSec.train_models`:
+        ``min(workers, jobs)`` processes score the jobs; one scores them
+        in this thread with live ``ConditionScored`` events.  Results
+        are bitwise-identical for every value.
     bus:
         Optional :class:`~repro.runtime.events.EventBus` receiving the
         structured analysis events.
@@ -150,6 +150,7 @@ def run_security_analysis(
         If one or more jobs failed.  Raised only after every job was
         attempted.
     """
+    check_workers(workers)
     check_positive(h, "h")
     check_positive(g_size, "g_size")
     prepared = [_prepare_target(t) for t in targets]
@@ -187,14 +188,15 @@ def run_security_analysis(
     for job in jobs:
         job.total = len(jobs)
 
-    exec_obj = get_executor(executor, workers)
+    pool = pool_size(workers, len(jobs))
+    in_process = pool == 1
     start = time.perf_counter()
     bus.emit(
         AnalysisStarted(
             total_pairs=len(prepared),
             total_conditions=len(jobs),
-            executor=getattr(exec_obj, "name", type(exec_obj).__name__),
-            workers=getattr(exec_obj, "workers", 1),
+            executor="serial" if in_process else "process",
+            workers=pool,
         )
     )
 
@@ -211,14 +213,14 @@ def run_security_analysis(
             )
         )
 
-    if exec_obj.in_process:
+    if in_process:
         def fn(job):
             outcome = run_analysis_job(job)
             _emit_scored(job, outcome)
             return outcome
-        outcomes = exec_obj.map_pairs(fn, jobs)
+        outcomes = fan_out(fn, jobs, workers)
     else:
-        outcomes = exec_obj.map_pairs(run_analysis_job, jobs)
+        outcomes = fan_out(run_analysis_job, jobs, workers)
         for job, outcome in zip(jobs, outcomes):
             _emit_scored(job, outcome)
 
@@ -276,8 +278,7 @@ def security_analysis(
     g_size: int = 200,
     root_entropy: int | None = None,
     pair: str = DEFAULT_PAIR,
-    executor=None,
-    workers: int | None = None,
+    workers: int = 1,
     bus: EventBus | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> LikelihoodResult:
@@ -305,7 +306,6 @@ def security_analysis(
         h=h,
         g_size=g_size,
         root_entropy=root_entropy,
-        executor=executor,
         workers=workers,
         bus=bus,
         cache=cache,

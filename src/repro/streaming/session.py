@@ -153,6 +153,8 @@ class StreamMetrics:
     batch_seconds: list = field(default_factory=list)
     wall_seconds: float = 0.0
     error: str | None = None
+    #: Subscriber exceptions on the session's bus when it finished.
+    handler_errors: int = 0
 
     @property
     def ok(self) -> bool:
@@ -196,6 +198,7 @@ class StreamMetrics:
             "realtime_factor": self.realtime_factor,
             "scoring_latency": self.latency_percentiles(),
             "error": self.error,
+            "handler_errors": self.handler_errors,
         }
 
 
@@ -416,6 +419,7 @@ class StreamSession:
             self.queue.close()
             producer.join(timeout=5.0)
             self.metrics.wall_seconds = time.perf_counter() - t0
+            self.metrics.handler_errors = len(self.bus.handler_errors)
             self.bus.emit(
                 StreamFinished(
                     stream=self.name,
@@ -423,6 +427,7 @@ class StreamSession:
                     windows_failed=self.metrics.windows_failed,
                     windows_dropped=self.metrics.windows_dropped,
                     alarms=len(self.metrics.alarms),
+                    handler_errors=self.metrics.handler_errors,
                     seconds=self.metrics.wall_seconds,
                     windows_per_second=self.metrics.windows_per_second,
                     error=self.metrics.error,

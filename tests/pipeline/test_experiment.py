@@ -34,6 +34,19 @@ class TestConfig:
         assert cfg.name == "x"
         assert cfg.seed == 7
 
+    def test_removed_scheduling_keys_rejected_by_name(self, tmp_path):
+        # A config.json written while the fan-out still had an executor
+        # choice holds both keys; loading it names them.
+        from dataclasses import asdict
+
+        old = asdict(ExperimentConfig())
+        old.update(workers=1, executor=None)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExperimentConfig.from_json(path)
+        assert "executor, workers" in str(excinfo.value)
+
 
 class TestRun:
     @pytest.fixture(scope="class")

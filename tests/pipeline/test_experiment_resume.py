@@ -145,9 +145,7 @@ class TestWarmResume:
     def test_scheduling_knobs_do_not_invalidate(self, baseline, tmp_path):
         baseline_dir, _ = baseline
         out = clone(baseline_dir, tmp_path)
-        config = make_config(
-            workers=2, analysis_workers=2, checkpoint_every=7, trace=True
-        )
+        config = make_config(analysis_workers=2, checkpoint_every=7, trace=True)
         _result, started, skipped = run_with_events(config, out)
         assert started == set()
         assert skipped == ALL_STAGES

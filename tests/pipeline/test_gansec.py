@@ -96,7 +96,7 @@ class TestAnalyzeStep:
         monkeypatch.setattr(ConditionalGAN, "generate_for_condition", counting)
         pipe._sample_cache.clear()
         hits = pipe._sample_cache.hits
-        (report,) = pipe.analyze(executor="serial").values()
+        (report,) = pipe.analyze(workers=1).values()
         conditions = {tuple(c) for c in report.likelihood.conditions}
         assert sorted(drawn) == sorted(conditions)
         assert pipe._sample_cache.hits - hits == len(conditions)

@@ -1,7 +1,7 @@
 """Parallel pair-training: determinism, failure isolation, events.
 
-These tests exercise GANSec.train_models through every executor on a
-multi-pair synthetic factory.  The key property is the acceptance
+These tests exercise GANSec.train_models in-process and on a process
+pool over a multi-pair synthetic factory.  The key property is the acceptance
 criterion of the runtime redesign: with a fixed seed, parallel
 schedules produce generator/discriminator weights bitwise-identical to
 the serial path.
@@ -63,13 +63,13 @@ def _all_weights(pipe):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, workload, executor):
+    @pytest.mark.parametrize("workers", [2], ids=["process"])
+    def test_parallel_matches_serial_bitwise(self, workload, workers):
         arch, data = workload
         serial = GANSec(arch, _config())
-        serial.train_models(data, workers=1, executor="serial")
+        serial.train_models(data, workers=1)
         parallel = GANSec(arch, _config())
-        parallel.train_models(data, workers=2, executor=executor)
+        parallel.train_models(data, workers=workers)
 
         serial_w, parallel_w = _all_weights(serial), _all_weights(parallel)
         assert serial_w.keys() == parallel_w.keys()
@@ -109,12 +109,12 @@ class TestFailureIsolation:
         )
         return arch, data, keys
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_one_bad_pair_does_not_abort_batch(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_one_bad_pair_does_not_abort_batch(self, workers):
         arch, data, keys = self._poisoned_workload()
         pipe = GANSec(arch, _config())
         with pytest.raises(PairTrainingError) as excinfo:
-            pipe.train_models(data, workers=2, executor=executor)
+            pipe.train_models(data, workers=workers)
 
         error = excinfo.value
         assert list(error.failures) == [keys[1]]
@@ -153,7 +153,7 @@ class TestEventStream:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.train_models(data, workers=2, executor="process", bus=bus)
+        pipe.train_models(data, workers=2, bus=bus)
         progress = [e for e in events if e.kind == "EpochProgress"]
         # 30 iterations, cadence 10 -> 3 events per pair.
         assert len(progress) == 3 * len(data)
@@ -166,9 +166,29 @@ class TestEventStream:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.train_models(data, workers=2, executor="thread", bus=bus)
+        pipe.train_models(data, workers=2, bus=bus)
         started = events[0]
         assert started.kind == "TrainingStarted"
-        assert started.executor == "thread"
+        assert started.executor == "process"
         assert started.workers == 2
         assert started.total_pairs == len(data)
+
+    def test_single_pair_trains_in_process_with_live_progress(self, workload):
+        # One job never starts a pool, whatever the worker count: the
+        # progress events are emitted live, before the pair completes.
+        arch, data = workload
+        key = next(iter(data))
+        config = GANSecConfig(
+            cgan=CGANConfig(iterations=ITERATIONS), seed=SEED, progress_every=10
+        )
+        pipe = GANSec(arch, config)
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        pipe.train_models(data, pairs=[key], workers=4, bus=bus)
+        started = events[0]
+        assert started.kind == "TrainingStarted"
+        assert (started.executor, started.workers) == ("serial", 1)
+        kinds = [e.kind for e in events]
+        assert kinds.count("EpochProgress") == 3
+        assert kinds.index("EpochProgress") < kinds.index("PairTrained")

@@ -1,7 +1,7 @@
 """Parallel security analysis through GANSec: determinism, pair keys, events.
 
 The analysis counterpart of test_parallel.py: GANSec.analyze fans out
-per-(pair, condition) jobs over the executors, and with a fixed
+per-(pair, condition) jobs by worker count, and with a fixed
 pipeline seed every schedule must produce likelihood tables
 bitwise-identical to the serial path — even though reports were already
 cached, regenerated, or computed with a different worker count.
@@ -18,6 +18,12 @@ from repro.graph.builder import generate
 from repro.graph.generators import random_factory
 from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
 from repro.runtime import EventBus
+from repro.security.engine import (
+    AnalysisTarget,
+    run_security_analysis,
+    security_analysis,
+    security_analysis_h_sweep,
+)
 
 SEED = 123
 ITERATIONS = 30
@@ -66,11 +72,11 @@ def _tables(reports):
 
 
 class TestAnalyzeDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, trained_pipe, executor):
+    @pytest.mark.parametrize("workers", [2], ids=["process"])
+    def test_parallel_matches_serial_bitwise(self, trained_pipe, workers):
         pipe, _keys = trained_pipe
-        serial = _tables(pipe.analyze(workers=1, executor="serial"))
-        parallel = _tables(pipe.analyze(workers=2, executor=executor))
+        serial = _tables(pipe.analyze(workers=1))
+        parallel = _tables(pipe.analyze(workers=workers))
         assert serial.keys() == parallel.keys()
         for pair in serial:
             np.testing.assert_array_equal(serial[pair][0], parallel[pair][0])
@@ -123,7 +129,7 @@ class TestAnalysisEvents:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.analyze(workers=2, executor="thread", bus=bus)
+        pipe.analyze(workers=2, bus=bus)
         kinds = [e.kind for e in events]
         assert kinds[0] == "AnalysisStarted"
         assert kinds[-1] == "AnalysisCompleted"
@@ -175,3 +181,45 @@ class TestSampleCacheReuse:
         stats = pipe._sample_cache.stats()
         assert stats["hits"] >= before_hits + 4  # 2 pairs x 2 conditions
         assert stats["misses"] == misses
+
+
+def _train_data(pipe, keys):
+    return {key: pipe.models[key].train_set for key in keys}
+
+
+#: Every fan-out entry point, called with a given ``workers`` value.
+FAN_OUT_ENTRY_POINTS = {
+    "train_models": lambda pipe, keys, w: GANSec(
+        pipe.architecture, _config()
+    ).train_models(_train_data(pipe, keys), workers=w),
+    "analyze": lambda pipe, keys, w: pipe.analyze(workers=w),
+    "run": lambda pipe, keys, w: GANSec(pipe.architecture, _config()).run(
+        _train_data(pipe, keys), workers=w
+    ),
+    "run_security_analysis": lambda pipe, keys, w: run_security_analysis(
+        [
+            AnalysisTarget(
+                keys[0], pipe.models[keys[0]].cgan, pipe.models[keys[0]].test_set
+            )
+        ],
+        workers=w,
+    ),
+    "security_analysis": lambda pipe, keys, w: security_analysis(
+        pipe.models[keys[0]].cgan, pipe.models[keys[0]].test_set, workers=w
+    ),
+    "security_analysis_h_sweep": lambda pipe, keys, w: security_analysis_h_sweep(
+        pipe.models[keys[0]].cgan,
+        pipe.models[keys[0]].test_set,
+        h_values=(0.2,),
+        workers=w,
+    ),
+}
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("entry", sorted(FAN_OUT_ENTRY_POINTS))
+    def test_bad_worker_count_rejected(self, trained_pipe, entry, workers):
+        pipe, keys = trained_pipe
+        with pytest.raises(ConfigurationError, match="workers"):
+            FAN_OUT_ENTRY_POINTS[entry](pipe, keys, workers)

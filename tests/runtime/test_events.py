@@ -20,7 +20,7 @@ from repro.runtime import (
 
 def _sample_events():
     return [
-        TrainingStarted(total_pairs=2, executor="thread", workers=2),
+        TrainingStarted(total_pairs=2, executor="process", workers=2),
         EpochProgress(
             pair="F18|F1", iteration=50, total_iterations=100,
             d_loss=1.2, g_loss=0.8,

@@ -1,7 +1,7 @@
 """Parallel security-analysis engine: determinism, cache, failures, events.
 
 Mirrors tests/pipeline/test_parallel.py for the Algorithm 3 fan-out:
-with a fixed root entropy, every executor must produce likelihood
+with a fixed root entropy, the process pool must produce likelihood
 tables bitwise-identical to the serial path, failures must be isolated
 per (pair, condition) job, and the event stream must narrate the run.
 """
@@ -64,10 +64,10 @@ def _run(toy_dataset, **kwargs):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, toy_dataset, executor):
-        serial = _run(toy_dataset, workers=1, executor="serial")
-        parallel = _run(toy_dataset, workers=2, executor=executor)
+    @pytest.mark.parametrize("workers", [2], ids=["process"])
+    def test_parallel_matches_serial_bitwise(self, toy_dataset, workers):
+        serial = _run(toy_dataset, workers=1)
+        parallel = _run(toy_dataset, workers=workers)
         np.testing.assert_array_equal(serial.avg_correct, parallel.avg_correct)
         np.testing.assert_array_equal(
             serial.avg_incorrect, parallel.avg_incorrect
@@ -199,9 +199,9 @@ class TestSampleCache:
 
 
 class TestFailureIsolation:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_one_bad_condition_reported_after_all_attempted(
-        self, toy_dataset, executor
+        self, toy_dataset, workers
     ):
         bus = EventBus()
         events = []
@@ -213,8 +213,7 @@ class TestFailureIsolation:
                 g_size=20,
                 root_entropy=ROOT,
                 pair="toy",
-                workers=2,
-                executor=executor,
+                workers=workers,
                 bus=bus,
             )
         failures = excinfo.value.failures
@@ -333,7 +332,7 @@ class TestEvents:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        _run(toy_dataset, bus=bus, workers=2, executor="thread")
+        _run(toy_dataset, bus=bus, workers=2)
         kinds = [e.kind for e in events]
         assert kinds[0] == "AnalysisStarted"
         assert kinds[-1] == "AnalysisCompleted"
@@ -344,18 +343,18 @@ class TestEvents:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        _run(toy_dataset, bus=bus, workers=2, executor="thread")
+        _run(toy_dataset, bus=bus, workers=2)
         started = events[0]
         assert started.total_pairs == 1
         assert started.total_conditions == 2
-        assert started.executor == "thread"
+        assert started.executor == "process"
         assert started.workers == 2
 
     def test_scored_events_replayed_from_processes(self, toy_dataset):
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        _run(toy_dataset, bus=bus, workers=2, executor="process")
+        _run(toy_dataset, bus=bus, workers=2)
         scored = [e for e in events if e.kind == "ConditionScored"]
         assert len(scored) == 2
         assert {e.condition for e in scored} == {(1.0, 0.0), (0.0, 1.0)}

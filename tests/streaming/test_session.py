@@ -19,6 +19,7 @@ from repro.runtime.events import (
     EventBus,
     StreamFinished,
     WindowBatchFailed,
+    WindowBatchScored,
     WindowsDropped,
 )
 from repro.streaming import StreamSession, frame_signal
@@ -140,6 +141,29 @@ class TestScorerFailure:
         offline, _ = frame_signal(samples, WINDOW, HOP)
         assert metrics.windows_scored == 0
         assert metrics.windows_failed == offline.shape[0]
+
+
+class TestSubscriberFailure:
+    def test_handler_errors_counted_in_the_streams_record(self, noise_monitor):
+        samples, claims, calibration = noise_monitor
+        bus = EventBus()
+        finished = collect(bus, StreamFinished)
+        batches = collect(bus, WindowBatchScored)
+
+        def broken_dashboard(event):
+            if isinstance(event, WindowBatchScored):
+                raise RuntimeError("dashboard down")
+
+        bus.subscribe(broken_dashboard)
+        metrics = run_with_timeout(
+            make_session([samples], calibration, claims, bus=bus, batch_windows=8)
+        )
+        assert len(batches) > 1
+        assert metrics.handler_errors == len(batches)
+        assert metrics.to_dict()["handler_errors"] == len(batches)
+        assert finished[0].handler_errors == len(batches)
+        # The scoring itself is untouched by the failing subscriber.
+        assert metrics.ok and metrics.windows_failed == 0
 
 
 class GatedScorer:
