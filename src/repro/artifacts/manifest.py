@@ -43,6 +43,8 @@ class StageRecord:
     finished_at: float = 0.0
     outputs: dict[str, ArtifactRecord] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    #: Event-subscriber exceptions the bus captured while the stage ran.
+    handler_errors: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -54,6 +56,7 @@ class StageRecord:
             "finished_at": self.finished_at,
             "outputs": {key: rec.to_dict() for key, rec in self.outputs.items()},
             "meta": self.meta,
+            "handler_errors": self.handler_errors,
         }
 
     @classmethod
@@ -71,6 +74,7 @@ class StageRecord:
                     for key, rec in dict(data.get("outputs", {})).items()
                 },
                 meta=dict(data.get("meta", {})),
+                handler_errors=int(data.get("handler_errors", 0)),
             )
         except (KeyError, TypeError, ValueError, SerializationError) as exc:
             raise SerializationError(

@@ -505,6 +505,7 @@ def _cmd_experiment_status(args) -> int:
         state = "ok" if row["verified"] else "STALE"
         print(
             f"{row['stage']:<24} {state:<6} {row['seconds']:8.2f}s  "
+            f"errors={row['handler_errors']}  "
             f"fp={row['fingerprint']}  {', '.join(row['outputs'])}"
         )
     return 0

@@ -127,9 +127,6 @@ class FrequencyFeatureExtractor:
         or a directory path.  Raw (unscaled) feature matrices are stored
         content-addressed by extractor config + audio bytes, so repeated
         experiments over the same recordings skip extraction entirely.
-    fft_workers:
-        Optional ``scipy.fft`` worker count for the batched CWT
-        (``None`` = serial; useful on multi-core hosts).
     """
 
     def __init__(
@@ -142,7 +139,6 @@ class FrequencyFeatureExtractor:
         method: str = "cwt",
         include_stats: bool = False,
         feature_cache=None,
-        fft_workers=None,
     ):
         if sample_rate <= 0:
             raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
@@ -163,7 +159,6 @@ class FrequencyFeatureExtractor:
             self.feature_cache = feature_cache
         else:
             self.feature_cache = FeatureCache(feature_cache)
-        self.fft_workers = fft_workers
 
     @property
     def n_bins(self) -> int:
@@ -248,10 +243,7 @@ class FrequencyFeatureExtractor:
             for row, i in enumerate(indices):
                 stacked[row] = seg_list[i]
             spectral = average_band_energy_batch(
-                stacked,
-                self.sample_rate,
-                self.frequencies,
-                workers=self.fft_workers,
+                stacked, self.sample_rate, self.frequencies
             )
             out[indices, : self.n_bins] = spectral
             if self.include_stats:

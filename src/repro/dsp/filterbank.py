@@ -16,6 +16,8 @@ Numerical contract
 * Versus the seed per-scale loop the only change is computing the
   forward transform with ``rfft`` (real input) instead of a full complex
   ``fft``; results agree to a few ULPs (relative error ``~1e-15``).
+* Both transforms run on ``numpy.fft``; the goldens' bits need NumPy
+  2.x's C++ pocketfft (``numpy>=2.0``), older NumPy FFTs differ.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-import scipy.fft as _fft
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_array
@@ -168,25 +169,24 @@ class MorletFilterBank:
         rows = _BLOCK_BYTES // (self.n_freqs * self.n * 16)
         return int(max(1, min(batch, rows)))
 
-    def transform(self, x, *, workers=None) -> np.ndarray:
+    def transform(self, x) -> np.ndarray:
         """Batched complex CWT: ``(batch, n) -> (batch, n_freqs, n)``.
 
         Materializes the full coefficient cube — prefer
         :meth:`band_energy` when only time-averaged magnitudes are
-        needed.  *workers* is forwarded to ``scipy.fft`` (useful on
-        multi-core hosts; ``None`` keeps the serial default).
+        needed.
         """
         x = self._check_batch(x)
-        xf = _fft.rfft(x, axis=-1, workers=workers)
+        xf = np.fft.rfft(x, axis=-1)
         n_rfft = self.kernels.shape[1]
         spec = np.zeros((x.shape[0], self.n_freqs, self.n), dtype=np.complex128)
         np.multiply(xf[:, None, :], self.kernels[None, :, :], out=spec[:, :, :n_rfft])
         # Row-wise inverse transform: each (freq, segment) row is an
         # independent length-n ifft, so blocked and single-segment calls
         # agree bitwise.
-        return _fft.ifft(spec, axis=-1, workers=workers)
+        return np.fft.ifft(spec, axis=-1)
 
-    def band_energy(self, x, *, workers=None) -> np.ndarray:
+    def band_energy(self, x) -> np.ndarray:
         """Time-averaged CWT magnitude per band: ``(batch, n_freqs)``.
 
         Blocked so the complex workspace stays cache-sized regardless of
@@ -196,7 +196,7 @@ class MorletFilterBank:
         x = self._check_batch(x)
         batch = x.shape[0]
         n_rfft = self.kernels.shape[1]
-        xf = _fft.rfft(x, axis=-1, workers=workers)
+        xf = np.fft.rfft(x, axis=-1)
         out = np.empty((batch, self.n_freqs), dtype=np.float64)
         blk = self._block_rows(batch)
         spec = np.zeros((blk, self.n_freqs, self.n), dtype=np.complex128)
@@ -208,7 +208,7 @@ class MorletFilterBank:
                 self.kernels[None, :, :],
                 out=spec[:b, :, :n_rfft],
             )
-            coeff = _fft.ifft(spec[:b], axis=-1, workers=workers)
+            coeff = np.fft.ifft(spec[:b], axis=-1)
             np.abs(coeff, out=mag[:b])
             np.mean(mag[:b], axis=-1, out=out[start : start + b])
         return out

@@ -76,7 +76,6 @@ def cwt_morlet_batch(
     frequencies: np.ndarray,
     *,
     omega0: float = DEFAULT_OMEGA0,
-    workers=None,
 ) -> np.ndarray:
     """Morlet CWT of a batch of equal-length segments.
 
@@ -93,8 +92,6 @@ def cwt_morlet_batch(
     sample_rate, frequencies, omega0:
         Analysis grid; *frequencies* must be strictly positive, sorted,
         duplicate-free, and <= Nyquist.
-    workers:
-        Optional ``scipy.fft`` worker count for multi-core hosts.
 
     Returns
     -------
@@ -103,7 +100,7 @@ def cwt_morlet_batch(
     """
     x = check_array(x, "x", ndim=2)
     bank = get_filter_bank(x.shape[1], sample_rate, frequencies, omega0=omega0)
-    return bank.transform(x, workers=workers)
+    return bank.transform(x)
 
 
 def cwt_morlet(
@@ -163,7 +160,6 @@ def average_band_energy_batch(
     frequencies: np.ndarray,
     *,
     omega0: float = DEFAULT_OMEGA0,
-    workers=None,
 ) -> np.ndarray:
     """Time-averaged CWT magnitudes for a batch of equal-length segments.
 
@@ -177,4 +173,4 @@ def average_band_energy_batch(
     """
     x = check_array(x, "x", ndim=2)
     bank = get_filter_bank(x.shape[1], sample_rate, frequencies, omega0=omega0)
-    return bank.band_energy(x, workers=workers)
+    return bank.band_energy(x)

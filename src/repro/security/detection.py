@@ -63,19 +63,21 @@ def roc_auc(clean_scores: np.ndarray, attack_scores: np.ndarray) -> float:
     """AUC via the Mann–Whitney U statistic.
 
     *clean_scores* should stochastically exceed *attack_scores* for a
-    working detector (higher score = more normal).
+    working detector (higher score = more normal).  Scores may be
+    ``±inf`` (the Parzen floor is ``-inf``); NaN raises
+    :class:`~repro.errors.DataError`.
     """
-    clean = np.asarray(clean_scores, dtype=float)
-    attack = np.asarray(attack_scores, dtype=float)
+    clean = np.asarray(clean_scores, dtype=float).ravel()
+    attack = np.asarray(attack_scores, dtype=float).ravel()
     if clean.size == 0 or attack.size == 0:
         raise DataError("need both clean and attack scores for AUC")
-    # Imported here: scipy.stats would add to every CLI start-up.
-    from scipy.stats import rankdata
-
-    # P(clean > attack) + 0.5 P(==): rank sum with ties at their average rank.
-    avg_ranks = rankdata(np.concatenate([clean, attack]))
-    r_clean = avg_ranks[: clean.size].sum()
-    u = r_clean - clean.size * (clean.size + 1) / 2.0
+    if np.isnan(clean).any() or np.isnan(attack).any():
+        raise DataError("AUC scores must not be NaN")
+    # U = #(clean > attack) + 0.5 #(clean == attack), counted exactly.
+    ordered = np.sort(attack)
+    below = np.searchsorted(ordered, clean, side="left")
+    not_above = np.searchsorted(ordered, clean, side="right")
+    u = (below.sum() + not_above.sum()) / 2.0
     return float(u / (clean.size * attack.size))
 
 

@@ -104,3 +104,14 @@ class TestStageRecordSerialization:
     def test_malformed_raises(self):
         with pytest.raises(SerializationError):
             StageRecord.from_dict({"fingerprint": "x"})
+
+    def test_handler_errors_roundtrip(self):
+        record = _record()
+        record.handler_errors = 3
+        assert StageRecord.from_dict(record.to_dict()).handler_errors == 3
+
+    def test_record_without_handler_errors_loads_zero(self):
+        # Manifests written before the field existed keep loading.
+        data = _record().to_dict()
+        del data["handler_errors"]
+        assert StageRecord.from_dict(data) == _record()

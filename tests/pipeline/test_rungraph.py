@@ -18,6 +18,7 @@ from repro.pipeline import stage_fingerprint
 from repro.pipeline.experiment import (
     ExperimentConfig,
     _StageRunner,
+    experiment_status,
     run_experiment,
 )
 from repro.runtime.events import (
@@ -245,3 +246,26 @@ class TestExperimentRun:
         stages = json.loads((rundir / "manifest.json").read_text())["stages"]
         assert len(stages) == 5
         assert all(s["seconds"] >= 0 for s in stages)
+
+    def test_manifest_counts_handler_errors_per_stage(self, rundir):
+        current = {"stage": None}
+
+        def fails_during_training(event):
+            if isinstance(event, StageStarted):
+                current["stage"] = event.stage
+            elif isinstance(event, StageCompleted):
+                current["stage"] = None
+            if (current["stage"] or "").startswith("train["):
+                raise RuntimeError("subscriber failed")
+
+        bus = EventBus()
+        bus.subscribe(fails_during_training)
+        run_experiment(ExperimentConfig(**TINY), rundir, bus=bus)
+
+        manifest = RunManifest.load(rundir)
+        counts = {stage: manifest.get(stage).handler_errors for stage in ALL_STAGES}
+        assert counts["train[F18|F1]"] > 0
+        assert counts["train[F18|F1]"] == len(bus.handler_errors)
+        assert all(n == 0 for stage, n in counts.items() if stage != "train[F18|F1]")
+        rows = {r["stage"]: r["handler_errors"] for r in experiment_status(rundir)}
+        assert rows == counts

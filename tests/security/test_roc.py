@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError
 from repro.security.detection import roc_auc
@@ -59,6 +60,26 @@ class TestRocAucTies:
 
     def test_all_tied_is_half(self):
         assert roc_auc(np.full(5, 2.0), np.full(7, 2.0)) == 0.5
+
+    # Few distinct values (heavy ties) plus the Parzen floor -inf and +inf.
+    _tied_scores = st.lists(
+        st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf]), min_size=1, max_size=40
+    )
+
+    @given(clean=_tied_scores, attack=_tied_scores)
+    @settings(max_examples=200, deadline=None)
+    def test_ties_and_infinities_match_mann_whitney_count(self, clean, attack):
+        c = np.array(clean)[:, None]
+        a = np.array(attack)[None, :]
+        wins = np.sum(c > a) + 0.5 * np.sum(c == a)
+        assert roc_auc(clean, attack) == wins / (c.size * a.size)
+
+    @pytest.mark.parametrize("side", ["clean", "attack"])
+    def test_nan_raises(self, side):
+        scores = {"clean": np.array([1.0, 2.0]), "attack": np.array([0.0, -np.inf])}
+        scores[side][1] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            roc_auc(scores["clean"], scores["attack"])
 
 
 class TestOperatingPoints:

@@ -140,6 +140,7 @@ class TestExperimentStatusAndInvalidate:
                       "analyze[F18|F1]", "report"):
             assert stage in out
         assert "STALE" not in out
+        assert out.count("errors=0") == 5
 
     def test_status_empty_dir(self, tmp_path, capsys):
         assert main(["experiment", "status", str(tmp_path)]) == 0
