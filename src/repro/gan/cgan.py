@@ -36,7 +36,7 @@ from repro.nn.losses import (
     discriminator_loss,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam
+from repro.nn.optimizers import Adam, Optimizer
 from repro.utils.rng import as_rng, spawn_rngs
 
 
@@ -110,6 +110,9 @@ class ConditionalGAN:
         :class:`~repro.gan.noise.NoisePrior`.
     generator_loss:
         ``"non_saturating"`` (default) or ``"minimax"`` (paper-literal).
+    g_optimizer, d_optimizer:
+        :class:`~repro.nn.optimizers.Optimizer` instances; default
+        ``Adam(learning_rate)``.
     seed:
         Seed for weight init and training randomness.
     """
@@ -168,8 +171,14 @@ class ConditionalGAN:
         self._bce = BinaryCrossEntropy()
         self._g_opt = g_optimizer or Adam(learning_rate)
         self._d_opt = d_optimizer or Adam(learning_rate)
-        if not hasattr(self._g_opt, "step") or not hasattr(self._d_opt, "step"):
-            raise ConfigurationError("optimizers must expose a step(layers) method")
+        for role, opt in (
+            ("g_optimizer", self._g_opt),
+            ("d_optimizer", self._d_opt),
+        ):
+            if not isinstance(opt, Optimizer):
+                raise ConfigurationError(
+                    f"{role} must be a repro.nn Optimizer, got {type(opt).__name__}"
+                )
 
         self.history = TrainingHistory()
         self.snapshots: list = []

@@ -29,89 +29,57 @@ from repro.nn.activations import (
     get_activation,
 )
 from repro.nn.initializers import (
-    Constant,
-    GlorotNormal,
     GlorotUniform,
-    HeNormal,
     HeUniform,
     Initializer,
-    RandomNormal,
-    RandomUniform,
     Zeros,
     get_initializer,
 )
-from repro.nn.layers import ActivationLayer, BatchNorm, Dense, Dropout, Layer
+from repro.nn.layers import BatchNorm, Dense, Dropout, Layer
 from repro.nn.losses import (
     BinaryCrossEntropy,
     GeneratorLossMinimax,
     GeneratorLossNonSaturating,
     Loss,
-    MeanAbsoluteError,
     MeanSquaredError,
     discriminator_loss,
     get_loss,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp, get_optimizer
-from repro.nn.schedules import (
-    ConstantSchedule,
-    CosineDecay,
-    ExponentialDecay,
-    Schedule,
-    ScheduledOptimizer,
-    StepDecay,
-    WarmupSchedule,
-    attach_schedule,
-)
+from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
 from repro.nn.serialization import load_weights, save_weights
 
 __all__ = [
     "Activation",
-    "ActivationLayer",
     "Adam",
     "BatchNorm",
     "BinaryCrossEntropy",
-    "Constant",
-    "ConstantSchedule",
-    "CosineDecay",
     "Dense",
     "Dropout",
     "ELU",
-    "ExponentialDecay",
     "GeneratorLossMinimax",
     "GeneratorLossNonSaturating",
-    "GlorotNormal",
     "GlorotUniform",
-    "HeNormal",
     "HeUniform",
     "Identity",
     "Initializer",
     "Layer",
     "LeakyReLU",
     "Loss",
-    "MeanAbsoluteError",
     "MeanSquaredError",
     "Optimizer",
     "RMSProp",
-    "RandomNormal",
-    "RandomUniform",
     "ReLU",
     "SGD",
-    "Schedule",
-    "ScheduledOptimizer",
-    "StepDecay",
     "Sequential",
     "Sigmoid",
     "Softplus",
     "Tanh",
-    "WarmupSchedule",
     "Zeros",
-    "attach_schedule",
     "discriminator_loss",
     "get_activation",
     "get_initializer",
     "get_loss",
-    "get_optimizer",
     "load_weights",
     "save_weights",
 ]

@@ -189,11 +189,9 @@ _REGISTRY["linear"] = Identity
 
 
 def get_activation(spec) -> Activation:
-    """Resolve *spec* (name, class, or instance) to an activation instance."""
+    """Resolve *spec* (name or instance) to an activation instance."""
     if isinstance(spec, Activation):
         return spec
-    if isinstance(spec, type) and issubclass(spec, Activation):
-        return spec()
     if isinstance(spec, str):
         try:
             return _REGISTRY[spec]()

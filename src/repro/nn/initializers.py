@@ -53,57 +53,6 @@ class Zeros(Initializer):
         return np.zeros(shape, dtype=np.float64)
 
 
-class Constant(Initializer):
-    """Constant-fill initialization."""
-
-    name = "constant"
-
-    def __init__(self, value: float = 0.0):
-        self.value = float(value)
-
-    def sample(self, shape, rng):
-        return np.full(shape, self.value, dtype=np.float64)
-
-    def __repr__(self):
-        return f"Constant(value={self.value})"
-
-
-class RandomNormal(Initializer):
-    """Gaussian initialization with fixed standard deviation."""
-
-    name = "normal"
-
-    def __init__(self, std: float = 0.02, mean: float = 0.0):
-        if std <= 0:
-            raise ConfigurationError(f"std must be > 0, got {std}")
-        self.std = float(std)
-        self.mean = float(mean)
-
-    def sample(self, shape, rng):
-        return rng.normal(self.mean, self.std, size=shape)
-
-    def __repr__(self):
-        return f"RandomNormal(std={self.std}, mean={self.mean})"
-
-
-class RandomUniform(Initializer):
-    """Uniform initialization on ``[low, high)``."""
-
-    name = "uniform"
-
-    def __init__(self, low: float = -0.05, high: float = 0.05):
-        if not high > low:
-            raise ConfigurationError(f"need high > low, got [{low}, {high})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, shape, rng):
-        return rng.uniform(self.low, self.high, size=shape)
-
-    def __repr__(self):
-        return f"RandomUniform(low={self.low}, high={self.high})"
-
-
 class GlorotUniform(Initializer):
     """Xavier/Glorot uniform: ``U(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``.
 
@@ -117,17 +66,6 @@ class GlorotUniform(Initializer):
         fan_in, fan_out = _fans(shape)
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
-
-
-class GlorotNormal(Initializer):
-    """Xavier/Glorot normal: ``N(0, 2/(fan_in+fan_out))``."""
-
-    name = "glorot_normal"
-
-    def sample(self, shape, rng):
-        fan_in, fan_out = _fans(shape)
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, std, size=shape)
 
 
 class HeUniform(Initializer):
@@ -144,38 +82,13 @@ class HeUniform(Initializer):
         return rng.uniform(-limit, limit, size=shape)
 
 
-class HeNormal(Initializer):
-    """He/Kaiming normal: ``N(0, 2/fan_in)``."""
-
-    name = "he_normal"
-
-    def sample(self, shape, rng):
-        fan_in, _ = _fans(shape)
-        std = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, std, size=shape)
-
-
-_REGISTRY = {
-    cls.name: cls
-    for cls in (
-        Zeros,
-        Constant,
-        RandomNormal,
-        RandomUniform,
-        GlorotUniform,
-        GlorotNormal,
-        HeUniform,
-        HeNormal,
-    )
-}
+_REGISTRY = {cls.name: cls for cls in (Zeros, GlorotUniform, HeUniform)}
 
 
 def get_initializer(spec) -> Initializer:
-    """Resolve *spec* (name, class, or instance) to an initializer instance."""
+    """Resolve *spec* (name or instance) to an initializer instance."""
     if isinstance(spec, Initializer):
         return spec
-    if isinstance(spec, type) and issubclass(spec, Initializer):
-        return spec()
     if isinstance(spec, str):
         try:
             return _REGISTRY[spec]()

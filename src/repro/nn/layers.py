@@ -200,31 +200,6 @@ class Dense(Layer):
         return f"Dense(units={self.units}, activation={act!r})"
 
 
-class ActivationLayer(Layer):
-    """Wrap a standalone activation as a layer (no parameters)."""
-
-    def __init__(self, activation):
-        super().__init__()
-        self.activation = get_activation(activation)
-        self._x = None
-        self._y = None
-
-    def build(self, input_dim, rng):
-        self.built = True
-        return input_dim
-
-    def forward(self, x, training=False):
-        self._x = np.asarray(x, dtype=np.float64)
-        self._y = self.activation.forward(self._x)
-        return self._y
-
-    def backward(self, grad_out):
-        return grad_out * self.activation.backward(self._x, self._y)
-
-    def __repr__(self):
-        return f"ActivationLayer({self.activation.name!r})"
-
-
 class Dropout(Layer):
     """Inverted dropout: active only when ``training=True``.
 

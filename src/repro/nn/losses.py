@@ -50,18 +50,6 @@ class MeanSquaredError(Loss):
         return 2.0 * (pred - target) / pred.size
 
 
-class MeanAbsoluteError(Loss):
-    name = "mae"
-
-    def value(self, pred, target):
-        pred, target = _align(pred, target)
-        return float(np.mean(np.abs(pred - target)))
-
-    def gradient(self, pred, target):
-        pred, target = _align(pred, target)
-        return np.sign(pred - target) / pred.size
-
-
 class BinaryCrossEntropy(Loss):
     """BCE on probabilities in (0, 1) — the discriminator loss of Eq. (2).
 
@@ -151,7 +139,6 @@ _REGISTRY = {
     cls.name: cls
     for cls in (
         MeanSquaredError,
-        MeanAbsoluteError,
         BinaryCrossEntropy,
         GeneratorLossMinimax,
         GeneratorLossNonSaturating,
@@ -160,11 +147,9 @@ _REGISTRY = {
 
 
 def get_loss(spec) -> Loss:
-    """Resolve *spec* (name, class, or instance) to a loss instance."""
+    """Resolve *spec* (name or instance) to a loss instance."""
     if isinstance(spec, Loss):
         return spec
-    if isinstance(spec, type) and issubclass(spec, Loss):
-        return spec()
     if isinstance(spec, str):
         try:
             return _REGISTRY[spec]()

@@ -1,4 +1,4 @@
-"""Sequential network container with explicit training utilities.
+"""Sequential network container.
 
 :class:`Sequential` chains layers, runs forward/backward, and exposes the
 hooks the GAN trainer needs: gradients w.r.t. the *input* (so generator
@@ -12,8 +12,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.nn.layers import Layer
-from repro.nn.losses import get_loss
-from repro.nn.optimizers import get_optimizer, Optimizer
 from repro.utils.rng import as_rng
 
 
@@ -130,51 +128,6 @@ class Sequential:
 
         twin = copy.deepcopy(self)
         return twin
-
-    # -- simple supervised training (used by tests & baselines) --------------
-    def fit(
-        self,
-        x,
-        y,
-        *,
-        loss="mse",
-        optimizer: "Optimizer | str" = "adam",
-        epochs: int = 10,
-        batch_size: int = 32,
-        seed=None,
-        learning_rate: float | None = None,
-        verbose: bool = False,
-    ) -> list:
-        """Minimal supervised training loop.
-
-        Exists so the framework can be exercised and benchmarked outside
-        the GAN setting (and to train baseline regressors/classifiers for
-        the security analysis comparisons).  Returns per-epoch mean loss.
-        """
-        self._require_built()
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
-        loss_fn = get_loss(loss)
-        opt_kwargs = {"learning_rate": learning_rate} if learning_rate else {}
-        opt = get_optimizer(optimizer, **opt_kwargs)
-        rng = as_rng(seed)
-        history = []
-        n = x.shape[0]
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                pred = self.forward(x[idx], training=True)
-                losses.append(loss_fn.value(pred, y[idx]))
-                self.backward(loss_fn.gradient(pred, y[idx]))
-                opt.step(self.layers)
-            history.append(float(np.mean(losses)))
-            if verbose:
-                print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.6f}")
-        return history
 
     def __repr__(self):
         inner = ", ".join(repr(layer) for layer in self.layers)

@@ -178,22 +178,3 @@ class Adam(Optimizer):
         s2 += self.eps
         s1 /= s2  # lr * m_hat / (sqrt(v_hat) + eps)
         param -= s1
-
-
-_REGISTRY = {"sgd": SGD, "rmsprop": RMSProp, "adam": Adam}
-
-
-def get_optimizer(spec, **kwargs) -> Optimizer:
-    """Resolve *spec* (name, class, or instance) to an optimizer instance."""
-    if isinstance(spec, Optimizer):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, Optimizer):
-        return spec(**kwargs)
-    if isinstance(spec, str):
-        try:
-            return _REGISTRY[spec.lower()](**kwargs)
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown optimizer {spec!r}; choose from {sorted(_REGISTRY)}"
-            ) from None
-    raise ConfigurationError(f"cannot interpret optimizer spec: {spec!r}")

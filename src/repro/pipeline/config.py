@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.runtime.executors import check_workers
 
 
 @dataclass
@@ -81,16 +82,12 @@ class GANSecConfig:
     sample_cache_entries: int = 64
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        check_workers(self.workers, "workers")
+        check_workers(self.analysis_workers, "analysis_workers")
         if self.sample_cache_entries < 1:
             raise ConfigurationError(
                 "sample_cache_entries must be >= 1, got "
                 f"{self.sample_cache_entries}"
-            )
-        if self.analysis_workers < 1:
-            raise ConfigurationError(
-                f"analysis_workers must be >= 1, got {self.analysis_workers}"
             )
         if self.progress_every < 0:
             raise ConfigurationError(

@@ -55,6 +55,7 @@ import json
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 from repro.artifacts.manifest import RunManifest, StageRecord
@@ -79,6 +80,7 @@ from repro.runtime.events import (
     StageSkipped,
     StageStarted,
 )
+from repro.runtime.executors import check_workers
 from repro.runtime.training import CheckpointSpec, pair_rng_streams
 from repro.utils.atomic import atomic_write_text
 
@@ -146,13 +148,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("experiment name must be non-empty")
-        if self.analysis_workers < 1:
+        check_workers(self.analysis_workers, "analysis_workers")
+        every = self.checkpoint_every
+        if isinstance(every, bool) or not isinstance(every, Integral) or every < 0:
             raise ConfigurationError(
-                f"analysis_workers must be >= 1, got {self.analysis_workers}"
-            )
-        if self.checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+                f"checkpoint_every must be an int >= 0, got {every!r}"
             )
         if self.emission_flow not in monitored_flow_names():
             raise ConfigurationError(

@@ -23,8 +23,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.flows.dataset import FlowPairDataset
-from repro.gan.cgan import ConditionalGAN, default_generator
-from repro.nn.layers import Dense
+from repro.gan.cgan import (
+    ConditionalGAN,
+    default_discriminator,
+    default_generator,
+)
 from repro.utils.rng import derive_rngs
 
 if TYPE_CHECKING:  # avoid a runtime ↔ pipeline import cycle
@@ -37,11 +40,7 @@ def build_pair_cgan(
 ) -> ConditionalGAN:
     """Construct the per-pair CGAN described by *cfg* (Algorithm 2 model)."""
     gen_layers = default_generator(feature_dim, hidden=cfg.generator_hidden)
-    # default_discriminator has a fixed head; rebuild with config widths.
-    disc_layers = [
-        Dense(h, "leaky_relu", kernel_init="he_uniform")
-        for h in cfg.discriminator_hidden
-    ] + [Dense(1, "sigmoid")]
+    disc_layers = default_discriminator(hidden=cfg.discriminator_hidden)
     return ConditionalGAN(
         feature_dim,
         condition_dim,

@@ -43,6 +43,15 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             small_cgan(generator_loss="wasserstein")
 
+    @pytest.mark.parametrize("role", ["g_optimizer", "d_optimizer"])
+    def test_rejects_non_optimizer(self, role):
+        class StepOnly:
+            def step(self, layers):
+                pass
+
+        with pytest.raises(ConfigurationError, match=role):
+            small_cgan(**{role: StepOnly()})
+
 
 class TestGenerate:
     def test_shapes(self):

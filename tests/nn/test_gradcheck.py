@@ -15,7 +15,7 @@ from repro.nn.gradcheck import (
     check_parameter_gradients,
     numerical_gradient,
 )
-from repro.nn.layers import ActivationLayer, BatchNorm, Dense
+from repro.nn.layers import BatchNorm, Dense
 from repro.nn.network import Sequential
 
 TOL = 1e-6
@@ -61,15 +61,6 @@ class TestFixedArchitectures:
         # Warm running stats so inference-mode forward is non-trivial.
         net.forward(np.random.default_rng(2).normal(size=(32, 3)), training=True)
         x = np.random.default_rng(3).normal(size=(4, 3))
-        assert check_input_gradient(net, x) < TOL
-
-    def test_activation_layer_stack(self):
-        net = Sequential(
-            [Dense(4), ActivationLayer("softplus"), Dense(2, "tanh")],
-            input_dim=3,
-            seed=1,
-        )
-        x = np.random.default_rng(4).normal(size=(3, 3))
         assert check_input_gradient(net, x) < TOL
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.layers import ActivationLayer, BatchNorm, Dense, Dropout
+from repro.nn.layers import BatchNorm, Dense, Dropout
 
 
 def rng():
@@ -72,21 +72,6 @@ class TestDense:
             xm = x.copy(); xm[i] -= eps
             numeric[i] = (loss(xp) - loss(xm)) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, atol=1e-6)
-
-
-class TestActivationLayer:
-    def test_forward_backward(self):
-        layer = ActivationLayer("relu")
-        layer.build(3, rng())
-        x = np.array([[-1.0, 0.5, 2.0]])
-        y = layer.forward(x)
-        np.testing.assert_array_equal(y, [[0.0, 0.5, 2.0]])
-        g = layer.backward(np.ones_like(y))
-        np.testing.assert_array_equal(g, [[0.0, 1.0, 1.0]])
-
-    def test_no_parameters(self):
-        layer = ActivationLayer("tanh")
-        assert layer.parameters() == {}
 
 
 class TestDropout:

@@ -9,7 +9,6 @@ from repro.nn.losses import (
     BinaryCrossEntropy,
     GeneratorLossMinimax,
     GeneratorLossNonSaturating,
-    MeanAbsoluteError,
     MeanSquaredError,
     discriminator_loss,
     get_loss,
@@ -47,19 +46,6 @@ class TestMSE:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             MeanSquaredError().value(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestMAE:
-    def test_known_value(self):
-        pred = np.array([[1.0, -1.0]])
-        target = np.array([[0.0, 0.0]])
-        assert MeanAbsoluteError().value(pred, target) == pytest.approx(1.0)
-
-    def test_gradient_sign(self):
-        pred = np.array([[2.0, -2.0]])
-        target = np.array([[0.0, 0.0]])
-        g = MeanAbsoluteError().gradient(pred, target)
-        assert g[0, 0] > 0 and g[0, 1] < 0
 
 
 class TestBCE:

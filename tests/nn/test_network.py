@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.nn.layers import BatchNorm, Dense, Dropout
+from repro.nn.layers import Dense, Dropout
 from repro.nn.network import Sequential
 
 
@@ -103,42 +103,3 @@ class TestWeights:
         np.testing.assert_allclose(net.predict(x), twin.predict(x))
         twin.layers[0].W += 1.0
         assert not np.allclose(net.predict(x), twin.predict(x))
-
-
-class TestFit:
-    def test_loss_decreases_on_regression(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(128, 3))
-        w_true = np.array([[1.0], [-2.0], [0.5]])
-        y = x @ w_true
-        net = Sequential([Dense(16, "tanh"), Dense(1)], input_dim=3, seed=0)
-        history = net.fit(x, y, loss="mse", epochs=40, seed=1, learning_rate=0.01)
-        assert history[-1] < history[0] * 0.2
-
-    def test_binary_classification_learns(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 2))
-        y = (x[:, 0] + x[:, 1] > 0).astype(float)
-        net = Sequential([Dense(8, "tanh"), Dense(1, "sigmoid")], input_dim=2, seed=0)
-        net.fit(x, y, loss="bce", epochs=60, seed=1, learning_rate=0.05)
-        acc = ((net.predict(x).ravel() > 0.5) == (y > 0.5)).mean()
-        assert acc > 0.9
-
-    def test_history_length(self):
-        net = make_net()
-        x = np.random.default_rng(0).normal(size=(16, 5))
-        y = np.zeros((16, 2))
-        history = net.fit(x, y, epochs=7, seed=0)
-        assert len(history) == 7
-
-    def test_batchnorm_trains(self):
-        net = Sequential(
-            [Dense(8, "relu"), BatchNorm(), Dense(1, "sigmoid")],
-            input_dim=2,
-            seed=0,
-        )
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(64, 2))
-        y = (x[:, 0] > 0).astype(float)
-        history = net.fit(x, y, loss="bce", epochs=30, seed=2, learning_rate=0.02)
-        assert history[-1] < history[0]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import Dense
-from repro.nn.optimizers import SGD, Adam, RMSProp, get_optimizer
+from repro.nn.optimizers import SGD, Adam, RMSProp
 
 
 class _Quadratic:
@@ -112,18 +112,3 @@ class TestValidation:
             Adam(0.1, beta1=1.0)
         with pytest.raises(ConfigurationError):
             Adam(0.1, beta2=-0.1)
-
-
-class TestRegistry:
-    def test_lookup_with_kwargs(self):
-        opt = get_optimizer("adam", learning_rate=0.123)
-        assert isinstance(opt, Adam)
-        assert opt.learning_rate == 0.123
-
-    def test_instance_passthrough(self):
-        opt = SGD(0.01)
-        assert get_optimizer(opt) is opt
-
-    def test_unknown_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_optimizer("lion")

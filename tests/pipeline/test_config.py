@@ -1,9 +1,12 @@
 """Tests for repro.pipeline.config."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.pipeline.config import AnalysisConfig, CGANConfig, GANSecConfig
+from repro.pipeline.experiment import ExperimentConfig
 
 
 class TestCGANConfig:
@@ -46,3 +49,28 @@ class TestTopLevel:
         cfg = GANSecConfig(seed=42)
         assert cfg.cgan.iterations == 2000
         assert cfg.analysis.h == 0.2
+
+
+class TestCountFields:
+    """Worker counts and the checkpoint cadence are checked when the
+    config is built, by field name, before any stage runs."""
+
+    @pytest.mark.parametrize("value", [2.5, "2", True])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (GANSecConfig, "workers"),
+            (GANSecConfig, "analysis_workers"),
+            (ExperimentConfig, "analysis_workers"),
+            (ExperimentConfig, "checkpoint_every"),
+        ],
+    )
+    def test_rejects_non_int(self, cls, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an int"):
+            cls(**{field: value})
+
+    def test_from_json_rejects_string_workers(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"analysis_workers": "2"}))
+        with pytest.raises(ConfigurationError, match="analysis_workers"):
+            ExperimentConfig.from_json(path)
