@@ -9,8 +9,6 @@ structural questions from paper Section II:
   path from node C1 to P5?" (monitoring coverage)
 * which flows cross the cyber/physical boundary? (where to put guards)
 
-plus the physical damage a kinetic-cyber attack causes, in millimeters.
-
 Run:  python examples/attack_surface_audit.py
 """
 
@@ -21,12 +19,7 @@ from repro.graph import (
     emission_exposure,
     monitoring_coverage,
 )
-from repro.manufacturing import (
-    GCodeProgram,
-    MotionPlanner,
-    geometric_damage_report,
-    printer_architecture,
-)
+from repro.manufacturing import printer_architecture
 
 
 def main():
@@ -58,24 +51,6 @@ def main():
     print("\n=== cross-domain cut (guard placement candidates) ===")
     for flow in cross_domain_cut(graph):
         print(f"  {flow}")
-
-    print("\n=== kinetic-cyber damage of an axis-swap attack ===")
-    claimed = MotionPlanner().plan(
-        GCodeProgram.from_text("G90\nG1 F1200 X25\nG1 Y15\nG1 X0\nG1 Y0")
-    )
-    executed = MotionPlanner().plan(
-        # The attacker swapped X and Y in transit.
-        GCodeProgram.from_text("G90\nG1 F1200 Y25\nG1 X15\nG1 Y0\nG1 X0")
-    )
-    damage = geometric_damage_report(claimed, executed)
-    for key, value in damage.items():
-        print(f"  {key}: {value:.2f}")
-    print(
-        "\nThe part geometry is off by "
-        f"{damage['hausdorff_mm']:.1f} mm worst-case - physical damage"
-        "\ncaused entirely from the cyber domain, which the acoustic"
-        "\nside-channel detector (see attack_detection.py) can flag."
-    )
 
 
 if __name__ == "__main__":

@@ -117,11 +117,6 @@ class FrequencyFeatureExtractor:
     method:
         ``"cwt"`` (paper) or ``"stft"`` (ablation baseline: rFFT power
         aggregated into the same non-uniform bins).
-    include_stats:
-        Append per-segment time-domain statistics (mean, std, RMS) to
-        the spectral features.  Spectral magnitudes are blind to DC
-        levels, but e.g. the power side channel carries most of its
-        information in the mean current — this flag captures it.
     feature_cache:
         Optional on-disk cache: a :class:`~repro.dsp.cache.FeatureCache`
         or a directory path.  Raw (unscaled) feature matrices are stored
@@ -137,7 +132,6 @@ class FrequencyFeatureExtractor:
         f_min: float = DEFAULT_F_MIN,
         f_max: float = DEFAULT_F_MAX,
         method: str = "cwt",
-        include_stats: bool = False,
         feature_cache=None,
     ):
         if sample_rate <= 0:
@@ -153,7 +147,6 @@ class FrequencyFeatureExtractor:
             log_spaced_frequencies(n_bins, f_min, f_max), self.sample_rate
         )
         self.method = method
-        self.include_stats = bool(include_stats)
         self.scaler = MinMaxScaler()
         if feature_cache is None or isinstance(feature_cache, FeatureCache):
             self.feature_cache = feature_cache
@@ -166,19 +159,20 @@ class FrequencyFeatureExtractor:
 
     @property
     def feature_dim(self) -> int:
-        """Width of produced feature vectors (bins + optional stats)."""
-        return self.n_bins + (3 if self.include_stats else 0)
+        """Width of produced feature vectors (one per analysis bin)."""
+        return self.n_bins
 
     def config_fingerprint(self) -> str:
         """Stable digest of everything that determines raw features.
 
         Used as the configuration half of the feature-cache key: any
-        change to the grid, the method, or the stats flag must miss.
+        change to the grid or the method must miss.
         """
         h = hashlib.sha256()
         h.update(f"sr={self.sample_rate!r}".encode())
         h.update(f"method={self.method}".encode())
-        h.update(f"stats={self.include_stats}".encode())
+        # Retired time-domain-stats flag, kept so existing cache keys hold.
+        h.update(b"stats=False")
         h.update(f"omega0={DEFAULT_OMEGA0!r}".encode())
         h.update(self.frequencies.tobytes())
         return h.hexdigest()
@@ -188,21 +182,8 @@ class FrequencyFeatureExtractor:
         """Unscaled feature vector for one audio segment."""
         segment = check_array(segment, "segment", ndim=1)
         if self.method == "cwt":
-            spectral = average_band_energy(
-                segment, self.sample_rate, self.frequencies
-            )
-        else:
-            spectral = self._stft_features(segment)
-        if not self.include_stats:
-            return spectral
-        stats = np.array(
-            [
-                float(segment.mean()),
-                float(segment.std()),
-                float(np.sqrt(np.mean(segment**2))),
-            ]
-        )
-        return np.concatenate([spectral, stats])
+            return average_band_energy(segment, self.sample_rate, self.frequencies)
+        return self._stft_features(segment)
 
     def _stft_features(self, segment: np.ndarray) -> np.ndarray:
         freqs, power = power_spectrum(segment, self.sample_rate)
@@ -242,16 +223,9 @@ class FrequencyFeatureExtractor:
             stacked = np.empty((len(indices), length), dtype=np.float64)
             for row, i in enumerate(indices):
                 stacked[row] = seg_list[i]
-            spectral = average_band_energy_batch(
+            out[indices] = average_band_energy_batch(
                 stacked, self.sample_rate, self.frequencies
             )
-            out[indices, : self.n_bins] = spectral
-            if self.include_stats:
-                out[indices, self.n_bins] = stacked.mean(axis=1)
-                out[indices, self.n_bins + 1] = stacked.std(axis=1)
-                out[indices, self.n_bins + 2] = np.sqrt(
-                    np.mean(stacked**2, axis=1)
-                )
         return out
 
     def raw_feature_matrix(self, segments) -> np.ndarray:

@@ -40,28 +40,7 @@ from repro.manufacturing.traces import (
     collect_segments,
     record_case_study_dataset,
 )
-from repro.manufacturing.power import (
-    PowerSignature,
-    PowerTraceSynthesizer,
-    default_power_signatures,
-)
-from repro.manufacturing.multichannel import (
-    MultiChannelRecording,
-    record_multichannel_dataset,
-)
-from repro.manufacturing.multimic import (
-    EMISSION_AXES,
-    microphone_gains,
-    record_per_emission_datasets,
-)
 from repro.manufacturing.wav import read_wav, write_wav
-from repro.manufacturing.quality import (
-    geometric_damage_report,
-    hausdorff_distance,
-    mean_deviation,
-    path_length,
-    toolpath_points,
-)
 from repro.manufacturing.architecture import (
     GCODE_FLOW,
     MONITORED_EMISSIONS,
@@ -83,9 +62,6 @@ __all__ = [
     "MachineConfig",
     "MotionPlanner",
     "MotionSegment",
-    "MultiChannelRecording",
-    "PowerSignature",
-    "PowerTraceSynthesizer",
     "Printer3D",
     "PrintRun",
     "RecordedSegment",
@@ -95,25 +71,15 @@ __all__ = [
     "circle_program",
     "collect_segments",
     "default_motors",
-    "EMISSION_AXES",
-    "default_power_signatures",
-    "geometric_damage_report",
-    "hausdorff_distance",
     "layered_object_program",
-    "mean_deviation",
     "monitored_flow_names",
-    "path_length",
     "parse_line",
     "printer_architecture",
     "random_single_motor_sequence",
     "record_case_study_dataset",
-    "record_multichannel_dataset",
-    "microphone_gains",
-    "record_per_emission_datasets",
     "read_wav",
     "rectangle_program",
     "single_motor_program",
     "staircase_program",
-    "toolpath_points",
     "write_wav",
 ]

@@ -160,21 +160,9 @@ class AcousticSynthesizer:
         """Number of audio samples a segment spans (at least 1)."""
         return max(1, int(round(segment.duration * self.sample_rate)))
 
-    def synthesize_segment(
-        self, segment: MotionSegment, *, seed=None, axis_gains=None
-    ) -> np.ndarray:
-        """Waveform for one motion segment (before environment/sensor).
-
-        Parameters
-        ----------
-        axis_gains:
-            Optional mapping of axis -> coupling gain.  Models where the
-            sensor sits: a microphone on the X motor hears X at gain 1
-            and the others attenuated.  Axes absent from the mapping get
-            gain 1.0.
-        """
+    def synthesize_segment(self, segment: MotionSegment, *, seed=None) -> np.ndarray:
+        """Waveform for one motion segment (before environment/sensor)."""
         rng = as_rng(seed)
-        axis_gains = axis_gains or {}
         n = self.segment_samples(segment)
         t = np.arange(n) / self.sample_rate
         out = np.zeros(n)
@@ -183,9 +171,6 @@ class AcousticSynthesizer:
             motor = self.motors.get(axis)
             if motor is None:
                 continue  # Axis without a motor model contributes nothing.
-            gain_scale = float(axis_gains.get(axis, 1.0))
-            if gain_scale <= 0:
-                continue
             sig = motor.signature
             base = segment.step_frequencies[axis]
             if base <= 0:
@@ -201,36 +186,23 @@ class AcousticSynthesizer:
                 am = 1.0 + 0.1 * np.sin(
                     2.0 * np.pi * rng.uniform(0.5, 3.0) * t + rng.uniform(0, 2 * np.pi)
                 )
-                out += (
-                    gain_scale * sig.amplitude * gain * am
-                    * np.sin(2.0 * np.pi * f * t + phase)
-                )
+                out += sig.amplitude * gain * am * np.sin(2.0 * np.pi * f * t + phase)
             # Resonance hump + broadband hiss.
             if sig.resonance_gain > 0:
                 out += (
-                    gain_scale
-                    * sig.amplitude
+                    sig.amplitude
                     * sig.resonance_gain
                     * _band_noise(n, self.sample_rate, sig.resonance_hz,
                                   sig.resonance_bw_hz, rng)
                 )
             if sig.broadband_gain > 0:
-                out += (
-                    gain_scale * sig.amplitude * sig.broadband_gain
-                    * rng.normal(0.0, 1.0, n)
-                )
+                out += sig.amplitude * sig.broadband_gain * rng.normal(0.0, 1.0, n)
         # Fade edges (5 ms) so concatenated segments do not click.
         out *= _raised_cosine_ramp(n, int(0.005 * self.sample_rate))
         return out
 
-    def render(self, segments, *, seed=None, axis_gains=None):
+    def render(self, segments, *, seed=None):
         """Render a whole plan.
-
-        Parameters
-        ----------
-        axis_gains:
-            Optional axis -> coupling gain mapping (see
-            :meth:`synthesize_segment`) describing the sensor placement.
 
         Returns
         -------
@@ -245,9 +217,7 @@ class AcousticSynthesizer:
         chunks = []
         boundaries = [0.0]
         for segment in segments:
-            chunk = self.synthesize_segment(
-                segment, seed=rng, axis_gains=axis_gains
-            )
+            chunk = self.synthesize_segment(segment, seed=rng)
             chunks.append(chunk)
             boundaries.append(boundaries[-1] + len(chunk) / self.sample_rate)
         if chunks:

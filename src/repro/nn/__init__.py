@@ -19,13 +19,10 @@ Quick example::
 
 from repro.nn.activations import (
     Activation,
-    ELU,
     Identity,
     LeakyReLU,
     ReLU,
     Sigmoid,
-    Softplus,
-    Tanh,
     get_activation,
 )
 from repro.nn.initializers import (
@@ -56,7 +53,6 @@ __all__ = [
     "BinaryCrossEntropy",
     "Dense",
     "Dropout",
-    "ELU",
     "GeneratorLossMinimax",
     "GeneratorLossNonSaturating",
     "GlorotUniform",
@@ -73,8 +69,6 @@ __all__ = [
     "SGD",
     "Sequential",
     "Sigmoid",
-    "Softplus",
-    "Tanh",
     "Zeros",
     "discriminator_loss",
     "get_activation",

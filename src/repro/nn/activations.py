@@ -1,9 +1,9 @@
 """Elementwise activation functions with analytic derivatives.
 
 Each activation is a stateless object exposing ``forward(x)`` and
-``backward(x, y)`` where *y* is the cached forward output — several
-derivatives (sigmoid, tanh) are cheapest in terms of the output, so both
-are provided.
+``backward(x, y)`` where *y* is the cached forward output — the
+sigmoid derivative is cheapest in terms of the output, so both are
+provided.
 """
 
 from __future__ import annotations
@@ -122,69 +122,7 @@ class Sigmoid(Activation):
         return out
 
 
-class Tanh(Activation):
-    """Tanh — the standard generator output activation for data in [-1, 1].
-
-    GAN-Sec scales acoustic frequency features into [0, 1]; the generator
-    in this library therefore typically ends in :class:`Sigmoid` or a tanh
-    rescaled by the caller.
-    """
-
-    name = "tanh"
-
-    def forward(self, x, out=None):
-        return np.tanh(x, out=out) if out is not None else np.tanh(x)
-
-    def backward(self, x, y, out=None):
-        if out is None:
-            return 1.0 - y * y
-        np.multiply(y, y, out=out)
-        np.subtract(1.0, out, out=out)
-        return out
-
-
-class Softplus(Activation):
-    name = "softplus"
-
-    def forward(self, x, out=None):
-        if out is None:
-            return np.logaddexp(0.0, x)
-        return np.logaddexp(0.0, x, out=out)
-
-    def backward(self, x, y, out=None):
-        return Sigmoid().forward(x, out=out)
-
-
-class ELU(Activation):
-    name = "elu"
-
-    def __init__(self, alpha: float = 1.0):
-        if alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-        self.alpha = float(alpha)
-
-    def forward(self, x, out=None):
-        result = np.where(x > 0.0, x, self.alpha * np.expm1(x))
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
-
-    def backward(self, x, y, out=None):
-        result = np.where(x > 0.0, 1.0, y + self.alpha).astype(x.dtype)
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
-
-    def __repr__(self):
-        return f"ELU(alpha={self.alpha})"
-
-
-_REGISTRY = {
-    cls.name: cls
-    for cls in (Identity, ReLU, LeakyReLU, Sigmoid, Tanh, Softplus, ELU)
-}
+_REGISTRY = {cls.name: cls for cls in (Identity, ReLU, LeakyReLU, Sigmoid)}
 _REGISTRY["linear"] = Identity
 
 

@@ -57,7 +57,7 @@ class GlorotUniform(Initializer):
     """Xavier/Glorot uniform: ``U(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``.
 
     Keeps activation variance roughly constant across tanh/sigmoid layers —
-    appropriate for the tanh-output generator used in the case study.
+    appropriate for the sigmoid-output generator used in the case study.
     """
 
     name = "glorot_uniform"

@@ -134,38 +134,9 @@ class TestExtractor:
         with pytest.raises(NotFittedError):
             ex.transform([np.ones(600)])
 
-    def test_include_stats_appends_three_features(self):
-        ex = FrequencyFeatureExtractor(12000.0, n_bins=10, include_stats=True)
-        assert ex.feature_dim == 13
-        f = ex.raw_features(np.full(600, 2.0) + 0.0)
-        # Constant signal: mean 2, std 0, rms 2.
-        assert f.shape == (13,)
-        assert f[-3] == pytest.approx(2.0)
-        assert f[-2] == pytest.approx(0.0)
-        assert f[-1] == pytest.approx(2.0)
-
-    def test_stats_capture_dc_level(self):
-        # Two signals identical in spectrum-above-DC but different offsets
-        # are indistinguishable without stats and separable with them.
-        sr = 12000.0
-        t = np.arange(1200) / sr
-        tone = np.sin(2 * np.pi * 500 * t)
-        low = tone + 1.0
-        high = tone + 3.0
-        plain = FrequencyFeatureExtractor(sr, n_bins=10)
-        stats = FrequencyFeatureExtractor(sr, n_bins=10, include_stats=True)
-        f_low, f_high = plain.raw_features(low), plain.raw_features(high)
-        # Spectral magnitudes are (numerically) blind to the DC shift.
-        np.testing.assert_allclose(f_low, f_high, atol=1e-3 * f_low.max())
-        assert (
-            abs(stats.raw_features(high)[-3] - stats.raw_features(low)[-3])
-            > 1.9
-        )
-
     def test_default_no_stats(self):
         ex = FrequencyFeatureExtractor(12000.0, n_bins=10)
         assert ex.feature_dim == 10
-        assert not ex.include_stats
 
 
 class TestBatchedExtraction:
@@ -187,14 +158,6 @@ class TestBatchedExtraction:
         ex = self._extractor()
         batched = ex.raw_feature_matrix(segs)
         looped = np.vstack([ex.raw_features(segs[i]) for i in range(5)])
-        np.testing.assert_array_equal(batched, looped)
-
-    def test_batched_equals_looped_with_stats(self):
-        rng = np.random.default_rng(2)
-        segs = rng.normal(size=(4, 600)) + 2.5
-        ex = self._extractor(include_stats=True)
-        batched = ex.raw_feature_matrix(segs)
-        looped = np.vstack([ex.raw_features(segs[i]) for i in range(4)])
         np.testing.assert_array_equal(batched, looped)
 
     def test_ragged_segments_preserve_row_order(self):
@@ -230,11 +193,18 @@ class TestBatchedExtraction:
     def test_config_fingerprint_sensitivity(self):
         base = self._extractor().config_fingerprint()
         assert self._extractor().config_fingerprint() == base
-        assert self._extractor(include_stats=True).config_fingerprint() != base
+        assert self._extractor(method="stft").config_fingerprint() != base
         assert self._extractor(f_max=4000.0).config_fingerprint() != base
         assert (
             FrequencyFeatureExtractor(11025.0, n_bins=12).config_fingerprint()
             != base
+        )
+
+    def test_default_fingerprint_pinned(self):
+        # The on-disk feature cache is keyed by this digest: a change here
+        # silently orphans every cached matrix.
+        assert FrequencyFeatureExtractor(12000.0).config_fingerprint() == (
+            "80eef6e7ec07b6e9dbef6b388be29ee81cd5f90eee33b230a83f9dfa73630c00"
         )
 
 
@@ -280,7 +250,7 @@ class TestFeatureCacheWiring:
         segs = rng.normal(size=(3, 600))
         a = FrequencyFeatureExtractor(self.SR, n_bins=10, feature_cache=tmp_path)
         b = FrequencyFeatureExtractor(
-            self.SR, n_bins=10, include_stats=True, feature_cache=tmp_path
+            self.SR, n_bins=10, method="stft", feature_cache=tmp_path
         )
         a.raw_feature_matrix(segs)
         b.raw_feature_matrix(segs)

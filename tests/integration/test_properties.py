@@ -9,12 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.dsp.wavelet import average_band_energy
 from repro.manufacturing.gcode import GCodeCommand, GCodeProgram
 from repro.manufacturing.kinematics import MachineConfig, MotionPlanner
-from repro.manufacturing.quality import (
-    hausdorff_distance,
-    path_length,
-    resample_polyline,
-    toolpath_points,
-)
 from repro.security.parzen import ParzenWindow
 
 feeds = st.floats(min_value=60.0, max_value=6000.0)
@@ -28,6 +22,15 @@ def single_axis_program(axis, positions, feed):
             GCodeCommand("G1", {axis: round(pos, 4), "F": round(feed, 2)})
         )
     return GCodeProgram(commands)
+
+
+def chord_length(segments):
+    """Summed XYZ chord length of a motion plan, dwells skipped."""
+    return sum(
+        float(np.linalg.norm([s.end[a] - s.start[a] for a in "XYZ"]))
+        for s in segments
+        if not s.is_dwell
+    )
 
 
 class TestKinematicInvariants:
@@ -76,39 +79,7 @@ class TestKinematicInvariants:
         total_travel = sum(
             abs(seg.end["X"] - seg.start["X"]) for seg in segments
         )
-        pts = toolpath_points(segments)
-        assert path_length(pts) == pytest.approx(total_travel, rel=1e-9)
-
-
-class TestGeometryInvariants:
-    @given(
-        pts=st.lists(
-            st.tuples(coords, coords), min_size=2, max_size=6
-        ),
-        dx=coords,
-        dy=coords,
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_hausdorff_translation(self, pts, dx, dy):
-        """Hausdorff distance of a path and its translate is the shift norm."""
-        a = np.asarray(pts, dtype=float)
-        assume(path_length(a) > 1e-6)
-        b = a + np.array([dx, dy])
-        expected = float(np.hypot(dx, dy))
-        assert hausdorff_distance(a, b) == pytest.approx(expected, abs=1e-6)
-
-    @given(
-        pts=st.lists(st.tuples(coords, coords), min_size=2, max_size=6),
-        n=st.integers(min_value=2, max_value=64),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_resample_preserves_endpoints_and_length(self, pts, n):
-        a = np.asarray(pts, dtype=float)
-        out = resample_polyline(a, n)
-        np.testing.assert_allclose(out[0], a[0], atol=1e-9)
-        np.testing.assert_allclose(out[-1], a[-1], atol=1e-9)
-        # Resampling a polyline can only shorten it (chord <= arc).
-        assert path_length(out) <= path_length(a) + 1e-6
+        assert chord_length(segments) == pytest.approx(total_travel, rel=1e-9)
 
 
 class TestSpectralInvariants:

@@ -6,11 +6,19 @@ import pytest
 from repro.errors import GCodeError
 from repro.manufacturing.gcode import GCodeProgram
 from repro.manufacturing.kinematics import MotionPlanner
-from repro.manufacturing.quality import path_length, toolpath_points
 
 
 def plan(text):
     return MotionPlanner().plan(GCodeProgram.from_text(text))
+
+
+def chord_length(segments):
+    """Summed XYZ chord length of a motion plan, dwells skipped."""
+    return sum(
+        float(np.linalg.norm([s.end[a] - s.start[a] for a in "XYZ"]))
+        for s in segments
+        if not s.is_dwell
+    )
 
 
 class TestArcGeometry:
@@ -31,9 +39,8 @@ class TestArcGeometry:
     def test_chord_length_approximates_arc(self):
         segs = plan("G90\nG1 F1200 X10 Y0\nG3 X0 Y10 I-10 J0")
         arc_segs = [s for s in segs if s.command.code == "G3"]
-        pts = toolpath_points(arc_segs)
         quarter = np.pi * 10.0 / 2.0
-        assert path_length(pts) == pytest.approx(quarter, rel=0.01)
+        assert chord_length(arc_segs) == pytest.approx(quarter, rel=0.01)
         # Tolerance-driven tessellation: a 10 mm quarter arc needs many chords.
         assert len(arc_segs) >= 5
 
@@ -41,18 +48,16 @@ class TestArcGeometry:
         # G2 from (10,0) about (0,0) to (0,-10) is a quarter turn CW.
         segs = plan("G90\nG1 F1200 X10 Y0\nG2 X0 Y-10 I-10 J0")
         arc_segs = [s for s in segs if s.command.code == "G2"]
-        pts = toolpath_points(arc_segs)
-        assert path_length(pts) == pytest.approx(np.pi * 5.0, rel=0.01)
+        assert chord_length(arc_segs) == pytest.approx(np.pi * 5.0, rel=0.01)
         # Midpoint should be in the fourth quadrant (x>0, y<0).
-        mid = pts[len(pts) // 2]
-        assert mid[0] > 0 and mid[1] < 0
+        mid = arc_segs[len(arc_segs) // 2].end
+        assert mid["X"] > 0 and mid["Y"] < 0
 
     def test_full_circle(self):
         # Same start and end: a G3 full circle.
         segs = plan("G90\nG1 F1200 X10 Y0\nG3 X10 Y0 I-10 J0")
         arc_segs = [s for s in segs if s.command.code == "G3"]
-        pts = toolpath_points(arc_segs)
-        assert path_length(pts) == pytest.approx(2 * np.pi * 10.0, rel=0.01)
+        assert chord_length(arc_segs) == pytest.approx(2 * np.pi * 10.0, rel=0.01)
 
     def test_both_axes_active(self):
         segs = plan("G90\nG1 F1200 X10 Y0\nG3 X0 Y10 I-10 J0")

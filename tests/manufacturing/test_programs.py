@@ -119,11 +119,14 @@ class TestCircleProgram:
         import numpy as np
 
         from repro.manufacturing.programs import circle_program
-        from repro.manufacturing.quality import path_length, toolpath_points
 
         segs = MotionPlanner().plan(circle_program(10.0))
         arc_segs = [s for s in segs if s.command.code == "G2"]
-        length = path_length(toolpath_points(arc_segs))
+        # Summed XYZ chord length of the arc segments (no dwells here).
+        length = sum(
+            float(np.linalg.norm([s.end[a] - s.start[a] for a in "XYZ"]))
+            for s in arc_segs
+        )
         assert abs(length - 2 * np.pi * 10.0) / (2 * np.pi * 10.0) < 0.01
 
     def test_rejects_bad_params(self):

@@ -56,7 +56,7 @@ class TestDense:
         assert grads["b"].shape == layer.b.shape
 
     def test_backward_gradient_numerically(self):
-        layer = Dense(4, "tanh")
+        layer = Dense(4, "sigmoid")
         layer.build(3, rng())
         x = rng().normal(size=(5, 3))
 

@@ -10,7 +10,7 @@ from repro.nn.network import Sequential
 
 def make_net(seed=0):
     return Sequential(
-        [Dense(8, "tanh"), Dense(4, "relu"), Dense(2, "sigmoid")],
+        [Dense(8, "sigmoid"), Dense(4, "relu"), Dense(2, "sigmoid")],
         input_dim=5,
         seed=seed,
     )

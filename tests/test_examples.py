@@ -53,5 +53,4 @@ def test_expected_examples_present():
         "attack_surface_audit",
         "cross_subsystem_analysis",
         "gcode_playground",
-        "multi_emission_analysis",
     } <= names

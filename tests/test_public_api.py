@@ -9,11 +9,19 @@ import importlib
 import pytest
 
 PACKAGES = (
+    "repro",
+    "repro.artifacts",
+    "repro.dsp",
+    "repro.flows",
     "repro.gan",
+    "repro.graph",
+    "repro.manufacturing",
     "repro.nn",
+    "repro.pipeline",
     "repro.runtime",
     "repro.security",
     "repro.streaming",
+    "repro.utils",
 )
 
 
