@@ -27,13 +27,13 @@ def _report(result):
         result.summary(),
         "",
         "-- flows --",
-        flow_listing(result.graph),
+        flow_listing(result.architecture),
         "",
         "-- adjacency --",
-        adjacency_listing(result.graph),
+        adjacency_listing(result.architecture),
         "",
         "-- Graphviz DOT (paste into dot -Tpng) --",
-        to_dot(result.graph),
+        to_dot(result.architecture),
         "",
         "-- trainable cross-domain pairs (the case study's selection) --",
     ]
@@ -43,7 +43,8 @@ def _report(result):
         "",
         "-- paper-shape checks --",
         shape_check(
-            "13 components (C1-C4, P1-P9)", result.graph.number_of_nodes() == 13
+            "13 components (C1-C4, P1-P9)",
+            len(result.architecture.components()) == 13,
         ),
         shape_check(
             "monitored emissions P2,P3,P4,P5,P8 -> P9 all trainable",

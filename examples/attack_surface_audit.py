@@ -14,7 +14,6 @@ Run:  python examples/attack_surface_audit.py
 
 from repro.graph import (
     attack_surface,
-    build_graph,
     cross_domain_cut,
     emission_exposure,
     monitoring_coverage,
@@ -24,10 +23,9 @@ from repro.manufacturing import printer_architecture
 
 def main():
     arch = printer_architecture()
-    graph = build_graph(arch)
 
     print("=== attack surface of the external G-code interface (C4) ===")
-    surface = attack_surface(graph, "C4")
+    surface = attack_surface(arch, "C4")
     for name in sorted(surface):
         comp = arch.component(name)
         print(f"  {comp}")
@@ -35,7 +33,7 @@ def main():
           "components are kinetic-cyber reachable")
 
     print("\n=== side-channel exposure (who leaks into emissions) ===")
-    exposure = emission_exposure(graph)
+    exposure = emission_exposure(arch)
     for name in sorted(exposure):
         flows = exposure[name]
         if flows:
@@ -43,13 +41,13 @@ def main():
 
     print("\n=== the paper's monitoring question ===")
     # Can the environment-facing emissions monitor the C1 -> P5 path?
-    report = monitoring_coverage(graph, "C1", "P5", ["F17"])
+    report = monitoring_coverage(arch, "C1", "P5", ["F17"])
     print(" ", report.summary())
-    report = monitoring_coverage(graph, "C1", "P2", ["F19"])
+    report = monitoring_coverage(arch, "C1", "P2", ["F19"])
     print(" ", report.summary(), "(thermal monitor cannot see motion!)")
 
     print("\n=== cross-domain cut (guard placement candidates) ===")
-    for flow in cross_domain_cut(graph):
+    for flow in cross_domain_cut(arch):
         print(f"  {flow}")
 
 

@@ -88,7 +88,7 @@ def main():
     print(result.summary())
     print()
     print("-- adjacency --")
-    print(adjacency_listing(result.graph))
+    print(adjacency_listing(result.architecture))
 
     print()
     print("-- trainable cross-domain pairs (CGAN candidates) --")

@@ -111,12 +111,12 @@ def _cmd_graph(args) -> int:
     result = generate(printer_architecture(), monitored_flow_names())
     print(result.summary())
     print()
-    print(flow_listing(result.graph))
+    print(flow_listing(result.architecture))
     print()
     if args.dot:
-        print(to_dot(result.graph))
+        print(to_dot(result.architecture))
     else:
-        print(adjacency_listing(result.graph))
+        print(adjacency_listing(result.architecture))
     return 0
 
 

@@ -3,19 +3,12 @@
 from repro.graph.components import Component, Domain, SubSystem, cyber, physical
 from repro.graph.architecture import CPPSArchitecture
 from repro.graph.builder import (
-    FLOW_ATTR,
     GraphGenerationResult,
-    build_graph,
     extract_flow_pairs,
     generate,
     prune_pairs_by_data,
 )
-from repro.graph.reachability import (
-    assert_dag,
-    dfs_reachable,
-    is_reachable,
-    remove_feedback_edges,
-)
+from repro.graph.reachability import dfs_reachable, remove_feedback_edges
 from repro.graph.export import adjacency_listing, flow_listing, to_dot
 from repro.graph.generators import random_factory
 from repro.graph.metrics import (
@@ -28,7 +21,6 @@ from repro.graph.metrics import (
 )
 
 __all__ = [
-    "FLOW_ATTR",
     "CPPSArchitecture",
     "Component",
     "Domain",
@@ -36,17 +28,14 @@ __all__ = [
     "MonitoringReport",
     "SubSystem",
     "adjacency_listing",
-    "assert_dag",
     "attack_surface",
     "cross_domain_cut",
-    "build_graph",
     "cyber",
     "dfs_reachable",
     "emission_exposure",
     "extract_flow_pairs",
     "flow_listing",
     "generate",
-    "is_reachable",
     "monitoring_coverage",
     "path_flows",
     "physical",

@@ -2,9 +2,11 @@
 
 :class:`CPPSArchitecture` is the input to Algorithm 1: the sub-systems,
 their cyber/physical components, and the declared signal and energy
-flows among them.  It performs referential-integrity checks (every flow
-endpoint must be a declared component; flow names are unique) so that
-graph construction downstream can assume a well-formed description.
+flows among them.  It is ``G_CPPS`` itself: components are the nodes
+and declared flows the (possibly parallel) edges.  It performs
+referential-integrity checks (every flow endpoint must be a declared
+component; flow names are unique) so that Algorithm 1 can assume a
+well-formed description.
 """
 
 from __future__ import annotations
@@ -90,6 +92,23 @@ class CPPSArchitecture:
 
     def components(self) -> list:
         return [c for sub in self.subsystems.values() for c in sub.components]
+
+    def edges(self) -> list:
+        """The declared flows grouped by source component, components in
+        declaration order (flows in declaration order within a group)."""
+        rank = {c.name: i for i, c in enumerate(self.components())}
+        return sorted(self.flows.values(), key=lambda f: rank[f.source])
+
+    def successors(self) -> dict:
+        """G_CPPS as ``{component: [target of each flow leaving it, ...]}``.
+
+        Every component is a key, in declaration order; a target appears
+        once per flow, so parallel flows repeat it.
+        """
+        graph = {c.name: [] for c in self.components()}
+        for flow in self.flows.values():
+            graph[flow.source].append(flow.target)
+        return graph
 
     def component(self, name: str) -> Component:
         for sub in self.subsystems.values():

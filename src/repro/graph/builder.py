@@ -1,15 +1,15 @@
 """Algorithm 1: CPPS graph and flow-pair generation.
 
-Given the design-time architecture (sub-systems, components, flows) and
-the available historical data, this module
+``G_CPPS`` is the design-time :class:`CPPSArchitecture` itself: its
+components are the nodes and its declared flows the edges (paper
+Lines 1–10).  Given it and the available historical data, this module
 
-1. builds the directed graph ``G_CPPS`` whose nodes are components and
-   whose edges are the declared flows (paper Lines 1–10),
-2. removes feedback loops so flows are causally ordered (Line 3),
-3. extracts candidate flow pairs ``FP_F``: ``(F_1, F_2)`` such that the
+1. removes feedback loops from the architecture's successor map so
+   flows are causally ordered (Line 3),
+2. extracts candidate flow pairs ``FP_F``: ``(F_1, F_2)`` such that the
    head of ``F_2`` is DFS-reachable from the tail of ``F_1``
    (Lines 11–14), and
-4. prunes to ``FP_T``, the pairs covered by historical data
+3. prunes to ``FP_T``, the pairs covered by historical data
    (Lines 15–17) — only those can be modeled by the CGAN.
 """
 
@@ -17,15 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import ArchitectureError
 from repro.flows.base import FlowPair
 from repro.graph.architecture import CPPSArchitecture
 from repro.graph.reachability import dfs_reachable, remove_feedback_edges
-
-#: Edge attribute under which the flow spec is stored in G_CPPS.
-FLOW_ATTR = "flow"
 
 
 @dataclass
@@ -34,13 +29,12 @@ class GraphGenerationResult:
 
     Attributes
     ----------
-    graph:
-        ``G_CPPS`` as a :class:`networkx.MultiDiGraph` (components may be
-        linked by both a signal and an energy flow, so parallel edges are
-        required); every edge carries its :class:`FlowSpec` under
-        :data:`FLOW_ATTR`.
+    architecture:
+        ``G_CPPS``: components are nodes, declared flows are edges
+        (components may be linked by both a signal and an energy flow,
+        so edges can be parallel).
     dag:
-        The acyclic reduction used for reachability.
+        The feedback-free successor map used for reachability.
     removed_edges:
         Feedback edges removed in Line 3, as (source, target) tuples.
     candidate_pairs:
@@ -49,8 +43,8 @@ class GraphGenerationResult:
         ``FP_T`` — pairs also covered by historical data.
     """
 
-    graph: nx.MultiDiGraph
-    dag: nx.DiGraph
+    architecture: CPPSArchitecture
+    dag: dict
     removed_edges: list
     candidate_pairs: list = field(default_factory=list)
     trainable_pairs: list = field(default_factory=list)
@@ -71,51 +65,28 @@ class GraphGenerationResult:
     def summary(self) -> str:
         """One-paragraph textual summary (used by benches and reports)."""
         return (
-            f"G_CPPS: {self.graph.number_of_nodes()} nodes, "
-            f"{self.graph.number_of_edges()} flow edges; "
+            f"G_CPPS: {len(self.architecture.components())} nodes, "
+            f"{len(self.architecture.flows)} flow edges; "
             f"{len(self.removed_edges)} feedback edge(s) removed; "
             f"{len(self.candidate_pairs)} candidate pair(s) (FP_F), "
             f"{len(self.trainable_pairs)} trainable pair(s) (FP_T)"
         )
 
 
-def build_graph(architecture: CPPSArchitecture) -> nx.MultiDiGraph:
-    """Lines 1–10 of Algorithm 1: components become nodes, flows edges."""
-    architecture.validate()
-    graph = nx.MultiDiGraph(name=architecture.name)
-    for sub in architecture.subsystems.values():
-        for comp in sub.components:
-            graph.add_node(
-                comp.name,
-                domain=comp.domain.value,
-                label=comp.label,
-                subsystem=sub.name,
-                external=comp.external,
-            )
-    for flow in architecture.flows.values():
-        graph.add_edge(flow.source, flow.target, key=flow.name, **{FLOW_ATTR: flow})
-    return graph
-
-
-def _collapse_to_digraph(graph: nx.MultiDiGraph) -> nx.DiGraph:
-    """Simple digraph with the same node set and edge directions."""
-    simple = nx.DiGraph()
-    simple.add_nodes_from(graph.nodes(data=True))
-    simple.add_edges_from((u, v) for u, v, _k in graph.edges(keys=True))
-    return simple
-
-
 def extract_flow_pairs(
-    graph: nx.MultiDiGraph,
+    architecture: CPPSArchitecture,
     *,
-    dag: nx.DiGraph | None = None,
+    dag: dict | None = None,
 ) -> list:
     """Lines 11–14: all ordered pairs ``(F_1, F_2)`` of distinct flows
     where the head (target) of ``F_2`` is reachable from the tail
-    (source) of ``F_1`` in the feedback-free graph."""
+    (source) of ``F_1`` in the feedback-free graph.
+
+    Pairs follow :meth:`CPPSArchitecture.edges` order in both flows.
+    """
     if dag is None:
-        dag, _removed = remove_feedback_edges(_collapse_to_digraph(graph))
-    flows = [data[FLOW_ATTR] for _u, _v, data in graph.edges(data=True)]
+        dag, _removed = remove_feedback_edges(architecture.successors())
+    flows = architecture.edges()
     reach_cache = {}
     pairs = []
     for f1 in flows:
@@ -157,12 +128,12 @@ def generate(
         Names of flows with historical data; pairs not covered are pruned
         from ``FP_T`` (``FP_F`` keeps all reachable pairs).
     """
-    graph = build_graph(architecture)
-    dag, removed = remove_feedback_edges(_collapse_to_digraph(graph))
-    candidate = extract_flow_pairs(graph, dag=dag)
+    architecture.validate()
+    dag, removed = remove_feedback_edges(architecture.successors())
+    candidate = extract_flow_pairs(architecture, dag=dag)
     trainable = prune_pairs_by_data(candidate, set(available_flows))
     return GraphGenerationResult(
-        graph=graph,
+        architecture=architecture,
         dag=dag,
         removed_edges=removed,
         candidate_pairs=candidate,

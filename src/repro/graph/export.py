@@ -6,51 +6,53 @@ compared against the paper's drawing without a display server.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.flows.base import FlowKind
-from repro.graph.builder import FLOW_ATTR
+from repro.graph.architecture import CPPSArchitecture
 
 
-def to_dot(graph: nx.MultiDiGraph) -> str:
+def _edge_order(flow):
+    return (flow.source, flow.target, flow.name)
+
+
+def to_dot(architecture: CPPSArchitecture) -> str:
     """Render G_CPPS as Graphviz DOT.
 
     Cyber components are boxes, physical components ellipses; signal
     flows solid edges, energy flows dashed — mirroring the paper's
     Figure 3/6 notation.
     """
-    lines = [f'digraph "{graph.name or "G_CPPS"}" {{', "  rankdir=LR;"]
-    for node, data in sorted(graph.nodes(data=True)):
-        shape = "box" if data.get("domain") == "cyber" else "ellipse"
-        style = ', style="dotted"' if data.get("external") else ""
-        label = data.get("label") or node
-        lines.append(f'  "{node}" [shape={shape}, label="{node}\\n{label}"{style}];')
-    for u, v, key, data in sorted(graph.edges(keys=True, data=True)):
-        flow = data.get(FLOW_ATTR)
-        style = "dashed" if flow is not None and flow.is_energy else "solid"
-        lines.append(f'  "{u}" -> "{v}" [label="{key}", style={style}];')
+    lines = [f'digraph "{architecture.name}" {{', "  rankdir=LR;"]
+    for comp in sorted(architecture.components(), key=lambda c: c.name):
+        shape = "box" if comp.is_cyber else "ellipse"
+        style = ', style="dotted"' if comp.external else ""
+        label = comp.label or comp.name
+        lines.append(
+            f'  "{comp.name}" [shape={shape}, label="{comp.name}\\n{label}"{style}];'
+        )
+    for flow in sorted(architecture.flows.values(), key=_edge_order):
+        style = "dashed" if flow.is_energy else "solid"
+        lines.append(
+            f'  "{flow.source}" -> "{flow.target}" [label="{flow.name}", style={style}];'
+        )
     lines.append("}")
     return "\n".join(lines)
 
 
-def adjacency_listing(graph: nx.MultiDiGraph) -> str:
+def adjacency_listing(architecture: CPPSArchitecture) -> str:
     """Per-node adjacency text: ``node -> successors (via flows)``."""
-    lines = []
-    for node in sorted(graph.nodes):
-        outs = []
-        for _u, v, key in sorted(graph.out_edges(node, keys=True)):
-            outs.append(f"{v} (via {key})")
-        lines.append(f"{node}: " + (", ".join(outs) if outs else "-"))
-    return "\n".join(lines)
+    outs = {name: [] for name in sorted(architecture.component_names())}
+    for flow in sorted(architecture.flows.values(), key=_edge_order):
+        outs[flow.source].append(f"{flow.target} (via {flow.name})")
+    return "\n".join(
+        f"{node}: " + (", ".join(out) if out else "-") for node, out in outs.items()
+    )
 
 
-def flow_listing(graph: nx.MultiDiGraph) -> str:
+def flow_listing(architecture: CPPSArchitecture) -> str:
     """One line per flow: name, kind, endpoints, intent."""
     lines = []
-    for _u, _v, data in sorted(
-        graph.edges(data=True), key=lambda e: e[2][FLOW_ATTR].name
-    ):
-        flow = data[FLOW_ATTR]
+    for name in sorted(architecture.flows):
+        flow = architecture.flows[name]
         intent = "intentional" if flow.intentional else "UNINTENTIONAL"
         kind = "signal" if flow.kind is FlowKind.SIGNAL else f"energy/{flow.energy_form}"
         lines.append(

@@ -23,24 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import ArchitectureError
-from repro.graph.builder import FLOW_ATTR
+from repro.graph.architecture import CPPSArchitecture
 from repro.graph.reachability import dfs_reachable
 
 
-def _flows(graph: nx.MultiDiGraph):
-    return [data[FLOW_ATTR] for _u, _v, data in graph.edges(data=True)]
-
-
-def attack_surface(graph: nx.MultiDiGraph, entry: str) -> set:
+def attack_surface(architecture: CPPSArchitecture, entry: str) -> set:
     """Components reachable from the *entry* node via directed flows.
 
-    For the printer, ``attack_surface(G, "C4")`` is every component a
+    For the printer, ``attack_surface(arch, "C4")`` is every component a
     malicious G-code stream can influence — the kinetic-cyber blast
     radius of the external interface.
     """
+    graph = architecture.successors()
     if entry not in graph:
         raise ArchitectureError(f"unknown entry node {entry!r}")
     reach = dfs_reachable(graph, entry)
@@ -48,7 +43,7 @@ def attack_surface(graph: nx.MultiDiGraph, entry: str) -> set:
     return reach
 
 
-def emission_exposure(graph: nx.MultiDiGraph) -> dict:
+def emission_exposure(architecture: CPPSArchitecture) -> dict:
     """Map each component to the unintentional emission flows it feeds.
 
     A component is *exposed* through emission flow ``F`` if ``F``'s
@@ -56,37 +51,35 @@ def emission_exposure(graph: nx.MultiDiGraph) -> dict:
     the emission).  Exposed components are side-channel observable.
     """
     emissions = [
-        f for f in _flows(graph) if f.is_energy and not f.intentional
+        f for f in architecture.edges() if f.is_energy and not f.intentional
     ]
-    exposure = {node: [] for node in graph.nodes}
-    for node in graph.nodes:
+    graph = architecture.successors()
+    exposure = {}
+    for node in graph:
         reach = dfs_reachable(graph, node)
-        for flow in emissions:
-            if flow.source in reach:
-                exposure[node].append(flow.name)
+        exposure[node] = [flow.name for flow in emissions if flow.source in reach]
     return exposure
 
 
-def path_flows(graph: nx.MultiDiGraph, source: str, target: str) -> list:
+def path_flows(architecture: CPPSArchitecture, source: str, target: str) -> list:
     """All flows lying on any simple directed path ``source -> target``.
 
     These are the flows whose integrity matters for that path — the
     candidates an attacker would tamper with.
     """
+    graph = architecture.successors()
     for node in (source, target):
         if node not in graph:
             raise ArchitectureError(f"unknown node {node!r}")
-    simple = nx.DiGraph()
-    simple.add_nodes_from(graph.nodes)
-    simple.add_edges_from((u, v) for u, v, _k in graph.edges(keys=True))
     on_path_edges = set()
-    for path in nx.all_simple_paths(simple, source, target):
-        on_path_edges.update(zip(path, path[1:]))
-    out = []
-    for u, v, data in graph.edges(data=True):
-        if (u, v) in on_path_edges:
-            out.append(data[FLOW_ATTR])
-    return out
+    stack = [[source]]
+    while stack:
+        path = stack.pop()
+        if path[-1] == target:
+            on_path_edges.update(zip(path, path[1:]))
+            continue
+        stack.extend(path + [nxt] for nxt in set(graph[path[-1]]) if nxt not in path)
+    return [f for f in architecture.edges() if (f.source, f.target) in on_path_edges]
 
 
 @dataclass
@@ -126,7 +119,7 @@ class MonitoringReport:
 
 
 def monitoring_coverage(
-    graph: nx.MultiDiGraph,
+    architecture: CPPSArchitecture,
     source: str,
     target: str,
     monitored_flows,
@@ -140,23 +133,23 @@ def monitoring_coverage(
     structural level.
     """
     monitored = set(monitored_flows)
-    flow_by_name = {f.name: f for f in _flows(graph)}
-    unknown = monitored - set(flow_by_name)
+    unknown = monitored - set(architecture.flows)
     if unknown:
         raise ArchitectureError(f"unknown monitored flows: {sorted(unknown)}")
 
-    flows_on_path = path_flows(graph, source, target)
+    flows_on_path = path_flows(architecture, source, target)
     if not flows_on_path:
         raise ArchitectureError(f"no directed path {source!r} -> {target!r}")
     path_nodes = {f.source for f in flows_on_path} | {
         f.target for f in flows_on_path
     }
 
+    graph = architecture.successors()
     observable, blind = [], []
     for node in sorted(path_nodes):
         reach = dfs_reachable(graph, node)
         seen = any(
-            flow_by_name[name].source in reach for name in monitored
+            architecture.flows[name].source in reach for name in monitored
         )
         (observable if seen else blind).append(node)
     return MonitoringReport(
@@ -168,15 +161,12 @@ def monitoring_coverage(
     )
 
 
-def cross_domain_cut(graph: nx.MultiDiGraph) -> list:
+def cross_domain_cut(architecture: CPPSArchitecture) -> list:
     """Flows crossing the cyber/physical boundary.
 
     These edges are the CPPS's cross-domain interface — every
     kinetic-cyber attack and every side channel traverses at least one
     of them, so they are the natural place for monitors and guards.
     """
-    out = []
-    for u, v, data in graph.edges(data=True):
-        if graph.nodes[u].get("domain") != graph.nodes[v].get("domain"):
-            out.append(data[FLOW_ATTR])
-    return out
+    domain = {c.name: c.domain for c in architecture.components()}
+    return [f for f in architecture.edges() if domain[f.source] != domain[f.target]]

@@ -1,22 +1,21 @@
 """Graph algorithms supporting Algorithm 1: DFS reachability and
 feedback-loop removal.
 
-Algorithm 1 Line 3 "removes feedback loops to make signal/energy flows
-directed": G_CPPS must be a DAG before flow-pair extraction so that
-"head of F2 reachable from tail of F1" expresses causal ordering.  We
-break cycles with a deterministic greedy heuristic (remove the last edge
-closing each cycle found in DFS order), which matches the paper's
-intent without needing the (NP-hard) minimum feedback arc set.
+Both run on a successor map ``{node: [successor, ...]}`` that lists
+every node as a key.  Algorithm 1 Line 3 "removes feedback loops to make
+signal/energy flows directed": G_CPPS must be a DAG before flow-pair
+extraction so that "head of F2 reachable from tail of F1" expresses
+causal ordering.  We break cycles by dropping the back edges of one
+deterministic DFS, which matches the paper's intent without needing the
+(NP-hard) minimum feedback arc set.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import ArchitectureError
 
 
-def dfs_reachable(graph: nx.DiGraph, source: str) -> set:
+def dfs_reachable(graph: dict, source: str) -> set:
     """All nodes reachable from *source* by directed paths (including it)."""
     if source not in graph:
         raise ArchitectureError(f"node {source!r} not in graph")
@@ -24,43 +23,41 @@ def dfs_reachable(graph: nx.DiGraph, source: str) -> set:
     stack = [source]
     while stack:
         node = stack.pop()
-        for nxt in graph.successors(node):
+        for nxt in graph[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
 
 
-def is_reachable(graph: nx.DiGraph, source: str, target: str) -> bool:
-    """True if *target* is reachable from *source* (DFS, as Algorithm 1)."""
-    if target not in graph:
-        raise ArchitectureError(f"node {target!r} not in graph")
-    return target in dfs_reachable(graph, source)
-
-
-def remove_feedback_edges(graph: nx.DiGraph) -> tuple:
+def remove_feedback_edges(graph: dict) -> tuple:
     """Return ``(dag, removed_edges)`` with cycles broken deterministically.
 
-    Iteratively finds a cycle and removes its final edge until the graph
-    is acyclic.  The input graph is not modified.
+    One depth-first search visits the nodes, and each node's distinct
+    successors, in sorted order; every back edge it meets (an edge into
+    a node still on the DFS path) is removed, which leaves the graph
+    acyclic.  *removed_edges* lists them as ``(source, target)`` tuples
+    in the order found.  The input map is not modified.
     """
-    dag = graph.copy()
+    dag = {node: sorted(set(succ)) for node, succ in graph.items()}
     removed = []
-    while True:
-        try:
-            cycle = nx.find_cycle(dag, orientation="original")
-        except nx.NetworkXNoCycle:
-            break
-        # Remove the lexicographically largest edge of the cycle so the
-        # result does not depend on networkx's internal iteration order.
-        edge = max((u, v) for u, v, _dir in cycle)
-        dag.remove_edge(*edge)
-        removed.append(edge)
+    on_path, done = set(), set()
+    for root in sorted(dag):
+        if root in done:
+            continue
+        on_path.add(root)
+        stack = [(root, iter(list(dag[root])))]
+        while stack:
+            node, successors = stack[-1]
+            nxt = next(successors, None)
+            if nxt is None:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+            elif nxt in on_path:
+                dag[node].remove(nxt)
+                removed.append((node, nxt))
+            elif nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, iter(list(dag[nxt]))))
     return dag, removed
-
-
-def assert_dag(graph: nx.DiGraph) -> None:
-    """Raise :class:`ArchitectureError` if *graph* still has a cycle."""
-    if not nx.is_directed_acyclic_graph(graph):
-        cycle = nx.find_cycle(graph, orientation="original")
-        raise ArchitectureError(f"graph contains a cycle: {cycle}")

@@ -1,6 +1,5 @@
 """Tests for repro.graph.builder (Algorithm 1)."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,14 +7,13 @@ from repro.errors import ArchitectureError
 from repro.flows.base import FlowKind
 from repro.graph.architecture import CPPSArchitecture
 from repro.graph.builder import (
-    FLOW_ATTR,
-    build_graph,
     extract_flow_pairs,
     generate,
     prune_pairs_by_data,
 )
 from repro.graph.components import SubSystem, cyber, physical
-from repro.graph.reachability import is_reachable, remove_feedback_edges
+from repro.graph.reachability import dfs_reachable, remove_feedback_edges
+from tests.graph.test_reachability import assert_acyclic
 from repro.manufacturing.architecture import (
     GCODE_FLOW,
     monitored_flow_names,
@@ -36,36 +34,43 @@ def chain_arch():
 
 
 class TestBuildGraph:
+    """G_CPPS is the architecture: components are nodes, flows edges."""
+
     def test_nodes_and_edges(self):
-        g = build_graph(chain_arch())
-        assert set(g.nodes) == {"C1", "C2", "P1", "P2"}
-        assert g.number_of_edges() == 3
+        arch = chain_arch()
+        assert set(arch.successors()) == {"C1", "C2", "P1", "P2"}
+        assert len(arch.edges()) == 3
 
     def test_edge_carries_flow_spec(self):
-        g = build_graph(chain_arch())
-        flow = g["C1"]["P1"]["F1"][FLOW_ATTR]
+        flow = chain_arch().edges()[0]
+        assert (flow.name, flow.source, flow.target) == ("F1", "C1", "P1")
         assert flow.kind is FlowKind.SIGNAL
 
     def test_node_attributes(self):
-        g = build_graph(chain_arch())
-        assert g.nodes["C1"]["domain"] == "cyber"
-        assert g.nodes["P1"]["subsystem"] == "s"
+        arch = chain_arch()
+        assert arch.component("C1").domain.value == "cyber"
+        assert arch.subsystem_of("P1").name == "s"
 
     def test_parallel_edges_supported(self):
         arch = chain_arch()
         arch.add_energy_flow("F4", "C1", "P1")  # Parallel to F1.
-        g = build_graph(arch)
-        assert g.number_of_edges("C1", "P1") == 2
+        assert arch.successors()["C1"] == ["P1", "P1"]
+        assert [f.name for f in arch.edges()][:2] == ["F1", "F4"]
+
+    def test_edges_grouped_by_source_declaration_order(self):
+        arch = chain_arch()
+        arch.add_signal_flow("F5", "C1", "C2")
+        # C1 is declared first, so its later flow F5 precedes P1's F2.
+        assert [f.name for f in arch.edges()] == ["F1", "F5", "F2", "F3"]
 
     def test_invalid_architecture_rejected(self):
         with pytest.raises(ArchitectureError):
-            build_graph(CPPSArchitecture("empty"))
+            generate(CPPSArchitecture("empty"))
 
 
 class TestExtractPairs:
     def test_chain_pairs(self):
-        g = build_graph(chain_arch())
-        pairs = extract_flow_pairs(g)
+        pairs = extract_flow_pairs(chain_arch())
         names = {fp.names for fp in pairs}
         # F1 (tail C1) reaches F2's head P2 and F3's head C2.
         assert ("F1", "F2") in names
@@ -74,24 +79,19 @@ class TestExtractPairs:
         assert ("F3", "F1") not in names
 
     def test_no_self_pairs(self):
-        g = build_graph(chain_arch())
-        for fp in extract_flow_pairs(g):
+        for fp in extract_flow_pairs(chain_arch()):
             assert fp.first.name != fp.second.name
 
     def test_every_pair_satisfies_reachability(self):
-        g = build_graph(printer_architecture())
-        simple = nx.DiGraph()
-        simple.add_nodes_from(g.nodes)
-        simple.add_edges_from((u, v) for u, v, _k in g.edges(keys=True))
-        dag, _ = remove_feedback_edges(simple)
-        for fp in extract_flow_pairs(g):
-            assert is_reachable(dag, fp.first.source, fp.second.target), fp
+        arch = printer_architecture()
+        dag, _ = remove_feedback_edges(arch.successors())
+        for fp in extract_flow_pairs(arch):
+            assert fp.second.target in dfs_reachable(dag, fp.first.source), fp
 
 
 class TestPrune:
     def test_prune_by_data(self):
-        g = build_graph(chain_arch())
-        pairs = extract_flow_pairs(g)
+        pairs = extract_flow_pairs(chain_arch())
         kept = prune_pairs_by_data(pairs, {"F1", "F2"})
         assert all(
             fp.first.name in {"F1", "F2"} and fp.second.name in {"F1", "F2"}
@@ -100,15 +100,14 @@ class TestPrune:
         assert kept  # (F1, F2) survives.
 
     def test_prune_empty_data(self):
-        g = build_graph(chain_arch())
-        assert prune_pairs_by_data(extract_flow_pairs(g), set()) == []
+        assert prune_pairs_by_data(extract_flow_pairs(chain_arch()), set()) == []
 
 
 class TestGenerate:
     def test_printer_case_study(self):
         res = generate(printer_architecture(), monitored_flow_names())
-        assert res.graph.number_of_nodes() == 13
-        assert res.graph.number_of_edges() == 21
+        assert len(res.dag) == 13
+        assert len(res.architecture.edges()) == 21
         assert res.removed_edges == []  # Printer graph is already a DAG.
         # The G-code -> each monitored emission pairs must be trainable.
         trainable = {fp.names for fp in res.trainable_pairs}
@@ -140,8 +139,8 @@ class TestGenerate:
         arch.add_signal_flow("F1", "A", "B")
         arch.add_signal_flow("F2", "B", "A")
         res = generate(arch, {"F1", "F2"})
-        assert len(res.removed_edges) == 1
-        assert nx.is_directed_acyclic_graph(res.dag)
+        assert res.removed_edges == [("B", "A")]
+        assert_acyclic(res.dag)
 
 
 class TestPropertyBased:
@@ -175,7 +174,8 @@ class TestPropertyBased:
         res = generate(arch, set(arch.flows))
         for fp in res.candidate_pairs:
             assert fp.first.name != fp.second.name
-            assert is_reachable(res.dag, fp.first.source, fp.second.target)
+            assert fp.second.target in dfs_reachable(res.dag, fp.first.source)
+        assert_acyclic(res.dag)
         # FP_T is a subset of FP_F.
         cand = {fp.names for fp in res.candidate_pairs}
         assert all(fp.names in cand for fp in res.trainable_pairs)

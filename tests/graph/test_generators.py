@@ -29,7 +29,7 @@ class TestRandomFactory:
     def test_algorithm1_runs(self):
         arch = random_factory(4, seed=1)
         result = generate(arch, set(arch.flows))
-        assert result.graph.number_of_nodes() == len(arch.component_names())
+        assert len(result.dag) == len(arch.component_names())
         assert result.trainable_pairs
 
     def test_has_unintentional_emissions(self):

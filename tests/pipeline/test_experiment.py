@@ -23,6 +23,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(emission_flow="F99")
 
+    def test_rejects_the_gcode_flow_as_emission(self, tmp_path):
+        # F1 is a monitored flow but not an emission: it must fail here,
+        # not after the whole dataset has been recorded.
+        with pytest.raises(ConfigurationError, match="emission_flow"):
+            ExperimentConfig(emission_flow="F1")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"emission_flow": "F1"}))
+        with pytest.raises(ConfigurationError, match="emission_flow"):
+            ExperimentConfig.from_json(path)
+
     def test_rejects_empty_name(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(name="")

@@ -25,7 +25,7 @@ class TestGraphStep:
     def test_graph_generated_from_data_keys(self, case_dataset, fast_config):
         pipe = GANSec(printer_architecture(), fast_config)
         res = pipe.generate_graph({FlowPairKey("F18", GCODE_FLOW): case_dataset})
-        assert res.graph.number_of_nodes() == 13
+        assert len(res.dag) == 13
         trainable = {fp.names for fp in res.trainable_pairs}
         assert (GCODE_FLOW, "F18") in trainable
 

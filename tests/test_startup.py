@@ -1,10 +1,14 @@
-"""Start-up guard: no ``repro`` module needs scipy.
+"""Start-up guard: no ``repro`` module needs networkx or scipy.
 
-The CWT runs on ``numpy.fft`` and the AUC counts with numpy, so a fresh
-interpreter that imports every module under ``repro`` and runs both must
-not have loaded ``scipy`` (which alone cost about a third of every CLI
-start-up).
+The CWT runs on ``numpy.fft``, the AUC counts with numpy, and Algorithm 1
+walks the architecture's own successor map, so a fresh interpreter that
+imports every module under ``repro`` and runs all three must not have
+loaded ``scipy`` (which alone cost about a third of every CLI start-up)
+or ``networkx`` (about a quarter).
 """
+
+#: Packages no ``repro`` module may load.
+BANNED = ("scipy", "networkx")
 
 import json
 import os
@@ -28,8 +32,11 @@ average_band_energy_batch(
     np.random.default_rng(0).normal(size=(2, 600)), 12000.0, np.geomspace(50, 5000, 100)
 )
 roc_auc([1.0, 2.0, 2.0], [2.0, -np.inf])
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
-"""
+from repro.graph import generate
+from repro.manufacturing import monitored_flow_names, printer_architecture
+generate(printer_architecture(), monitored_flow_names())
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in %r)))
+""" % (BANNED,)
 
 
 def _run(*args):
@@ -40,7 +47,7 @@ def _run(*args):
     )
 
 
-def test_no_module_imports_scipy():
+def test_no_module_imports_networkx_or_scipy():
     proc = _run("-c", IMPORT_ALL)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
