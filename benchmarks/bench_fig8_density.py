@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
-from repro.security import ParzenWindow, choose_analysis_feature
+from repro.security import ConditionalParzen, choose_analysis_feature
 from repro.utils.ascii_plot import ascii_line_plot
 
 H = 0.2
@@ -25,10 +25,11 @@ def _densities(cgan, train):
         cgan, train, h=H, objective="peak", root_entropy=BENCH_SEED
     )
     curves = {}
+    claims = np.zeros(len(GRID), dtype=int)
     for i, cond in enumerate(train.unique_conditions()):
         samples = cgan.generate_for_condition(cond, G_SIZE, seed=BENCH_SEED + i)
-        pw = ParzenWindow(H).fit(samples[:, ft])
-        curves[f"Cond{i + 1}"] = pw.density(GRID)
+        model = ConditionalParzen(H, [samples[:, [ft]]])
+        curves[f"Cond{i + 1}"] = np.exp(model.log_density(GRID[:, None], claims)[:, 0])
     return ft, curves
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.runtime.executors import check_workers
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -82,8 +82,8 @@ class GANSecConfig:
     sample_cache_entries: int = 64
 
     def __post_init__(self):
-        check_workers(self.workers, "workers")
-        check_workers(self.analysis_workers, "analysis_workers")
+        check_positive_int(self.workers, "workers")
+        check_positive_int(self.analysis_workers, "analysis_workers")
         if self.sample_cache_entries < 1:
             raise ConfigurationError(
                 "sample_cache_entries must be >= 1, got "

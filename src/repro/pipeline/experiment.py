@@ -81,9 +81,9 @@ from repro.runtime.events import (
     StageSkipped,
     StageStarted,
 )
-from repro.runtime.executors import check_workers
 from repro.runtime.training import CheckpointSpec, pair_rng_streams
 from repro.utils.atomic import atomic_write_text
+from repro.utils.validation import check_positive_int
 
 #: Bump when the fingerprint recipe changes: every stage then re-runs
 #: instead of trusting records produced under different rules.
@@ -149,7 +149,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("experiment name must be non-empty")
-        check_workers(self.analysis_workers, "analysis_workers")
+        check_positive_int(self.analysis_workers, "analysis_workers")
         every = self.checkpoint_every
         if isinstance(every, bool) or not isinstance(every, Integral) or every < 0:
             raise ConfigurationError(

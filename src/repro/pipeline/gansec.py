@@ -54,11 +54,12 @@ from repro.runtime.events import (
     TrainingStarted,
 )
 from repro.runtime.analysis import ConditionSampleCache
-from repro.runtime.executors import check_workers, fan_out, pool_size
+from repro.runtime.executors import fan_out, pool_size
 from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
 from repro.utils.atomic import atomic_write_text
 from repro.utils.rng import fresh_entropy
+from repro.utils.validation import check_positive_int
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -430,7 +431,7 @@ class GANSec:
         pipeline is :func:`repro.pipeline.experiment.run_experiment`.
         """
         if analysis_workers is not None:  # fail before training, not after
-            check_workers(analysis_workers, "analysis_workers")
+            check_positive_int(analysis_workers, "analysis_workers")
         self.generate_graph(data)
         self.train_models(data, workers=workers, bus=bus)
         return self.analyze(workers=analysis_workers, bus=bus)

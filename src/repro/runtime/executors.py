@@ -18,22 +18,14 @@ produce bitwise-identical results.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from numbers import Integral
 
-from repro.errors import ConfigurationError
-
-
-def check_workers(workers, name: str = "workers") -> int:
-    """Return *workers* if it is an int >= 1; raise otherwise."""
-    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
-        raise ConfigurationError(f"{name} must be an int >= 1, got {workers!r}")
-    return int(workers)
+from repro.utils.validation import check_positive_int
 
 
 def pool_size(workers, n_jobs: int) -> int:
     """Processes :func:`fan_out` uses for *n_jobs* jobs: ``min(workers,
     n_jobs)``, at least 1; a pool of 1 is the calling thread."""
-    return max(1, min(check_workers(workers), n_jobs))
+    return max(1, min(check_positive_int(workers, "workers"), n_jobs))
 
 
 def fan_out(fn, jobs, workers) -> list:

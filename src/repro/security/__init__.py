@@ -3,12 +3,7 @@ confidentiality attacks, integrity/availability attack detection, and
 mutual-information leakage metrics.
 """
 
-from repro.security.parzen import (
-    ConditionalParzen,
-    ParzenWindow,
-    resolve_chunk_size,
-    silverman_bandwidth,
-)
+from repro.security.parzen import ConditionalParzen
 from repro.security.engine import (
     AnalysisTarget,
     run_security_analysis,
@@ -83,7 +78,6 @@ __all__ = [
     "LikelihoodResult",
     "RepeatedLikelihoodResult",
     "ConditionalParzen",
-    "ParzenWindow",
     "RocCurve",
     "SecurityReport",
     "SequenceAttacker",
@@ -99,12 +93,10 @@ __all__ = [
     "histogram_mutual_information",
     "leakage_vs_training_data",
     "motor_stall_attack",
-    "resolve_chunk_size",
     "roc_auc",
     "roc_curve",
     "run_security_analysis",
     "security_analysis",
     "security_analysis_h_sweep",
-    "silverman_bandwidth",
     "viterbi_decode",
 ]

@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.flows.dataset import FlowPairDataset, condition_indices
 from repro.runtime.analysis import DEFAULT_PAIR, as_sampler, fit_condition_model
 from repro.utils.tables import format_table
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass
@@ -113,16 +113,13 @@ class SideChannelAttacker:
         cache=None,
     ):
         check_positive(h, "h")
-        check_positive(g_size, "g_size")
         self._sample = as_sampler(generator_sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         if self.conditions.shape[0] < 2:
             raise ConfigurationError("attacker needs at least 2 conditions")
         self.h = float(h)
-        self.feature_indices = (
-            None if feature_indices is None else np.asarray(feature_indices, dtype=int)
-        )
-        self.g_size = int(g_size)
+        self.feature_indices = feature_indices
+        self.g_size = check_positive_int(g_size, "g_size")
         self.root_entropy = root_entropy
         self.pair = str(pair)
         self.cache = cache

@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.flows.dataset import FlowPairDataset, condition_indices
 from repro.runtime.analysis import DEFAULT_PAIR, as_sampler, fit_condition_model
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass
@@ -121,14 +121,11 @@ class EmissionAttackDetector:
         cache=None,
     ):
         check_positive(h, "h")
-        check_positive(g_size, "g_size")
         self._sample = as_sampler(generator_sampler)
         self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
         self.h = float(h)
-        self.feature_indices = (
-            None if feature_indices is None else np.asarray(feature_indices, dtype=int)
-        )
-        self.g_size = int(g_size)
+        self.feature_indices = feature_indices
+        self.g_size = check_positive_int(g_size, "g_size")
         self.root_entropy = root_entropy
         self.pair = str(pair)
         self.cache = cache

@@ -49,9 +49,9 @@ from repro.runtime.events import (
     ConditionScored,
     EventBus,
 )
-from repro.runtime.executors import check_workers, fan_out, pool_size
+from repro.runtime.executors import fan_out, pool_size
 from repro.security.likelihood import LikelihoodResult, resolve_analysis_target
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass
@@ -150,9 +150,9 @@ def run_security_analysis(
         If one or more jobs failed.  Raised only after every job was
         attempted.
     """
-    check_workers(workers)
+    check_positive_int(workers, "workers")
     check_positive(h, "h")
-    check_positive(g_size, "g_size")
+    check_positive_int(g_size, "g_size")
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
         return {}

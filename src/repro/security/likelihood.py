@@ -37,6 +37,7 @@ from repro.runtime.analysis import resolve_root_entropy
 from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import stable_entropy
 from repro.utils.tables import format_table
+from repro.utils.validation import check_indices
 
 
 @dataclass
@@ -108,13 +109,9 @@ def resolve_analysis_target(
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     if feature_indices is None:
         feature_indices = np.arange(test_set.feature_dim)
-    feature_indices = np.asarray(feature_indices, dtype=int)
-    if feature_indices.size == 0:
-        raise ConfigurationError("feature_indices is empty")
-    if np.any(feature_indices < 0) or np.any(feature_indices >= test_set.feature_dim):
-        raise ConfigurationError(
-            f"feature indices out of range [0, {test_set.feature_dim})"
-        )
+    feature_indices = check_indices(
+        feature_indices, "feature_indices", test_set.feature_dim
+    )
     where = f" for {label}" if label is not None else ""
     for cond in conditions:
         if not test_set.mask_for_condition(cond).any():
@@ -275,9 +272,7 @@ def choose_analysis_feature(
         else:
             mi = feature_leakage_profile(calibration_set)
             candidates = np.argsort(mi)[::-1][:10]
-    candidates = np.asarray(candidates, dtype=int)
-    if candidates.size == 0:
-        raise ConfigurationError("no candidate features given")
+    candidates = check_indices(candidates, "candidates", calibration_set.feature_dim)
     result = security_analysis(
         generator_sampler,
         calibration_set,

@@ -7,6 +7,8 @@ pipeline point back at the call site.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from repro.errors import ShapeError, ConfigurationError, DataError
@@ -45,13 +47,35 @@ def check_array(x, name: str, *, ndim=None, dtype=float, allow_empty=False) -> n
     return arr
 
 
+def check_indices(indices, name: str, size: int) -> np.ndarray:
+    """Validate *indices* as a non-empty 1-D integer array of positions
+    in ``[0, size)``; negative (from-the-end) positions are rejected."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ConfigurationError(f"{name} must be a non-empty 1-D array, got {indices!r}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ConfigurationError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= size:
+        raise ConfigurationError(f"{name} out of range [0, {size}): {arr.tolist()}")
+    return arr
+
+
 def check_positive(value, name: str, *, strict=True):
-    """Validate a scalar is positive (``> 0``) or non-negative."""
+    """Validate a scalar is finite and positive (``> 0``) or non-negative."""
+    if not np.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     if strict and not value > 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
     if not strict and not value >= 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def check_positive_int(value, name: str) -> int:
+    """Return *value* as an ``int`` if it is an integer >= 1; raise otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+    return int(value)
 
 
 def check_in_range(value, name: str, low, high, *, inclusive=True):

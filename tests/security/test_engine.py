@@ -30,7 +30,7 @@ from repro.security.engine import (
 )
 from repro.security.likelihood import repeated_likelihood_analysis
 from repro.security.mutual_information import generator_leakage_profile
-from repro.security.parzen import ParzenWindow
+from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import stable_entropy
 
 ROOT = 20190325
@@ -74,19 +74,19 @@ class TestDeterminism:
         )
 
     def test_matches_manual_per_condition_reference(self, toy_dataset):
-        # Recompute one cell by hand: same derived RNG, naive Parzen.
+        # Recompute one cell by hand: same derived RNG, one single-column
+        # Parzen window per feature.
         result = _run(toy_dataset)
         conditions = toy_dataset.unique_conditions()
+        claims = np.zeros(len(toy_dataset), dtype=int)
         for ci, cond in enumerate(conditions):
             rng = analysis_rng(ROOT, "toy", cond)
             generated = gaussian_sampler(cond, 50, rng)
             correct = toy_dataset.mask_for_condition(cond)
             for ft in range(toy_dataset.feature_dim):
-                likes = (
-                    ParzenWindow(0.2)
-                    .fit(generated[:, ft])
-                    .likelihood(toy_dataset.features[:, ft])
-                )
+                window = ConditionalParzen(0.2, [generated[:, [ft]]])
+                log_like = window.log_density(toy_dataset.features[:, [ft]], claims)
+                likes = np.exp(log_like[:, 0]) * 0.2
                 assert result.avg_correct[ci, ft] == likes[correct].mean()
                 assert result.avg_incorrect[ci, ft] == likes[~correct].mean()
 
@@ -229,29 +229,54 @@ class TestFailureIsolation:
             security_analysis(object(), toy_dataset)
 
 
+def model_builders(dataset, **kwargs):
+    """Every entry point that fits Parzen models, called with *kwargs*."""
+    conds = dataset.unique_conditions()
+    return [
+        lambda: EmissionAttackDetector(gaussian_sampler, conds, **kwargs).fit(),
+        lambda: SideChannelAttacker(gaussian_sampler, conds, **kwargs).fit(),
+        lambda: security_analysis(gaussian_sampler, dataset, **kwargs),
+    ]
+
+
+def assert_feature_indices_rejected(dataset, indices):
+    builders = model_builders(dataset, feature_indices=indices) + [
+        lambda: ConditionalParzen(0.2, [np.zeros((5, 4))], feature_indices=indices)
+    ]
+    for build in builders:
+        with pytest.raises(ConfigurationError, match="feature_indices"):
+            build()
+
+
 class TestValidation:
     def test_empty_targets(self):
         assert run_security_analysis([]) == {}
 
     def test_bad_h(self, toy_dataset):
-        with pytest.raises(ConfigurationError):
-            security_analysis(gaussian_sampler, toy_dataset, h=0.0)
+        for h in (0.0, np.inf, np.nan):
+            for build in model_builders(toy_dataset, h=h):
+                with pytest.raises(ConfigurationError, match="h must be"):
+                    build()
 
     def test_bad_g_size(self, toy_dataset):
-        with pytest.raises(ConfigurationError):
-            security_analysis(gaussian_sampler, toy_dataset, g_size=0)
+        for g_size in (0, 2.5, np.inf, True):
+            for build in model_builders(toy_dataset, g_size=g_size):
+                with pytest.raises(ConfigurationError, match="g_size"):
+                    build()
 
     def test_empty_feature_indices(self, toy_dataset):
-        with pytest.raises(ConfigurationError):
-            security_analysis(
-                gaussian_sampler, toy_dataset, feature_indices=[]
-            )
+        assert_feature_indices_rejected(toy_dataset, [])
 
     def test_out_of_range_feature_indices(self, toy_dataset):
-        with pytest.raises(ConfigurationError):
-            security_analysis(
-                gaussian_sampler, toy_dataset, feature_indices=[99]
-            )
+        assert_feature_indices_rejected(toy_dataset, [4])
+        assert_feature_indices_rejected(toy_dataset, [99])
+
+    def test_negative_feature_indices(self, toy_dataset):
+        assert_feature_indices_rejected(toy_dataset, [-1])
+
+    def test_non_integer_feature_indices(self, toy_dataset):
+        assert_feature_indices_rejected(toy_dataset, [1.5])
+        assert_feature_indices_rejected(toy_dataset, [[0, 1]])
 
     def test_condition_without_test_rows(self, toy_dataset):
         with pytest.raises(DataError):

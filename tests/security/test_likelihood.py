@@ -153,6 +153,12 @@ class TestFeatureChoice:
                 perfect_sampler, toy_dataset, candidates=[], h=0.2
             )
 
+    def test_rejects_non_integer_candidates(self, toy_dataset):
+        with pytest.raises(ConfigurationError, match="candidates"):
+            choose_analysis_feature(
+                perfect_sampler, toy_dataset, candidates=[1.5], h=0.2
+            )
+
 
 class TestRepeatedAnalysis:
     def test_mean_and_std_shapes(self, toy_dataset):

@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, DataError, NotFittedError, ShapeError
+from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.runtime.analysis import DEFAULT_PAIR, analysis_rng
 from repro.security import parzen
 from repro.security.confidentiality import SideChannelAttacker
 from repro.security.detection import EmissionAttackDetector
-from repro.security.parzen import (
-    ConditionalParzen,
-    ParzenWindow,
-    resolve_chunk_size,
-    silverman_bandwidth,
-)
+from repro.security.likelihood import condition_likelihoods
+from repro.security.parzen import ConditionalParzen
 
 
 def naive_log_density(kernels, x, h):
     """O(n·m) reference: direct per-point log of the kernel mixture.
 
-    No log-sum-exp, no blocking — the textbook formula the vectorized
-    ``score_batch`` must reproduce.
+    No log-sum-exp, no blocking — the textbook formula the fused
+    ``log_density`` must reproduce.
     """
     kernels = np.atleast_2d(np.asarray(kernels, dtype=float).T).T
     x = np.atleast_2d(np.asarray(x, dtype=float).T).T
@@ -37,42 +33,54 @@ def naive_log_density(kernels, x, h):
     return out
 
 
+def window(h, kernels):
+    """A one-condition, one-feature model: a 1-D window on *kernels*."""
+    return ConditionalParzen(h, [np.asarray(kernels, dtype=float)[:, None]])
+
+
+def log_density(model, x):
+    """Log density of the 1-D points *x* under a :func:`window`."""
+    x = np.asarray(x, dtype=float)
+    return model.log_density(x[:, None], np.zeros(len(x), dtype=int))[:, 0]
+
+
+def density(model, x):
+    return np.exp(log_density(model, x))
+
+
 class TestFit:
     def test_rejects_bad_h(self):
-        with pytest.raises(ConfigurationError):
-            ParzenWindow(0.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            ParzenWindow(0.2).score_samples([0.5])
+        for h in (0.0, -0.2, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="h must be"):
+                window(h, [0.0])
 
     def test_1d_samples(self):
-        pw = ParzenWindow(0.2).fit([0.0, 1.0, 2.0])
-        assert pw.n_kernels == 3
-        assert pw.dim == 1
+        model = window(0.2, [0.0, 1.0, 2.0])
+        assert (model.n_conditions, model.n_features, model.g_size) == (1, 1, 3)
 
     def test_2d_samples(self):
-        pw = ParzenWindow(0.2).fit(np.zeros((5, 3)))
-        assert pw.dim == 3
+        draws = np.arange(15.0).reshape(5, 3)
+        model = ConditionalParzen(0.2, [draws, -draws])
+        assert model.kernels.shape == (2, 3, 5)
+        np.testing.assert_array_equal(model.kernels[1, 2], -draws[:, 2])
 
     def test_dim_mismatch_raises(self):
-        pw = ParzenWindow(0.2).fit(np.zeros((5, 3)))
         with pytest.raises(ShapeError):
-            pw.score_samples(np.zeros((2, 2)))
+            ConditionalParzen(0.2, [np.zeros(5)])
 
 
 class TestDensity:
     def test_single_kernel_is_gaussian(self):
         h = 0.3
-        pw = ParzenWindow(h).fit([0.0])
+        model = window(h, [0.0])
         x = np.array([0.0, h, 2 * h])
         expected = np.exp(-0.5 * (x / h) ** 2) / (h * np.sqrt(2 * np.pi))
-        np.testing.assert_allclose(pw.density(x), expected, rtol=1e-10)
+        np.testing.assert_allclose(density(model, x), expected, rtol=1e-10)
 
     def test_density_integrates_to_one(self):
-        pw = ParzenWindow(0.25).fit([0.2, 0.5, 0.9])
+        model = window(0.25, [0.2, 0.5, 0.9])
         grid = np.linspace(-3, 4, 4001)
-        integral = np.trapezoid(pw.density(grid), grid)
+        integral = np.trapezoid(density(model, grid), grid)
         assert integral == pytest.approx(1.0, abs=1e-4)
 
     @given(
@@ -83,51 +91,50 @@ class TestDensity:
     )
     @settings(max_examples=30, deadline=None)
     def test_density_normalization_property(self, samples, h):
-        pw = ParzenWindow(h).fit(samples)
+        model = window(h, samples)
         grid = np.linspace(min(samples) - 6 * h, max(samples) + 6 * h, 3001)
-        integral = np.trapezoid(pw.density(grid), grid)
+        integral = np.trapezoid(density(model, grid), grid)
         assert integral == pytest.approx(1.0, abs=5e-3)
 
     def test_score_is_log_density(self):
-        pw = ParzenWindow(0.4).fit([1.0, 2.0])
-        x = np.array([1.5])
-        assert pw.score(x) == pytest.approx(float(np.log(pw.density(x)[0])))
+        # The mixture's density is the mean of its kernels' densities.
+        kernels = [1.0, 2.0]
+        x = np.array([1.5, 0.2])
+        mixture = np.mean([density(window(0.4, [k]), x) for k in kernels], axis=0)
+        np.testing.assert_allclose(
+            log_density(window(0.4, kernels), x), np.log(mixture), rtol=1e-12
+        )
 
     def test_likelihood_scaling(self):
         # Paper's Line 10: Like = exp(LogLike) * h.
         h = 0.2
-        pw = ParzenWindow(h).fit([0.5])
-        like = pw.likelihood(np.array([0.5]))
-        assert like[0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
+        avg_cor, _ = condition_likelihoods(
+            window(h, [0.5]), np.array([[0.5]]), 0, np.array([True])
+        )
+        assert avg_cor[0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
 
     def test_far_points_no_underflow_to_nan(self):
-        pw = ParzenWindow(0.1).fit([0.0])
-        scores = pw.score_samples(np.array([100.0]))
+        scores = log_density(window(0.1, [0.0]), [100.0])
         assert np.isfinite(scores[0]) or scores[0] == -np.inf
 
     def test_density_higher_near_data(self):
-        pw = ParzenWindow(0.2).fit([0.3, 0.35, 0.4])
-        assert pw.density([0.35])[0] > pw.density([0.9])[0]
+        model = window(0.2, [0.3, 0.35, 0.4])
+        assert density(model, [0.35])[0] > density(model, [0.9])[0]
 
 
 class TestBatchedScoring:
-    """score_batch: blocked evaluation, chunk invariance, stability."""
+    """log_density: blocked evaluation, block invariance, stability."""
 
     def test_chunk_size_bitwise_invariant(self):
         rng = np.random.default_rng(3)
-        pw = ParzenWindow(0.3).fit(rng.normal(size=(40, 3)))
+        model = ConditionalParzen(0.3, [rng.normal(size=(40, 3)) for _ in range(2)])
         x = rng.normal(size=(101, 3))
-        reference = pw.score_batch(x, chunk_size=101)
-        for chunk in (1, 2, 7, 50, 100, 1000):
-            chunked = pw.score_batch(x, chunk_size=chunk)
-            assert np.array_equal(chunked, reference), f"chunk={chunk}"
-
-    def test_memory_budget_path_matches_explicit_chunk(self):
-        rng = np.random.default_rng(4)
-        pw = ParzenWindow(0.5).fit(rng.normal(size=(30, 2)))
-        x = rng.normal(size=(64, 2))
-        auto = pw.score_batch(x, memory_budget_mb=0.001)  # forces tiny chunks
-        assert np.array_equal(auto, pw.score_batch(x, chunk_size=64))
+        claims = rng.integers(0, 2, size=101)
+        reference = model.log_density(x, claims)
+        for block in (1, 2, 7, 50, 100, 1000):
+            with mock.patch.object(parzen, "BLOCK_ELEMENTS", block):
+                blocked = model.log_density(x, claims)
+            assert np.array_equal(blocked, reference), f"block={block}"
 
     @given(
         kernels=st.lists(
@@ -141,8 +148,8 @@ class TestBatchedScoring:
     )
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_naive_reference(self, kernels, points, h, chunk):
-        pw = ParzenWindow(h).fit(kernels)
-        got = pw.score_batch(np.array(points), chunk_size=chunk)
+        with mock.patch.object(parzen, "BLOCK_ELEMENTS", chunk):
+            got = log_density(window(h, kernels), points)
         want = naive_log_density(kernels, points, h)
         # Where the naive exp() underflows (densities below the smallest
         # normal float64, log < ~-708), the naive sum is computed from
@@ -166,8 +173,8 @@ class TestBatchedScoring:
     def test_translation_invariance(self, shift, h):
         kernels = np.array([0.0, 0.7, 1.9, -2.2])
         x = np.array([-1.0, 0.3, 2.5])
-        base = ParzenWindow(h).fit(kernels).score_batch(x)
-        moved = ParzenWindow(h).fit(kernels + shift).score_batch(x + shift)
+        base = log_density(window(h, kernels), x)
+        moved = log_density(window(h, kernels + shift), x + shift)
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
     @given(permutation=st.permutations(list(range(6))))
@@ -176,8 +183,11 @@ class TestBatchedScoring:
         rng = np.random.default_rng(11)
         kernels = rng.normal(size=(6, 2))
         x = rng.normal(size=(9, 2))
-        base = ParzenWindow(0.4).fit(kernels).score_batch(x)
-        shuffled = ParzenWindow(0.4).fit(kernels[permutation]).score_batch(x)
+        claims = np.zeros(9, dtype=int)
+        base = ConditionalParzen(0.4, [kernels]).log_density(x, claims)
+        shuffled = ConditionalParzen(0.4, [kernels[permutation]]).log_density(
+            x, claims
+        )
         np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
     @given(
@@ -190,53 +200,24 @@ class TestBatchedScoring:
     def test_never_nan(self, points, h):
         # Log-sum-exp stability: any finite input, however extreme,
         # yields a real log density or exactly -inf — never nan.
-        pw = ParzenWindow(h).fit([0.0, 1.0])
-        scores = pw.score_batch(np.array(points))
+        scores = log_density(window(h, [0.0, 1.0]), points)
         assert not np.isnan(scores).any()
 
     def test_far_point_is_exact_neg_inf(self):
         # Regression: points whose exponent overflows used to become
         # nan through the -inf - -inf max subtraction.
-        pw = ParzenWindow(0.1).fit([0.0])
-        scores = pw.score_batch(np.array([1e200, -1e308, 0.0]))
+        scores = log_density(window(0.1, [0.0]), [1e200, -1e308, 0.0])
         assert scores[0] == -np.inf
         assert scores[1] == -np.inf
         assert np.isfinite(scores[2])
 
     def test_density_of_far_point_is_zero(self):
-        pw = ParzenWindow(0.2).fit([0.0, 1.0])
-        assert pw.density(np.array([1e300]))[0] == 0.0
-
-    def test_score_batch_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            ParzenWindow(0.2).score_batch([0.5])
+        assert density(window(0.2, [0.0, 1.0]), [1e300])[0] == 0.0
 
     def test_score_batch_shape_mismatch_raises(self):
-        pw = ParzenWindow(0.2).fit(np.zeros((4, 3)))
+        model = ConditionalParzen(0.2, [np.zeros((4, 3))])
         with pytest.raises(ShapeError):
-            pw.score_batch(np.zeros((2, 5)))
-
-
-class TestResolveChunkSize:
-    def test_explicit_wins(self):
-        assert resolve_chunk_size(1000, 10, chunk_size=7) == 7
-
-    def test_explicit_invalid_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_chunk_size(10, 1, chunk_size=0)
-
-    def test_bad_budget_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_chunk_size(10, 1, memory_budget_mb=0.0)
-
-    def test_budget_scales_chunk(self):
-        small = resolve_chunk_size(500, 4, memory_budget_mb=1.0)
-        large = resolve_chunk_size(500, 4, memory_budget_mb=64.0)
-        # Proportional up to integer truncation of each division.
-        assert 64 * small <= large <= 64 * (small + 1)
-
-    def test_at_least_one_row(self):
-        assert resolve_chunk_size(10**9, 10**3, memory_budget_mb=0.001) == 1
+            model.log_density(np.zeros(3), [0])
 
 
 @st.composite
@@ -264,12 +245,13 @@ def conditional_case(draw):
 
 
 def per_feature_scores(draws, x, h):
-    """``(n_conds, n_rows, n_feats)``: one ``ParzenWindow`` per column."""
+    """``(n_conds, n_rows, n_feats)``: one single-column model per column."""
+    claims = np.zeros(len(x), dtype=int)
     return np.array(
         [
             np.column_stack(
                 [
-                    ParzenWindow(h).fit(d[:, j]).score_batch(x[:, j])
+                    ConditionalParzen(h, [d[:, [j]]]).log_density(x[:, [j]], claims)
                     for j in range(x.shape[1])
                 ]
             )
@@ -341,7 +323,7 @@ def _sampler(condition, n, rng):
 
 class TestViewsMatchPerFeatureLoop:
     """The detector and the attacker reduce ConditionalParzen scores in
-    the same order as the per-feature ParzenWindow loops they replace."""
+    the same order as a loop over one single-column model per feature."""
 
     CONDS = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
     FEATURES = [0, 3, 4, 5, 6, 7, 8, 9, 10, 11]  # 10 >= 8: pairwise != serial
@@ -352,7 +334,8 @@ class TestViewsMatchPerFeatureLoop:
             for c in self.CONDS
         )
         return [
-            [ParzenWindow(0.3).fit(d[:, ft]) for ft in self.FEATURES] for d in draws
+            [ConditionalParzen(0.3, [d[:, [ft]]]) for ft in self.FEATURES]
+            for d in draws
         ]
 
     @pytest.mark.parametrize("n_rows", [1, 2, 9])
@@ -372,7 +355,7 @@ class TestViewsMatchPerFeatureLoop:
             total = 0.0
             for d, distr in enumerate(windows[ci]):
                 ft = self.FEATURES[d]
-                total += float(distr.score_samples(np.array([row[ft]]))[0])
+                total += float(log_density(distr, [row[ft]])[0])
             want[i] = total / len(self.FEATURES)
         np.testing.assert_array_equal(got, want)
 
@@ -389,40 +372,6 @@ class TestViewsMatchPerFeatureLoop:
         for ci, per_feature in enumerate(self._windows(5)):
             total = np.zeros(n_rows)
             for d, distr in enumerate(per_feature):
-                total += distr.score_samples(x[:, self.FEATURES[d]])
+                total += log_density(distr, x[:, self.FEATURES[d]])
             want[:, ci] = total
         np.testing.assert_array_equal(got, want)
-
-
-class TestSample:
-    def test_shape(self):
-        pw = ParzenWindow(0.1).fit(np.zeros((10, 2)))
-        out = pw.sample(20, seed=0)
-        assert out.shape == (20, 2)
-
-    def test_distribution_near_kernels(self):
-        pw = ParzenWindow(0.05).fit([0.0, 10.0])
-        draws = pw.sample(1000, seed=0).ravel()
-        near_any = (np.abs(draws) < 1) | (np.abs(draws - 10) < 1)
-        assert near_any.mean() > 0.99
-
-    def test_rejects_bad_count(self):
-        pw = ParzenWindow(0.1).fit([0.0])
-        with pytest.raises(ConfigurationError):
-            pw.sample(0)
-
-
-class TestSilverman:
-    def test_scales_with_spread(self):
-        rng = np.random.default_rng(0)
-        tight = silverman_bandwidth(rng.normal(0, 0.1, 200))
-        wide = silverman_bandwidth(rng.normal(0, 10.0, 200))
-        assert wide > 20 * tight
-
-    def test_requires_two_samples(self):
-        with pytest.raises(DataError):
-            silverman_bandwidth([1.0])
-
-    def test_degenerate_data(self):
-        bw = silverman_bandwidth(np.ones(50))
-        assert bw > 0

@@ -7,7 +7,9 @@ from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.utils.validation import (
     check_array,
     check_in_range,
+    check_indices,
     check_positive,
+    check_positive_int,
     check_probability_vector,
 )
 
@@ -53,6 +55,25 @@ class TestScalars:
         assert check_positive(0.0, "x", strict=False) == 0.0
         with pytest.raises(ConfigurationError):
             check_positive(-1.0, "x", strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_positive_rejects_non_finite(self, strict):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="finite"):
+                check_positive(value, "x", strict=strict)
+
+    def test_positive_int(self):
+        assert check_positive_int(np.int64(3), "n") == 3
+        for bad in (0, -1, 2.5, np.inf, True, "3"):
+            with pytest.raises(ConfigurationError, match="n must be an int"):
+                check_positive_int(bad, "n")
+
+    def test_indices(self):
+        out = check_indices((3, 0), "idx", 4)
+        np.testing.assert_array_equal(out, [3, 0])
+        for bad in ([4], [-1], [], [[0]], [1.0], [True], 2):
+            with pytest.raises(ConfigurationError, match="idx"):
+                check_indices(bad, "idx", 4)
 
     def test_in_range_inclusive(self):
         assert check_in_range(1.0, "x", 0, 1) == 1.0
