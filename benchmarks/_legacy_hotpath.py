@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dsp.features import MinMaxScaler
-from repro.dsp.wavelet import DEFAULT_OMEGA0, frequency_to_scale
+from repro.dsp.filterbank import DEFAULT_OMEGA0
 from repro.gan.cgan import ConditionalGAN
 from repro.nn.activations import Sigmoid
 from repro.nn.layers import BatchNorm, Dense
@@ -48,7 +48,8 @@ def legacy_cwt_morlet(x, sample_rate, frequencies, *, omega0=DEFAULT_OMEGA0):
     x = np.asarray(x, dtype=np.float64)
     freqs = np.asarray(frequencies, dtype=np.float64)
     n = len(x)
-    scales = frequency_to_scale(freqs, sample_rate, omega0)
+    center = (omega0 + np.sqrt(2.0 + omega0**2)) / (4.0 * np.pi)
+    scales = center * sample_rate / freqs
     w = 2.0 * np.pi * np.fft.fftfreq(n)
     xf = np.fft.fft(x)
     out = np.empty((len(freqs), n), dtype=np.complex128)

@@ -1,36 +1,15 @@
-"""Signal-processing substrate: windows, STFT, Morlet CWT, and the
+"""Signal-processing substrate: the Morlet CWT filter bank and the
 paper's 100-bin 50–5000 Hz frequency-feature extraction (Section IV-B).
 """
 
-from repro.dsp.windows import (
-    blackman,
-    gaussian,
-    get_window,
-    hamming,
-    hann,
-    rectangular,
-)
-from repro.dsp.stft import frame_signal, power_spectrum, stft
 from repro.dsp.cache import CACHE_SCHEMA, FeatureCache
 from repro.dsp.filterbank import (
     MORLET_NORM,
     MorletFilterBank,
     clear_filter_bank_cache,
-    filter_bank_cache_info,
     get_filter_bank,
     morlet_kernel_ft,
     validate_frequencies,
-)
-from repro.dsp.wavelet import (
-    DEFAULT_OMEGA0,
-    average_band_energy,
-    average_band_energy_batch,
-    cwt_morlet,
-    cwt_morlet_batch,
-    frequency_to_scale,
-    morlet_center_frequency,
-    morlet_wavelet,
-    scalogram,
 )
 from repro.dsp.features import (
     DEFAULT_F_MAX,
@@ -39,8 +18,6 @@ from repro.dsp.features import (
     FrequencyFeatureExtractor,
     MinMaxScaler,
     log_spaced_frequencies,
-    select_features,
-    top_variance_features,
 )
 
 __all__ = [
@@ -48,35 +25,14 @@ __all__ = [
     "DEFAULT_F_MAX",
     "DEFAULT_F_MIN",
     "DEFAULT_N_BINS",
-    "DEFAULT_OMEGA0",
     "FeatureCache",
     "FrequencyFeatureExtractor",
     "MORLET_NORM",
     "MinMaxScaler",
     "MorletFilterBank",
-    "average_band_energy",
-    "average_band_energy_batch",
-    "blackman",
     "clear_filter_bank_cache",
-    "cwt_morlet",
-    "cwt_morlet_batch",
-    "filter_bank_cache_info",
-    "frame_signal",
-    "frequency_to_scale",
-    "gaussian",
     "get_filter_bank",
-    "get_window",
-    "hamming",
-    "hann",
     "log_spaced_frequencies",
-    "morlet_center_frequency",
     "morlet_kernel_ft",
-    "morlet_wavelet",
-    "power_spectrum",
-    "rectangular",
-    "scalogram",
-    "select_features",
-    "stft",
-    "top_variance_features",
     "validate_frequencies",
 ]

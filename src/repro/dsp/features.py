@@ -12,9 +12,9 @@ construction) and ``f_Y`` (feature extraction/selection) for energy flows.
 
 Extraction is batched: segments are grouped by length and each group is
 pushed through the cached Morlet filter bank in one blocked pass
-(:func:`repro.dsp.wavelet.average_band_energy_batch`), which is several
-times faster than the seed per-segment loop and bitwise identical to it
-run segment-by-segment.  An optional on-disk
+(:meth:`repro.dsp.filterbank.MorletFilterBank.band_energy`), which is
+several times faster than the seed per-segment loop and bitwise
+identical to it run segment-by-segment.  An optional on-disk
 :class:`~repro.dsp.cache.FeatureCache` short-circuits re-extraction of
 previously seen audio entirely.
 """
@@ -26,11 +26,9 @@ import hashlib
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError, ShapeError
-from repro.utils.validation import check_array
+from repro.utils.validation import check_array, check_positive
 from repro.dsp.cache import FeatureCache
-from repro.dsp.filterbank import DEFAULT_OMEGA0, validate_frequencies
-from repro.dsp.wavelet import average_band_energy, average_band_energy_batch
-from repro.dsp.stft import power_spectrum
+from repro.dsp.filterbank import DEFAULT_OMEGA0, get_filter_bank, validate_frequencies
 
 DEFAULT_N_BINS = 100
 DEFAULT_F_MIN = 50.0
@@ -134,8 +132,7 @@ class FrequencyFeatureExtractor:
         method: str = "cwt",
         feature_cache=None,
     ):
-        if sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        check_positive(sample_rate, "sample_rate")
         if f_max > sample_rate / 2:
             raise ConfigurationError(
                 f"f_max={f_max} exceeds Nyquist {sample_rate / 2}"
@@ -168,25 +165,33 @@ class FrequencyFeatureExtractor:
         Used as the configuration half of the feature-cache key: any
         change to the grid or the method must miss.
         """
+        fields = {
+            "sr": repr(self.sample_rate),
+            "method": self.method,
+            # Retired time-domain-stats flag, kept so existing cache keys hold.
+            "stats": "False",
+            "omega0": repr(DEFAULT_OMEGA0),
+        }
         h = hashlib.sha256()
-        h.update(f"sr={self.sample_rate!r}".encode())
-        h.update(f"method={self.method}".encode())
-        # Retired time-domain-stats flag, kept so existing cache keys hold.
-        h.update(b"stats=False")
-        h.update(f"omega0={DEFAULT_OMEGA0!r}".encode())
+        for name, value in fields.items():
+            h.update(f"{name}={value}".encode())
         h.update(self.frequencies.tobytes())
         return h.hexdigest()
 
     # -- raw (unscaled) features ---------------------------------------------
     def raw_features(self, segment) -> np.ndarray:
         """Unscaled feature vector for one audio segment."""
-        segment = check_array(segment, "segment", ndim=1)
-        if self.method == "cwt":
-            return average_band_energy(segment, self.sample_rate, self.frequencies)
-        return self._stft_features(segment)
+        return self._extract([check_array(segment, "segment", ndim=1)])[0]
 
     def _stft_features(self, segment: np.ndarray) -> np.ndarray:
-        freqs, power = power_spectrum(segment, self.sample_rate)
+        # Whole-segment power spectrum |rfft|^2 / n under a periodic Hann
+        # window (all ones for a single sample).
+        n = len(segment)
+        win = np.ones(1)
+        if n > 1:
+            win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        power = (np.abs(np.fft.rfft(segment * win)) ** 2) / n
+        freqs = np.fft.rfftfreq(n, d=1.0 / self.sample_rate)
         # Aggregate FFT power into the non-uniform bins by nearest band
         # edges (geometric midpoints between analysis frequencies).
         edges = np.sqrt(self.frequencies[:-1] * self.frequencies[1:])
@@ -213,8 +218,11 @@ class FrequencyFeatureExtractor:
             for i, seg in enumerate(segments)
         ]
 
-    def _batched_cwt_matrix(self, seg_list) -> np.ndarray:
-        """Grouped-by-length batched CWT features in original row order."""
+    def _extract(self, seg_list) -> np.ndarray:
+        """Raw features of 1-D segments in order.  CWT runs batched per
+        segment length through the cached filter bank."""
+        if self.method == "stft":
+            return np.vstack([self._stft_features(seg) for seg in seg_list])
         out = np.empty((len(seg_list), self.feature_dim), dtype=np.float64)
         groups: dict = {}
         for i, seg in enumerate(seg_list):
@@ -223,9 +231,8 @@ class FrequencyFeatureExtractor:
             stacked = np.empty((len(indices), length), dtype=np.float64)
             for row, i in enumerate(indices):
                 stacked[row] = seg_list[i]
-            out[indices] = average_band_energy_batch(
-                stacked, self.sample_rate, self.frequencies
-            )
+            bank = get_filter_bank(length, self.sample_rate, self.frequencies)
+            out[indices] = bank.band_energy(stacked)
         return out
 
     def raw_feature_matrix(self, segments) -> np.ndarray:
@@ -250,10 +257,7 @@ class FrequencyFeatureExtractor:
                 self.feature_dim,
             ):
                 return cached
-        if self.method == "cwt":
-            out = self._batched_cwt_matrix(seg_list)
-        else:
-            out = np.vstack([self.raw_features(seg) for seg in seg_list])
+        out = self._extract(seg_list)
         if cache_key is not None:
             self.feature_cache.put(cache_key, out)
         return out
@@ -282,32 +286,3 @@ class FrequencyFeatureExtractor:
         self.scaler.fit(raw)
         return self.scaler.transform(raw)
 
-
-def select_features(x: np.ndarray, indices) -> np.ndarray:
-    """Feature selection ``f_Y``: keep the feature columns in *indices*.
-
-    Algorithm 3 operates on chosen ``FtIndices``; this helper validates
-    them against the matrix width.
-    """
-    x = check_array(x, "x", ndim=2)
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1:
-        raise ShapeError("indices must be 1-D")
-    if np.any(idx < 0) or np.any(idx >= x.shape[1]):
-        raise ConfigurationError(
-            f"feature indices out of range [0, {x.shape[1]}): {idx.tolist()}"
-        )
-    return x[:, idx]
-
-
-def top_variance_features(x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the *k* highest-variance feature columns.
-
-    A simple automatic choice for Algorithm 3's ``FtIndices`` when the
-    analyst does not hand-pick frequency bins.
-    """
-    x = check_array(x, "x", ndim=2)
-    if not 1 <= k <= x.shape[1]:
-        raise ConfigurationError(f"k must be in [1, {x.shape[1]}], got {k}")
-    variances = x.var(axis=0)
-    return np.argsort(variances)[::-1][:k]

@@ -1,17 +1,19 @@
-"""Precomputed Morlet filter banks for single-shot and batched CWT.
+"""Precomputed Morlet filter banks: the Morlet CWT of Section IV-B.
 
-The seed implementation of :func:`repro.dsp.wavelet.cwt_morlet` rebuilt
-the frequency-domain Morlet kernel ``psi_hat`` for every scale on every
-call — 100 ``exp`` evaluations over full-length spectra per audio
-segment.  A :class:`MorletFilterBank` computes those kernels once per
-``(n, sample_rate, frequencies, omega0)`` and applies them to whole
+The continuous wavelet transform follows Torrence & Compo (1998): an
+analytic Morlet mother wavelet, applied by FFT convolution at the scales
+whose pseudo-frequencies are the analysis frequencies.  The seed
+implementation rebuilt the frequency-domain kernel ``psi_hat`` for every
+scale on every call — 100 ``exp`` evaluations over full-length spectra
+per audio segment.  A :class:`MorletFilterBank` computes those kernels
+once per ``(n, sample_rate, frequencies)`` and applies them to whole
 ``(n_segments, n_samples)`` batches in blocked form, which is where the
 extraction speedup in ``BENCH_hotpath.json`` comes from.
 
 Numerical contract
 ------------------
-* The batched transform and the single-segment transform run through the
-  exact same kernel/FFT code, so their outputs are **bitwise identical**
+* A batch and each of its rows run alone go through the exact same
+  kernel/FFT code, so their outputs are **bitwise identical**
   (``tests/dsp/test_filterbank.py`` asserts this).
 * Versus the seed per-scale loop the only change is computing the
   forward transform with ``rfft`` (real input) instead of a full complex
@@ -28,11 +30,10 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_array
+from repro.utils.validation import check_array, check_positive
 
-#: Morlet admissibility normalization ``pi ** -0.25`` — the single shared
-#: constant used by the time-domain mother wavelet and every
-#: frequency-domain kernel (seed code duplicated it in two modules).
+#: Morlet admissibility normalization ``pi ** -0.25`` of every
+#: frequency-domain kernel.
 MORLET_NORM = np.pi ** (-0.25)
 
 #: Default Morlet center frequency (dimensionless omega0).
@@ -60,8 +61,7 @@ def validate_frequencies(frequencies, sample_rate: float, *, name: str = "freque
     naming the offending property instead of silently misbehaving.
     """
     freqs = check_array(frequencies, name, ndim=1)
-    if sample_rate <= 0:
-        raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+    check_positive(sample_rate, "sample_rate")
     if np.any(freqs <= 0):
         raise ConfigurationError(
             f"{name} must be strictly positive, got min={freqs.min()}"
@@ -79,17 +79,15 @@ def validate_frequencies(frequencies, sample_rate: float, *, name: str = "freque
     return freqs
 
 
-def morlet_kernel_ft(scaled_w: np.ndarray, omega0: float = DEFAULT_OMEGA0) -> np.ndarray:
+def morlet_kernel_ft(scaled_w: np.ndarray) -> np.ndarray:
     """Frequency-domain analytic Morlet kernel at scaled angular frequencies.
 
-    ``MORLET_NORM * exp(-(s*w - omega0)^2 / 2)`` — the one shared kernel
-    expression behind :func:`~repro.dsp.wavelet.morlet_wavelet`,
-    :func:`~repro.dsp.wavelet.cwt_morlet`, and the batched bank (the
-    support restriction to positive frequencies is applied by the
-    caller, which knows the grid).
+    ``MORLET_NORM * exp(-(s*w - omega0)^2 / 2)`` with ``omega0 =
+    DEFAULT_OMEGA0`` (the support restriction to positive frequencies is
+    applied by the caller, which knows the grid).
     """
     scaled_w = np.asarray(scaled_w, dtype=np.float64)
-    return MORLET_NORM * np.exp(-0.5 * (scaled_w - omega0) ** 2)
+    return MORLET_NORM * np.exp(-0.5 * (scaled_w - DEFAULT_OMEGA0) ** 2)
 
 
 class MorletFilterBank:
@@ -105,8 +103,6 @@ class MorletFilterBank:
     frequencies:
         Analysis frequencies (validated: positive, sorted, unique,
         <= Nyquist).
-    omega0:
-        Morlet center frequency.
 
     The kernels are stored for the non-negative (``rfft``) half-spectrum
     only; the analytic wavelet has no support on negative frequencies,
@@ -114,23 +110,17 @@ class MorletFilterBank:
     (``fftfreq`` treats the even-``n`` Nyquist bin as negative).
     """
 
-    def __init__(
-        self,
-        n: int,
-        sample_rate: float,
-        frequencies,
-        *,
-        omega0: float = DEFAULT_OMEGA0,
-    ):
+    def __init__(self, n: int, sample_rate: float, frequencies):
         if n <= 0:
             raise ConfigurationError(f"segment length must be > 0, got {n}")
         freqs = validate_frequencies(frequencies, sample_rate)
         self.n = int(n)
         self.sample_rate = float(sample_rate)
-        self.omega0 = float(omega0)
         self.frequencies = freqs.copy()
         self.frequencies.setflags(write=False)
 
+        # Scale whose Morlet pseudo-frequency is each analysis frequency.
+        omega0 = DEFAULT_OMEGA0
         center = (omega0 + np.sqrt(2.0 + omega0**2)) / (4.0 * np.pi)
         self.scales = center * self.sample_rate / freqs
         self.scales.setflags(write=False)
@@ -146,7 +136,7 @@ class MorletFilterBank:
             support = slice(1, n_rfft)
         kernels = np.zeros((len(freqs), n_rfft), dtype=np.float64)
         kernels[:, support] = morlet_kernel_ft(
-            self.scales[:, None] * w_pos[None, support], omega0
+            self.scales[:, None] * w_pos[None, support]
         )
         # Torrence & Compo Eq. 6 amplitude normalization per scale.
         kernels *= np.sqrt(2.0 * np.pi * self.scales)[:, None]
@@ -216,33 +206,26 @@ class MorletFilterBank:
     def __repr__(self):
         return (
             f"MorletFilterBank(n={self.n}, sample_rate={self.sample_rate}, "
-            f"n_freqs={self.n_freqs}, omega0={self.omega0})"
+            f"n_freqs={self.n_freqs})"
         )
 
 
-def get_filter_bank(
-    n: int,
-    sample_rate: float,
-    frequencies,
-    *,
-    omega0: float = DEFAULT_OMEGA0,
-) -> MorletFilterBank:
+def get_filter_bank(n: int, sample_rate: float, frequencies) -> MorletFilterBank:
     """Shared LRU-cached :class:`MorletFilterBank` lookup.
 
-    Keyed on ``(n, sample_rate, frequency bytes, omega0)`` so repeated
-    transforms — every segment of an experiment, every call into
-    :func:`~repro.dsp.wavelet.cwt_morlet` — reuse one precomputed bank
-    per distinct segment length.  Thread-safe.
+    Keyed on ``(n, sample_rate, frequency bytes)`` so repeated
+    transforms — every segment of an experiment — reuse one precomputed
+    bank per distinct segment length.  Thread-safe.
     """
     freqs = check_array(frequencies, "frequencies", ndim=1)
-    key = (int(n), float(sample_rate), float(omega0), freqs.tobytes())
+    key = (int(n), float(sample_rate), freqs.tobytes())
     with _bank_lock:
         bank = _bank_cache.get(key)
         if bank is not None:
             _bank_cache.move_to_end(key)
             return bank
     # Build outside the lock (construction is the expensive part).
-    bank = MorletFilterBank(n, sample_rate, freqs, omega0=omega0)
+    bank = MorletFilterBank(n, sample_rate, freqs)
     with _bank_lock:
         _bank_cache[key] = bank
         _bank_cache.move_to_end(key)
@@ -256,8 +239,3 @@ def clear_filter_bank_cache() -> None:
     with _bank_lock:
         _bank_cache.clear()
 
-
-def filter_bank_cache_info() -> dict:
-    """Introspection for tests/benchmarks: cached keys and capacity."""
-    with _bank_lock:
-        return {"size": len(_bank_cache), "maxsize": _BANK_CACHE_SIZE}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.utils.validation import check_array
+from repro.utils.validation import check_array, check_positive
 
 
 class EnergyFlowData:
@@ -31,8 +31,7 @@ class EnergyFlowData:
 
     def __init__(self, samples, sample_rate: float, *, name: str = "energy"):
         self.samples = check_array(samples, "samples", ndim=1)
-        if sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        check_positive(sample_rate, "sample_rate")
         self.sample_rate = float(sample_rate)
         self.name = name
 

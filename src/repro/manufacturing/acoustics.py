@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.manufacturing.kinematics import MotionSegment
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,7 @@ class AcousticSynthesizer:
         chamber: AnechoicChamber | None = None,
         jitter: float = 0.01,
     ):
-        if sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        check_positive(sample_rate, "sample_rate")
         if jitter < 0:
             raise ConfigurationError(f"jitter must be >= 0, got {jitter}")
         self.motors = dict(motors)

@@ -141,7 +141,6 @@ def record_case_study_dataset(
     seed=None,
     printer: Printer3D | None = None,
     encoder: ConditionEncoder | None = None,
-    method: str = "cwt",
     feature_cache=None,
 ):
     """One-call reproduction of the paper's data collection.
@@ -167,7 +166,6 @@ def record_case_study_dataset(
     extractor = FrequencyFeatureExtractor(
         printer.sample_rate,
         n_bins=n_bins,
-        method=method,
         feature_cache=feature_cache,
     )
     dataset = build_dataset(segments, extractor, encoder)

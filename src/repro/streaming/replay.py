@@ -26,6 +26,7 @@ from repro.manufacturing.programs import calibration_suite
 from repro.manufacturing.traces import build_dataset, collect_segments
 from repro.dsp.features import FrequencyFeatureExtractor
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class TraceReplay:
         self.samples = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
         if self.samples.ndim != 1:
             raise DataError(f"samples must be 1-D, got shape {self.samples.shape}")
-        if sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        check_positive(sample_rate, "sample_rate")
         if chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         if rate not in ("max", "realtime"):

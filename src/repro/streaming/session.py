@@ -50,6 +50,7 @@ from repro.runtime.events import (
     WindowsDropped,
 )
 from repro.streaming.windowing import StreamWindower
+from repro.utils.validation import check_positive
 
 BACKPRESSURE_POLICIES = ("block", "drop_oldest")
 
@@ -258,8 +259,7 @@ class StreamSession:
     ):
         if batch_windows < 1:
             raise ConfigurationError(f"batch_windows must be >= 1, got {batch_windows}")
-        if sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be > 0, got {sample_rate}")
+        check_positive(sample_rate, "sample_rate")
         self.source = source
         self.extractor = extractor
         self.scorer = scorer

@@ -60,21 +60,20 @@ def check_indices(indices, name: str, size: int) -> np.ndarray:
     return arr
 
 
-def check_positive(value, name: str, *, strict=True):
-    """Validate a scalar is finite and positive (``> 0``) or non-negative."""
+def check_positive(value, name: str):
+    """Validate a scalar is finite and positive (``> 0``)."""
     if not np.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    if strict and not value > 0:
+    if not value > 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
-def check_positive_int(value, name: str) -> int:
-    """Return *value* as an ``int`` if it is an integer >= 1; raise otherwise."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+def check_positive_int(value, name: str, *, minimum: int = 1) -> int:
+    """Return *value* as an ``int`` if it is an integer >= *minimum*
+    (a ``bool`` is not an integer here); raise otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -10,8 +10,6 @@ from repro.dsp.features import (
     FrequencyFeatureExtractor,
     MinMaxScaler,
     log_spaced_frequencies,
-    select_features,
-    top_variance_features,
 )
 
 
@@ -124,6 +122,11 @@ class TestExtractor:
     def test_rejects_fmax_above_nyquist(self):
         with pytest.raises(ConfigurationError, match="Nyquist"):
             FrequencyFeatureExtractor(8000.0, f_max=5000.0)
+
+    @pytest.mark.parametrize("sr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be"):
+            FrequencyFeatureExtractor(sr)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError):
@@ -269,27 +272,3 @@ class TestFeatureCacheWiring:
             cached.fit_transform(segs), plain.fit_transform(segs)
         )
 
-
-class TestSelection:
-    def test_select_features(self):
-        x = np.arange(12.0).reshape(3, 4)
-        out = select_features(x, [0, 2])
-        np.testing.assert_array_equal(out, x[:, [0, 2]])
-
-    def test_select_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            select_features(np.ones((2, 3)), [3])
-
-    def test_top_variance(self):
-        rng = np.random.default_rng(0)
-        x = np.column_stack(
-            [np.ones(50), rng.normal(0, 5, 50), rng.normal(0, 1, 50)]
-        )
-        idx = top_variance_features(x, 2)
-        assert list(idx) == [1, 2]
-
-    def test_top_variance_k_bounds(self):
-        with pytest.raises(ConfigurationError):
-            top_variance_features(np.ones((4, 3)), 0)
-        with pytest.raises(ConfigurationError):
-            top_variance_features(np.ones((4, 3)), 4)

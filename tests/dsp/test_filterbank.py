@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.dsp.filterbank as fb
 from repro.errors import ConfigurationError
+from repro.dsp.features import FrequencyFeatureExtractor
 from repro.dsp.filterbank import (
     DEFAULT_OMEGA0,
     MORLET_NORM,
     MorletFilterBank,
     clear_filter_bank_cache,
-    filter_bank_cache_info,
     get_filter_bank,
     morlet_kernel_ft,
     validate_frequencies,
 )
-from repro.dsp.wavelet import cwt_morlet, frequency_to_scale
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +32,8 @@ def _reference_cwt(x, sample_rate, frequencies, omega0=DEFAULT_OMEGA0):
     """Inline transcription of the seed per-scale loop (full complex FFT)."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    scales = frequency_to_scale(frequencies, sample_rate, omega0)
+    center = (omega0 + np.sqrt(2.0 + omega0**2)) / (4.0 * np.pi)
+    scales = center * sample_rate / np.asarray(frequencies, dtype=np.float64)
     w = 2.0 * np.pi * np.fft.fftfreq(n)
     xf = np.fft.fft(x)
     out = np.empty((len(frequencies), n), dtype=np.complex128)
@@ -72,6 +73,11 @@ class TestValidateFrequencies:
         with pytest.raises(ConfigurationError, match="sample_rate"):
             validate_frequencies([100.0], 0.0)
 
+    @pytest.mark.parametrize("sr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be finite"):
+            MorletFilterBank(256, sr, [100.0, 200.0])
+
     def test_error_is_valueerror(self):
         # Callers using plain try/except ValueError must catch config
         # errors from the DSP layer.
@@ -89,7 +95,7 @@ class TestKernelHelper:
 
     def test_peak_at_omega0(self):
         w = np.linspace(0.0, 12.0, 2001)
-        k = morlet_kernel_ft(w, 6.0)
+        k = morlet_kernel_ft(w)
         assert w[k.argmax()] == pytest.approx(6.0, abs=0.01)
         assert k.max() == pytest.approx(MORLET_NORM)
 
@@ -156,8 +162,6 @@ class TestNumericalContract:
 
     def test_band_energy_bitwise_across_block_boundaries(self, monkeypatch):
         # Force tiny blocks so a small batch spans several of them.
-        import repro.dsp.filterbank as fb
-
         rng = np.random.default_rng(3)
         x = rng.normal(size=(9, 256))
         bank = MorletFilterBank(256, SR, FREQS)
@@ -167,12 +171,13 @@ class TestNumericalContract:
         assert bank._block_rows(9) == 1
         np.testing.assert_array_equal(blocked, whole)
 
-    def test_cwt_morlet_routes_through_bank(self):
+    def test_raw_features_route_through_bank(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=512)
-        bank = get_filter_bank(512, SR, FREQS)
+        extractor = FrequencyFeatureExtractor(SR)
+        bank = get_filter_bank(512, SR, extractor.frequencies)
         np.testing.assert_array_equal(
-            cwt_morlet(x, SR, FREQS), bank.transform(x[None, :])[0]
+            extractor.raw_features(x), bank.band_energy(x[None, :])[0]
         )
 
     def test_rejects_wrong_length(self):
@@ -186,26 +191,24 @@ class TestBankCache:
         a = get_filter_bank(256, SR, FREQS)
         b = get_filter_bank(256, SR, FREQS)
         assert a is b
-        assert filter_bank_cache_info()["size"] == 1
+        assert len(fb._bank_cache) == 1
 
     def test_distinct_keys_distinct_banks(self):
         a = get_filter_bank(256, SR, FREQS)
         b = get_filter_bank(300, SR, FREQS)
         c = get_filter_bank(256, SR, FREQS * 0.5)
         assert a is not b and a is not c
-        assert filter_bank_cache_info()["size"] == 3
+        assert len(fb._bank_cache) == 3
 
     def test_clear_drops_entries(self):
         get_filter_bank(256, SR, FREQS)
         clear_filter_bank_cache()
-        assert filter_bank_cache_info()["size"] == 0
+        assert len(fb._bank_cache) == 0
 
     def test_lru_eviction(self, monkeypatch):
-        import repro.dsp.filterbank as fb
-
         monkeypatch.setattr(fb, "_BANK_CACHE_SIZE", 2)
         first = get_filter_bank(128, SR, FREQS)
         get_filter_bank(129, SR, FREQS)
         get_filter_bank(130, SR, FREQS)  # evicts 128
-        assert filter_bank_cache_info()["size"] == 2
+        assert len(fb._bank_cache) == 2
         assert get_filter_bank(128, SR, FREQS) is not first

@@ -19,6 +19,11 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             EnergyFlowData(np.ones(10), 0.0)
 
+    @pytest.mark.parametrize("sr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be finite"):
+            EnergyFlowData(np.ones(10), sr)
+
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             EnergyFlowData(np.array([]), 100.0)

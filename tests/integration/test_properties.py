@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.dsp.wavelet import average_band_energy
+from repro.dsp.filterbank import MorletFilterBank
 from repro.manufacturing.gcode import GCodeCommand, GCodeProgram
 from repro.manufacturing.kinematics import MachineConfig, MotionPlanner
 from repro.security.parzen import ConditionalParzen
@@ -92,9 +92,9 @@ class TestSpectralInvariants:
         sr = 8000.0
         t = np.arange(1024) / sr
         x = np.sin(2 * np.pi * freq * t)
-        bands = np.array([freq])
-        base = average_band_energy(x, sr, bands)[0]
-        scaled = average_band_energy(gain * x, sr, bands)[0]
+        bank = MorletFilterBank(len(x), sr, np.array([freq]))
+        base = bank.band_energy(x[None, :])[0, 0]
+        scaled = bank.band_energy(gain * x[None, :])[0, 0]
         assert scaled == pytest.approx(gain * base, rel=1e-9)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.dsp.stft import power_spectrum
 from repro.manufacturing.acoustics import (
     AcousticSynthesizer,
     AnechoicChamber,
@@ -13,6 +12,14 @@ from repro.manufacturing.acoustics import (
 from repro.manufacturing.gcode import GCodeProgram
 from repro.manufacturing.kinematics import MotionPlanner
 from repro.manufacturing.steppers import default_motors
+
+
+def power_spectrum(x, sample_rate):
+    """Periodic-Hann-windowed power spectrum ``|rfft|^2 / n`` of *x*."""
+    n = len(x)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    power = np.abs(np.fft.rfft(x * win)) ** 2 / n
+    return np.fft.rfftfreq(n, d=1.0 / sample_rate), power
 
 
 def segments_for(text):
@@ -49,6 +56,11 @@ class TestModels:
     def test_synth_rejects_bad_sample_rate(self):
         with pytest.raises(ConfigurationError):
             make_synth(sample_rate=0)
+
+    @pytest.mark.parametrize("sr", [float("nan"), float("inf")])
+    def test_synth_rejects_non_finite_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be finite"):
+            make_synth(sample_rate=sr)
 
 
 class TestSegmentSynthesis:

@@ -285,3 +285,12 @@ class TestConfigRoundTrip:
 
         with pytest.raises(ConfigurationError, match="checkpoint_every"):
             make_config(checkpoint_every=-1)
+
+    @pytest.mark.parametrize("every", [True, 2.5, -1])
+    def test_checkpoint_every_must_be_int_ge_0(self, every):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(
+            ConfigurationError, match="checkpoint_every must be an int >= 0"
+        ):
+            make_config(checkpoint_every=every)

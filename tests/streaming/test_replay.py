@@ -88,6 +88,11 @@ class TestTraceReplay:
         with pytest.raises(DataError):
             TraceReplay(np.zeros((2, 2)), 100.0)
 
+    @pytest.mark.parametrize("sr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be finite"):
+            TraceReplay(np.zeros(4), sr)
+
 
 @pytest.fixture(scope="module")
 def scenario():

@@ -290,6 +290,21 @@ class TestBackpressure:
             )
 
 
+class TestSessionConfig:
+    @pytest.mark.parametrize("sr", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_sample_rate(self, sr):
+        with pytest.raises(ConfigurationError, match="sample_rate must be"):
+            StreamSession(
+                iter(()),
+                extractor=None,
+                scorer=None,
+                claims=None,
+                window_size=WINDOW,
+                hop_size=HOP,
+                sample_rate=sr,
+            )
+
+
 class TestChunkQueue:
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):

@@ -212,6 +212,17 @@ class TestHandlerErrors:
         assert "RuntimeError: progress reporter crashed" in err
 
 
+class TestRecordCommand:
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_rejects_bad_sample_rate(self, tmp_path, rate):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="sample_rate must be"):
+            main(["record", "--out", str(tmp_path / "ds.npz"), "--moves", "2",
+                  "--sample-rate", rate])
+        assert not (tmp_path / "ds.npz").exists()
+
+
 class TestFeatureCacheFlag:
     def test_record_populates_and_reuses_cache(self, tmp_path, capsys):
         from repro.dsp.cache import FeatureCache

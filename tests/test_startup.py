@@ -26,10 +26,10 @@ import numpy as np
 import repro
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
-from repro.dsp.wavelet import average_band_energy_batch
+from repro.dsp.features import FrequencyFeatureExtractor
 from repro.security.detection import roc_auc
-average_band_energy_batch(
-    np.random.default_rng(0).normal(size=(2, 600)), 12000.0, np.geomspace(50, 5000, 100)
+FrequencyFeatureExtractor(12000.0).raw_feature_matrix(
+    np.random.default_rng(0).normal(size=(2, 600))
 )
 roc_auc([1.0, 2.0, 2.0], [2.0, -np.inf])
 from repro.graph import generate

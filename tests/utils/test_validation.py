@@ -51,22 +51,22 @@ class TestScalars:
         with pytest.raises(ConfigurationError):
             check_positive(0.0, "x")
 
-    def test_positive_nonstrict(self):
-        assert check_positive(0.0, "x", strict=False) == 0.0
-        with pytest.raises(ConfigurationError):
-            check_positive(-1.0, "x", strict=False)
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_positive_rejects_non_finite(self, strict):
+    def test_positive_rejects_non_finite(self):
         for value in (np.inf, np.nan):
             with pytest.raises(ConfigurationError, match="finite"):
-                check_positive(value, "x", strict=strict)
+                check_positive(value, "x")
 
     def test_positive_int(self):
         assert check_positive_int(np.int64(3), "n") == 3
         for bad in (0, -1, 2.5, np.inf, True, "3"):
-            with pytest.raises(ConfigurationError, match="n must be an int"):
+            with pytest.raises(ConfigurationError, match="n must be an int >= 1"):
                 check_positive_int(bad, "n")
+
+    def test_positive_int_minimum(self):
+        assert check_positive_int(0, "n", minimum=0) == 0
+        for bad in (-1, 2.5, False, True):
+            with pytest.raises(ConfigurationError, match="n must be an int >= 0"):
+                check_positive_int(bad, "n", minimum=0)
 
     def test_indices(self):
         out = check_indices((3, 0), "idx", 4)
