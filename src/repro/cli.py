@@ -6,16 +6,25 @@ cached on disk) independently:
 * ``record``   — simulate the printer and save the labeled dataset;
 * ``graph``    — run Algorithm 1 on the printer architecture and print
   the G_CPPS listing / DOT;
-* ``train``    — train a CGAN on a recorded dataset and save it;
+* ``train``    — train the case-study CGAN on a recorded dataset and
+  save it with its ``history.csv``;
 * ``analyze``  — load a trained CGAN + dataset and print the full
   security report;
 * ``table1``   — regenerate the paper's Table I for a trained model;
+* ``detect``   — evaluate axis-swap attack detection for a trained model;
 * ``experiment`` — run the whole staged pipeline into a resumable run
   directory; ``experiment status <dir>`` and
   ``experiment invalidate <dir> <stage>`` inspect and edit its manifest.
 * ``stream``   — run the online attack detector over a replayed WAV or
   synthetic printer trace, real-time or max-rate, printing live alarms
   and a throughput summary.
+
+``train``, ``analyze``, ``table1`` and ``detect`` run on the experiment's
+pipeline and its pair (the monitored emission given the G-code), with
+the train/test split derived from ``--seed`` as an experiment derives
+it.  On an experiment's ``dataset.npz`` with its seed and iterations,
+``train`` reproduces its ``model/`` and ``history.csv``, and ``analyze``
+prints its ``report.txt``.
 
 Examples
 --------
@@ -41,19 +50,13 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.flows.io import load_dataset, save_dataset
-from repro.gan.cgan import ConditionalGAN
 from repro.gan.serialization import load_cgan, save_cgan
 from repro.graph import adjacency_listing, flow_listing, generate, to_dot
 from repro.manufacturing import (
+    GCODE_FLOW,
     monitored_flow_names,
     printer_architecture,
     record_case_study_dataset,
-)
-from repro.security import (
-    build_security_report,
-    choose_analysis_feature,
-    security_analysis,
-    security_analysis_h_sweep,
 )
 from repro.utils.tables import format_grouped_table
 
@@ -120,118 +123,102 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _case_study_pair(args, **fields):
+    """The experiment's pipeline for *args*, its case-study pair and
+    ``--dataset``.
+
+    *fields* are the :class:`~repro.pipeline.experiment.ExperimentConfig`
+    values the command's flags set beside ``--seed`` and
+    ``--test-fraction``.
+    """
+    from repro.pipeline.experiment import ExperimentConfig, build_pipeline
+    from repro.pipeline.pairs import FlowPairKey
+
+    config = ExperimentConfig(
+        seed=args.seed, test_fraction=args.test_fraction, **fields
+    )
+    key = FlowPairKey(config.emission_flow, GCODE_FLOW)
+    return build_pipeline(config), key, load_dataset(args.dataset)
+
+
+def _load_pair_model(args, **fields):
+    """:func:`_case_study_pair` with ``--model`` loaded onto the pair:
+    ``(pipeline, key, dataset, pair model)``."""
+    from repro.pipeline.experiment import hydrate_pair_model
+
+    pipeline, key, dataset = _case_study_pair(args, **fields)
+    model = hydrate_pair_model(pipeline, args.model, key, dataset)
+    return pipeline, key, dataset, model
+
+
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    train, test = dataset.split(args.test_fraction, seed=args.seed)
-    cgan = ConditionalGAN(
-        dataset.feature_dim, dataset.condition_dim, seed=args.seed
-    )
-    print(
-        f"training CGAN on {len(train)} samples "
-        f"({args.iterations} iterations, batch {args.batch_size}) ..."
-    )
-    progress = None
-    trace_writer = None
-    if args.trace:
-        from repro.runtime.events import EpochProgress
-        from repro.runtime.reporters import JsonlTraceWriter
-
-        trace_writer = JsonlTraceWriter(args.trace)
-
-        def progress(iteration, total, d_loss, g_loss):
-            trace_writer.handle(
-                EpochProgress(
-                    pair=dataset.name,
-                    iteration=iteration,
-                    total_iterations=total,
-                    d_loss=d_loss,
-                    g_loss=g_loss,
-                )
-            )
-
-    cgan.train(
-        train,
+    pipeline, key, dataset = _case_study_pair(
+        args,
         iterations=args.iterations,
         batch_size=args.batch_size,
         k_disc=args.k_disc,
-        progress=progress,
-        progress_every=max(1, args.iterations // 20) if args.trace else 0,
     )
-    if trace_writer is not None:
-        trace_writer.close()
-        print(f"training trace ({trace_writer.events_written} events) -> {args.trace}")
-    final = cgan.history.final()
     print(
-        f"final losses: D={final['d_loss']:.3f} G={final['g_loss']:.3f} "
+        f"training CGAN {key.label()} "
+        f"({args.iterations} iterations, batch {args.batch_size}) ..."
+    )
+    model = pipeline.train_models({key: dataset}, pairs=[key])[key]
+    final = model.cgan.history.final()
+    print(
+        f"final losses on {len(model.train_set)} training samples: "
+        f"D={final['d_loss']:.3f} G={final['g_loss']:.3f} "
         f"(D fooled at 2ln2={2 * np.log(2):.3f})"
     )
-    save_cgan(cgan, args.out)
-    print(f"model saved -> {args.out}")
+    save_cgan(model.cgan, args.out)
+    model.cgan.history.to_csv(Path(args.out) / "history.csv")
+    print(f"model and history.csv saved -> {args.out}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    # Profile dump lands next to the model artifacts, the closest thing
-    # this read-only command has to an output directory.
+    # The profile dump lands beside the model directory: a file inside
+    # it would change the digest of an experiment's train stage.
     return _profiled(
-        args, lambda: _run_analyze(args), Path(args.model) / "analyze_profile.pstats"
+        args,
+        lambda: _run_analyze(args),
+        Path(args.model).resolve().parent / "analyze_profile.pstats",
     )
 
 
 def _run_analyze(args) -> int:
-    from repro.runtime.analysis import ConditionSampleCache
+    from repro.pipeline.experiment import CONDITION_NAMES
 
-    dataset = load_dataset(args.dataset)
-    cgan = load_cgan(args.model)
-    _train, test = dataset.split(args.test_fraction, seed=args.seed)
-    # The Algorithm 3 table goes through the parallel engine; the
-    # attacker then refits its cached draws.
-    cache = ConditionSampleCache()
-    likelihood = security_analysis(
-        cgan,
-        test,
-        h=args.h,
-        g_size=args.g_size,
-        root_entropy=args.seed,
-        pair=dataset.name,
-        workers=args.analysis_workers,
-        cache=cache,
+    pipeline, key, _dataset, _model = _load_pair_model(
+        args, h=args.h, g_size=args.g_size, analysis_workers=args.analysis_workers
     )
-    report = build_security_report(
-        cgan,
-        test,
-        pair_name=dataset.name,
-        h=args.h,
-        g_size=args.g_size,
-        root_entropy=args.seed,
-        pair=dataset.name,
-        cache=cache,
-        likelihood=likelihood,
-    )
-    print(report.to_text())
+    report = pipeline.analyze(key)[key]
+    # Byte for byte the experiment's report.txt, which has no final newline.
+    sys.stdout.write(report.to_text(condition_names=CONDITION_NAMES))
+    if args.profile:
+        print()
     return 0
 
 
 def _cmd_table1(args) -> int:
-    dataset = load_dataset(args.dataset)
-    cgan = load_cgan(args.model)
-    train, test = dataset.split(args.test_fraction, seed=args.seed)
+    from repro.security import choose_analysis_feature, security_analysis_h_sweep
+
+    _pipeline, key, _dataset, model = _load_pair_model(args)
     ft = choose_analysis_feature(
-        cgan, train, h=0.2, objective="peak", root_entropy=args.seed
+        model.cgan, model.train_set, h=0.2, objective="peak", root_entropy=args.seed
     )
     h_values = (0.2, 0.4, 0.6, 0.8, 1.0)
     # Same draws as `analyze` with the same seed: feature ft of its
     # table at h equals this table's column.
     sweep = security_analysis_h_sweep(
-        cgan,
-        test,
+        model.cgan,
+        model.test_set,
         h_values=h_values,
         feature_indices=[ft],
         g_size=args.g_size,
         root_entropy=args.seed,
-        pair=dataset.name,
+        pair=str(key),
     )
-    conds = test.unique_conditions()
+    conds = model.test_set.unique_conditions()
     values = [
         [
             [
@@ -262,18 +249,17 @@ def _cmd_detect(args) -> int:
         roc_curve,
     )
 
-    dataset = load_dataset(args.dataset)
-    cgan = load_cgan(args.model)
-    train, test = dataset.split(args.test_fraction, seed=args.seed)
+    _pipeline, key, dataset, model = _load_pair_model(args)
+    train, test = model.train_set, model.test_set
     top = np.argsort(feature_leakage_profile(train))[::-1][: args.top_features]
     detector = EmissionAttackDetector(
-        cgan,
+        model.cgan,
         dataset.unique_conditions(),
         h=args.h,
         g_size=args.g_size,
         feature_indices=top,
         root_entropy=args.seed,
-        pair=dataset.name,
+        pair=str(key),
     ).fit()
     detector.calibrate(train, false_positive_rate=args.fpr)
     attack_features, attack_claims = axis_swap_attack(test, seed=args.seed)
@@ -383,7 +369,7 @@ def _cmd_stream(args) -> int:
 
     bus = EventBus()
     if args.progress:
-        bus.subscribe(ConsoleProgressReporter(show_epochs=False).handle)
+        bus.subscribe(ConsoleProgressReporter().handle)
     session = StreamSession(
         TraceReplay(
             samples,
@@ -481,7 +467,7 @@ def _run_experiment(args) -> int:
         )
     bus = EventBus()
     if args.progress:
-        bus.subscribe(ConsoleProgressReporter(show_epochs=False).handle)
+        bus.subscribe(ConsoleProgressReporter().handle)
     result = run_experiment(config, args.out, bus=bus, resume=args.resume)
     print(f"experiment artifacts written to {result.directory}")
     for key, value in result.summary.items():
@@ -554,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-disc", type=int, default=1)
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", help="write an EpochProgress JSONL trace here")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("analyze", help="print the security report")
@@ -567,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analysis-workers", type=int, default=1,
                    help="parallel (pair, condition) analysis workers")
     p.add_argument("--profile", action="store_true",
-                   help="run under cProfile; dump pstats next to the model")
+                   help="run under cProfile; dump pstats beside the "
+                        "model directory")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(

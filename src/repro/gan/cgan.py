@@ -38,6 +38,7 @@ from repro.nn.losses import (
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam, Optimizer
 from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.validation import check_positive_int
 
 
 def default_generator(feature_dim: int, hidden=(64, 64)) -> list:
@@ -299,8 +300,6 @@ class ConditionalGAN:
         data_fraction=None,
         snapshot_every: int | None = None,
         seed=None,
-        progress=None,
-        progress_every: int = 0,
         checkpoint_every: int = 0,
         on_checkpoint=None,
         resume: TrainingCheckpointState | None = None,
@@ -330,13 +329,6 @@ class ConditionalGAN:
             Figure 9 likelihood-vs-iteration analysis).
         seed:
             Optional override for the training RNG stream.
-        progress:
-            Optional callback ``progress(iteration, total, d_loss,
-            g_loss)`` invoked every *progress_every* iterations and on
-            the final one — the hook the runtime instrumentation layer
-            turns into :class:`~repro.runtime.events.EpochProgress`.
-        progress_every:
-            Callback cadence in iterations; 0 disables the callback.
         checkpoint_every:
             Cadence (in iterations) of the *on_checkpoint* callback;
             0 disables checkpointing.  The final iteration never emits
@@ -362,21 +354,13 @@ class ConditionalGAN:
                 f"dataset condition_dim {dataset.condition_dim} != model "
                 f"{self.condition_dim}"
             )
-        if iterations <= 0:
-            raise ConfigurationError(f"iterations must be > 0, got {iterations}")
-        if k_disc <= 0:
-            raise ConfigurationError(f"k_disc must be > 0, got {k_disc}")
+        check_positive_int(iterations, "iterations")
+        check_positive_int(batch_size, "batch_size")
+        check_positive_int(k_disc, "k_disc")
+        check_positive_int(checkpoint_every, "checkpoint_every", minimum=0)
         if not 0.0 <= label_smoothing < 0.5:
             raise ConfigurationError(
                 f"label_smoothing must be in [0, 0.5), got {label_smoothing}"
-            )
-        if progress_every < 0:
-            raise ConfigurationError(
-                f"progress_every must be >= 0, got {progress_every}"
-            )
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
             )
         if resume is not None:
             if seed is not None:
@@ -442,10 +426,6 @@ class ConditionalGAN:
                 self.snapshots.append(
                     (self.trained_iterations, self.generator.clone())
                 )
-            if progress is not None and progress_every and (
-                (it + 1) % progress_every == 0 or it + 1 == iterations
-            ):
-                progress(it + 1, iterations, float(d_loss), float(g_loss))
             if (
                 on_checkpoint is not None
                 and checkpoint_every

@@ -23,14 +23,8 @@ class CGANConfig:
     generator_loss: str = "non_saturating"
 
     def __post_init__(self):
-        if self.noise_dim <= 0:
-            raise ConfigurationError("noise_dim must be > 0")
-        if self.iterations <= 0:
-            raise ConfigurationError("iterations must be > 0")
-        if self.batch_size <= 0:
-            raise ConfigurationError("batch_size must be > 0")
-        if self.k_disc <= 0:
-            raise ConfigurationError("k_disc must be > 0")
+        for name in ("noise_dim", "iterations", "batch_size", "k_disc"):
+            check_positive_int(getattr(self, name), name)
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be > 0")
 
@@ -63,14 +57,7 @@ class GANSecConfig:
     (at most one per pair).  ``analysis_workers`` does the same for the
     Algorithm 3 security-analysis fan-out (per-(pair, condition) jobs);
     both stages produce results that are bitwise-independent of the
-    worker count.  ``progress_every``
-    sets the cadence (in Algorithm 2 iterations) of
-    :class:`~repro.runtime.events.EpochProgress` events; 0 disables
-    them.  ``sample_cache_entries`` bounds the LRU cache of generated
-    condition samples shared across repeated ``analyze()`` calls (e.g.
-    h sweeps); eviction never changes the numbers because every entry
-    is re-derivable from the pipeline seed and the (pair, condition)
-    identity alone.
+    worker count.
     """
 
     cgan: CGANConfig = field(default_factory=CGANConfig)
@@ -78,18 +65,7 @@ class GANSecConfig:
     seed: int | None = None
     workers: int = 1
     analysis_workers: int = 1
-    progress_every: int = 0
-    sample_cache_entries: int = 64
 
     def __post_init__(self):
         check_positive_int(self.workers, "workers")
         check_positive_int(self.analysis_workers, "analysis_workers")
-        if self.sample_cache_entries < 1:
-            raise ConfigurationError(
-                "sample_cache_entries must be >= 1, got "
-                f"{self.sample_cache_entries}"
-            )
-        if self.progress_every < 0:
-            raise ConfigurationError(
-                f"progress_every must be >= 0, got {self.progress_every}"
-            )

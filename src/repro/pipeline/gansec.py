@@ -27,17 +27,14 @@ pipeline is :func:`repro.pipeline.experiment.run_experiment`.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import (
     ConfigurationError,
     DataError,
     NotFittedError,
     PairTrainingError,
-    SerializationError,
 )
 from repro.flows.dataset import FlowPairDataset
 from repro.gan.cgan import ConditionalGAN
@@ -46,7 +43,6 @@ from repro.graph.builder import GraphGenerationResult, generate
 from repro.pipeline.config import GANSecConfig
 from repro.pipeline.pairs import FlowPairKey
 from repro.runtime.events import (
-    EpochProgress,
     EventBus,
     PairFailed,
     PairTrained,
@@ -57,11 +53,8 @@ from repro.runtime.analysis import ConditionSampleCache
 from repro.runtime.executors import fan_out, pool_size
 from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
-from repro.utils.atomic import atomic_write_text
 from repro.utils.rng import fresh_entropy
 from repro.utils.validation import check_positive_int
-
-_MANIFEST_NAME = "manifest.json"
 
 
 def _require_pair_key(value) -> FlowPairKey:
@@ -122,9 +115,7 @@ class GANSec:
         # Generated-sample LRU shared across analyze() calls: repeated
         # analyses (e.g. h sweeps) reuse each condition's draw because
         # the cache key excludes the Parzen bandwidth.
-        self._sample_cache = ConditionSampleCache(
-            max_entries=self.config.sample_cache_entries
-        )
+        self._sample_cache = ConditionSampleCache()
 
     @property
     def root_entropy(self) -> int:
@@ -182,9 +173,8 @@ class GANSec:
         workers:
             Worker count for the pair fan-out; defaults to
             ``config.workers``.  ``min(workers, pairs)`` processes train
-            the pairs; one trains them in this thread with live
-            ``EpochProgress`` events.  Results are identical for any
-            value.
+            the pairs; one trains them in this thread.  Results are
+            identical for any value.
         bus:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             the structured training events.
@@ -235,54 +225,25 @@ class GANSec:
                 root_entropy=self._root_entropy,
                 index=i,
                 total=len(selected),
-                progress_every=cfg.progress_every or None,
                 checkpoint=checkpoint_plan.get(key),
             )
             for i, key in enumerate(selected)
         ]
 
         pool = pool_size(workers, len(jobs))
-        in_process = pool == 1
         start = time.perf_counter()
         bus.emit(
             TrainingStarted(
                 total_pairs=len(jobs),
-                executor="serial" if in_process else "process",
+                executor="serial" if pool == 1 else "process",
                 workers=pool,
             )
         )
-
-        def _emit_progress(pair, iteration, total, d_loss, g_loss):
-            bus.emit(
-                EpochProgress(
-                    pair=pair,
-                    iteration=iteration,
-                    total_iterations=total,
-                    d_loss=d_loss,
-                    g_loss=g_loss,
-                )
-            )
-
-        if in_process:
-            def fn(job):
-                pair = str(job.key)
-                return run_training_job(
-                    job,
-                    emit=lambda it, tot, d, g: _emit_progress(pair, it, tot, d, g),
-                )
-        else:
-            # Jobs are shipped to worker processes: the mapped function
-            # must be picklable, and progress is replayed afterwards.
-            fn = run_training_job
-
-        outcomes = fan_out(fn, jobs, workers)
+        outcomes = fan_out(run_training_job, jobs, workers)
 
         failures: dict = {}
         completed: list = []
         for job, outcome in zip(jobs, outcomes):
-            if not in_process:
-                for it, tot, d_loss, g_loss in outcome.progress:
-                    _emit_progress(str(job.key), it, tot, d_loss, g_loss)
             if outcome.ok:
                 self.models[job.key] = PairModel(
                     key=job.key,
@@ -435,76 +396,6 @@ class GANSec:
         self.generate_graph(data)
         self.train_models(data, workers=workers, bus=bus)
         return self.analyze(workers=analysis_workers, bus=bus)
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, directory) -> Path:
-        """Persist all trained pair models (CGAN + splits) to *directory*.
-
-        Layout: one ``pair_NNNN`` subdirectory per pair holding a
-        ``manifest.json`` (the pair identity), the CGAN (see
-        :func:`repro.gan.serialization.save_cgan`), and the train/test
-        datasets.  A directory that already holds saved pairs is
-        refused, so a later :meth:`load` never sees stale pairs.
-        """
-        from repro.flows.io import save_dataset
-        from repro.gan.serialization import save_cgan
-
-        if not self.models:
-            raise NotFittedError("nothing to save: train_models() first")
-        directory = Path(directory)
-        stale = next(directory.glob(f"*/{_MANIFEST_NAME}"), None)
-        if stale is not None:
-            raise SerializationError(
-                f"{directory} already holds saved pair models ({stale}); "
-                "save into a new directory"
-            )
-        for index, (key, model) in enumerate(self.models.items()):
-            pair_dir = directory / f"pair_{index:04d}"
-            pair_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                pair_dir / _MANIFEST_NAME,
-                json.dumps(
-                    {"version": 1, "first": key.first, "second": key.second},
-                    indent=2,
-                ),
-            )
-            save_cgan(model.cgan, pair_dir / "cgan")
-            save_dataset(model.train_set, pair_dir / "train.npz")
-            save_dataset(model.test_set, pair_dir / "test.npz")
-        return directory
-
-    def load(self, directory) -> dict[FlowPairKey, PairModel]:
-        """Restore pair models saved by :meth:`save` into this pipeline.
-
-        Pair identity is read from each subdirectory's ``manifest.json``;
-        subdirectories without one are ignored.
-        """
-        from repro.flows.io import load_dataset
-        from repro.gan.serialization import load_cgan
-
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise SerializationError(f"no such model directory: {directory}")
-        loaded: dict[FlowPairKey, PairModel] = {}
-        for manifest_path in sorted(directory.glob(f"*/{_MANIFEST_NAME}")):
-            pair_dir = manifest_path.parent
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                key = FlowPairKey(manifest["first"], manifest["second"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SerializationError(
-                    f"corrupt pair manifest at {manifest_path}: {exc}"
-                ) from exc
-            loaded[key] = PairModel(
-                key=key,
-                cgan=load_cgan(pair_dir / "cgan"),
-                train_set=load_dataset(pair_dir / "train.npz"),
-                test_set=load_dataset(pair_dir / "test.npz"),
-            )
-        if not loaded:
-            raise SerializationError(f"no pair models found under {directory}")
-        self.models.update(loaded)
-        return loaded
 
     def summary(self) -> str:
         """Short textual overview of the whole pipeline state."""

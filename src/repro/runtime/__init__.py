@@ -21,7 +21,6 @@ from repro.runtime.events import (
     AnalysisCompleted,
     AnalysisStarted,
     ConditionScored,
-    EpochProgress,
     EventBus,
     PairFailed,
     PairTrained,
@@ -44,6 +43,7 @@ from repro.runtime.training import (
     PairTrainingOutcome,
     build_pair_cgan,
     pair_rng_streams,
+    pair_split,
     run_training_job,
 )
 
@@ -56,7 +56,6 @@ __all__ = [
     "ConditionSampleCache",
     "ConditionScored",
     "ConsoleProgressReporter",
-    "EpochProgress",
     "EventBus",
     "JsonlTraceWriter",
     "PairFailed",
@@ -74,6 +73,7 @@ __all__ = [
     "condition_tokens",
     "fan_out",
     "pair_rng_streams",
+    "pair_split",
     "pool_size",
     "read_trace",
     "run_analysis_job",

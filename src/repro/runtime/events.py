@@ -9,7 +9,6 @@ tests) get structured data rather than log strings.
 Lifecycle of one :meth:`GANSec.train_models` batch::
 
     TrainingStarted                      (once, batch-level)
-      EpochProgress*                     (per pair, every progress_every iters)
       PairTrained | PairFailed           (once per pair)
     TrainingFinished                     (once, batch-level)
 
@@ -34,9 +33,9 @@ or emits a single ``StageSkipped`` when the stage's fingerprint matched
 a prior run and its recorded outputs verified on disk.
 
 The bus is thread-safe: the streaming producer thread and user threads
-may emit concurrently.  Process-pool workers cannot reach the parent's
-bus, so their ``EpochProgress`` rows are recorded in the job result and
-replayed by the parent before ``PairTrained`` is emitted.
+may emit concurrently.  Per-iteration losses are not events: every
+trained model's :class:`~repro.gan.history.TrainingHistory` records
+them, and ``history.csv`` is their on-disk form.
 """
 
 from __future__ import annotations
@@ -71,18 +70,6 @@ class TrainingStarted(RuntimeEvent):
     total_pairs: int
     executor: str
     workers: int
-    timestamp: float = field(default_factory=_now)
-
-
-@dataclass(frozen=True)
-class EpochProgress(RuntimeEvent):
-    """Periodic progress inside one pair's Algorithm 2 loop."""
-
-    pair: str
-    iteration: int
-    total_iterations: int
-    d_loss: float
-    g_loss: float
     timestamp: float = field(default_factory=_now)
 
 

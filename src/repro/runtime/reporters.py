@@ -17,7 +17,6 @@ from repro.runtime.events import (
     AnalysisStarted,
     AttackDetected,
     ConditionScored,
-    EpochProgress,
     PairFailed,
     PairTrained,
     RuntimeEvent,
@@ -41,14 +40,10 @@ class ConsoleProgressReporter:
     stream:
         Output file object (default ``sys.stderr``, keeping stdout free
         for the actual report/table output).
-    show_epochs:
-        Whether per-iteration :class:`EpochProgress` lines are printed
-        (batch-level events always are).
     """
 
-    def __init__(self, stream=None, *, show_epochs: bool = True):
+    def __init__(self, stream=None):
         self.stream = stream if stream is not None else sys.stderr
-        self.show_epochs = show_epochs
 
     def handle(self, event: RuntimeEvent) -> None:
         line = self._format(event)
@@ -62,13 +57,6 @@ class ConsoleProgressReporter:
             return (
                 f"training {event.total_pairs} flow pair(s) "
                 f"[{event.executor} executor, {event.workers} worker(s)]"
-            )
-        if isinstance(event, EpochProgress):
-            if not self.show_epochs:
-                return None
-            return (
-                f"  {event.pair}: iter {event.iteration}/{event.total_iterations} "
-                f"D={event.d_loss:.3f} G={event.g_loss:.3f}"
             )
         if isinstance(event, PairTrained):
             return (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.flows.dataset import FlowPairDataset
@@ -58,6 +58,18 @@ def pair_rng_streams(root_entropy: int, key: "FlowPairKey"):
     return derive_rngs(root_entropy, ("pair", key.first, key.second), 3)
 
 
+def pair_split(
+    dataset: FlowPairDataset, test_fraction: float, root_entropy: int, key: "FlowPairKey"
+):
+    """``(train_set, test_set)`` of *key*'s dataset.
+
+    The split draws from the pair's own stream, so training and every
+    later reload of a saved model see the same held-out rows.
+    """
+    split_rng = pair_rng_streams(root_entropy, key)[0]
+    return dataset.split(test_fraction, seed=split_rng)
+
+
 @dataclass(frozen=True)
 class CheckpointSpec:
     """Where (and how often) one pair's training checkpoints live.
@@ -83,7 +95,6 @@ class PairTrainingJob:
     root_entropy: int
     index: int = 0
     total: int = 1
-    progress_every: int | None = None
     #: Optional crash-recovery checkpointing (see :class:`CheckpointSpec`).
     #: When set, a valid existing checkpoint is resumed from and fresh
     #: checkpoints are written every ``checkpoint.every`` iterations;
@@ -100,9 +111,6 @@ class PairTrainingOutcome:
     cgan: ConditionalGAN | None = None
     train_set: FlowPairDataset | None = None
     test_set: FlowPairDataset | None = None
-    #: ``(iteration, total_iterations, d_loss, g_loss)`` rows collected
-    #: for deferred EpochProgress replay (process-pool runs).
-    progress: list = field(default_factory=list)
     error: str | None = None
 
     @property
@@ -110,30 +118,14 @@ class PairTrainingOutcome:
         return self.error is None
 
 
-def run_training_job(job: PairTrainingJob, emit=None) -> PairTrainingOutcome:
-    """Execute *job*; never raises.
-
-    *emit*, when given, is called as ``emit(iteration, total, d_loss,
-    g_loss)`` every ``job.progress_every`` iterations (live progress for
-    in-process runs).  The same rows are always recorded on the
-    outcome for after-the-fact replay.
-    """
+def run_training_job(job: PairTrainingJob) -> PairTrainingOutcome:
+    """Execute *job*; never raises."""
     start = time.perf_counter()
-    progress_rows: list = []
-
-    def record(iteration, total, d_loss, g_loss):
-        row = (int(iteration), int(total), float(d_loss), float(g_loss))
-        progress_rows.append(row)
-        if emit is not None:
-            emit(*row)
-
     try:
         def build():
-            split_rng, train_rng, model_rng = pair_rng_streams(
-                job.root_entropy, job.key
-            )
-            train_set, test_set = job.dataset.split(
-                job.test_fraction, seed=split_rng
+            train_rng, model_rng = pair_rng_streams(job.root_entropy, job.key)[1:]
+            train_set, test_set = pair_split(
+                job.dataset, job.test_fraction, job.root_entropy, job.key
             )
             cgan = build_pair_cgan(
                 job.cgan,
@@ -180,8 +172,6 @@ def run_training_job(job: PairTrainingJob, emit=None) -> PairTrainingOutcome:
             k_disc=job.cgan.k_disc,
             label_smoothing=job.cgan.label_smoothing,
             seed=None if resume_state is not None else train_rng,
-            progress=record if job.progress_every else None,
-            progress_every=job.progress_every or 0,
             checkpoint_every=job.checkpoint.every if on_checkpoint else 0,
             on_checkpoint=on_checkpoint,
             resume=resume_state,
@@ -192,12 +182,10 @@ def run_training_job(job: PairTrainingJob, emit=None) -> PairTrainingOutcome:
             cgan=cgan,
             train_set=train_set,
             test_set=test_set,
-            progress=progress_rows,
         )
     except Exception:  # noqa: BLE001 - failure isolation is the contract
         return PairTrainingOutcome(
             key=job.key,
             seconds=time.perf_counter() - start,
-            progress=progress_rows,
             error=traceback.format_exc(),
         )

@@ -158,6 +158,20 @@ class TestTraining:
         with pytest.raises(ConfigurationError):
             cgan.train(toy_dataset, iterations=5, label_smoothing=0.7)
 
+    @pytest.mark.parametrize(
+        "arg, value",
+        [(arg, v) for arg in ("iterations", "batch_size", "k_disc") for v in (True, 2.5, 0)]
+        # 0 turns checkpoints off, so its out-of-range case is -1.
+        + [("checkpoint_every", v) for v in (True, 2.5, -1)],
+    )
+    def test_integer_arguments_checked(self, toy_dataset, arg, value):
+        minimum = 0 if arg == "checkpoint_every" else 1
+        cgan = small_cgan()
+        kwargs = {"iterations": 12, arg: value}
+        with pytest.raises(ConfigurationError, match=f"^{arg} must be an int >= {minimum}"):
+            cgan.train(toy_dataset, on_checkpoint=lambda state: None, **kwargs)
+        assert not cgan.is_trained
+
 
 class TestStateChecks:
     def test_require_trained(self):

@@ -69,6 +69,30 @@ class TestCountFields:
         with pytest.raises(ConfigurationError, match=f"^{field} must be an int"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    @pytest.mark.parametrize("field", ["noise_dim", "iterations", "batch_size", "k_disc"])
+    def test_cgan_config_integer_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an int >= 1"):
+            CGANConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    @pytest.mark.parametrize(
+        "field",
+        ["n_moves_per_axis", "n_bins", "iterations", "batch_size", "k_disc", "g_size"],
+    )
+    def test_experiment_config_integer_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be an int >= 1"):
+            ExperimentConfig(**{field: value})
+
+    def test_fractional_iterations_rejected_before_any_stage(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_moves_per_axis": 2, "iterations": 40.5}))
+        with pytest.raises(ConfigurationError, match="^iterations must be an int"):
+            main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert not (tmp_path / "run" / "dataset.npz").exists()
+
     def test_from_json_rejects_string_workers(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"analysis_workers": "2"}))

@@ -144,22 +144,6 @@ class TestFailureIsolation:
 
 
 class TestEventStream:
-    def test_epoch_progress_replayed_from_processes(self, workload):
-        arch, data = workload
-        config = GANSecConfig(
-            cgan=CGANConfig(iterations=ITERATIONS), seed=SEED, progress_every=10
-        )
-        pipe = GANSec(arch, config)
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
-        pipe.train_models(data, workers=2, bus=bus)
-        progress = [e for e in events if e.kind == "EpochProgress"]
-        # 30 iterations, cadence 10 -> 3 events per pair.
-        assert len(progress) == 3 * len(data)
-        assert {e.pair for e in progress} == {str(k) for k in data}
-        assert not bus.handler_errors
-
     def test_started_event_reports_executor(self, workload):
         arch, data = workload
         pipe = GANSec(arch, _config())
@@ -173,15 +157,11 @@ class TestEventStream:
         assert started.workers == 2
         assert started.total_pairs == len(data)
 
-    def test_single_pair_trains_in_process_with_live_progress(self, workload):
-        # One job never starts a pool, whatever the worker count: the
-        # progress events are emitted live, before the pair completes.
+    def test_single_pair_trains_in_process(self, workload):
+        # One job never starts a pool, whatever the worker count.
         arch, data = workload
         key = next(iter(data))
-        config = GANSecConfig(
-            cgan=CGANConfig(iterations=ITERATIONS), seed=SEED, progress_every=10
-        )
-        pipe = GANSec(arch, config)
+        pipe = GANSec(arch, _config())
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
@@ -189,6 +169,4 @@ class TestEventStream:
         started = events[0]
         assert started.kind == "TrainingStarted"
         assert (started.executor, started.workers) == ("serial", 1)
-        kinds = [e.kind for e in events]
-        assert kinds.count("EpochProgress") == 3
-        assert kinds.index("EpochProgress") < kinds.index("PairTrained")
+        assert [e.kind for e in events[1:]] == ["PairTrained", "TrainingFinished"]

@@ -1,61 +1,46 @@
-"""Capacity of the generated-sample cache is config, never semantics.
+"""Capacity of the generated-sample cache is a resource bound, never semantics.
 
-Satellite of the staged-pipeline work: ``GANSecConfig.sample_cache_entries``
-bounds the LRU of generated condition samples that repeated ``analyze()``
-calls share.  An over-capacity sweep (capacity 1, three conditions —
+The LRU of generated condition samples is shared across the h values of
+a Table I sweep.  An over-capacity sweep (capacity 1, three conditions —
 every access evicts) must produce bitwise-identical likelihood tables to
 a sweep that fits entirely in cache.
 """
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.manufacturing import GCODE_FLOW, printer_architecture
 from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
-from repro.runtime.events import AnalysisCompleted, EventBus
+from repro.runtime.analysis import ConditionSampleCache
+from repro.security import security_analysis_h_sweep
 
 H_SWEEP = (0.2, 0.4, 0.8)
+KEY = FlowPairKey("F18", GCODE_FLOW)
 
 
-def _make_pipeline(entries):
-    return GANSec(
-        printer_architecture(),
-        GANSecConfig(
-            cgan=CGANConfig(iterations=150), seed=0, sample_cache_entries=entries
-        ),
+def _sweep(model, cache):
+    """Table I sweep over H_SWEEP through *cache*; returns tables + hits."""
+    sweep = security_analysis_h_sweep(
+        model.cgan,
+        model.test_set,
+        h_values=H_SWEEP,
+        cache=cache,
+        g_size=200,
+        root_entropy=0,
+        pair=str(KEY),
     )
-
-
-def _sweep(pipe, case_dataset):
-    """Train once, then analyze across H_SWEEP; returns tables + hits."""
-    pipe.train_models({FlowPairKey("F18", GCODE_FLOW): case_dataset})
-    tables = []
-    hits = 0
-    for h in H_SWEEP:
-        pipe.config.analysis.h = h
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
-        (report,) = pipe.analyze(bus=bus).values()
-        tables.append(
-            (report.likelihood.avg_correct.copy(),
-             report.likelihood.avg_incorrect.copy())
-        )
-        hits += sum(
-            e.cache_hits for e in events if isinstance(e, AnalysisCompleted)
-        )
-    return tables, hits
+    tables = [(sweep[h].avg_correct, sweep[h].avg_incorrect) for h in H_SWEEP]
+    return tables, cache.hits
 
 
 class TestCapacityConfig:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="sample_cache_entries"):
-            GANSecConfig(sample_cache_entries=0)
-
     def test_over_capacity_sweep_is_bitwise_identical(self, case_dataset):
-        cached, cached_hits = _sweep(_make_pipeline(64), case_dataset)
-        thrashed, thrashed_hits = _sweep(_make_pipeline(1), case_dataset)
+        pipe = GANSec(
+            printer_architecture(),
+            GANSecConfig(cgan=CGANConfig(iterations=150), seed=0),
+        )
+        model = pipe.train_models({KEY: case_dataset})[KEY]
+        cached, cached_hits = _sweep(model, ConditionSampleCache(max_entries=64))
+        thrashed, thrashed_hits = _sweep(model, ConditionSampleCache(max_entries=1))
 
         # Ample capacity reuses every condition's draw after the first
         # h (3 conditions x 2 later sweeps); capacity 1 with 3

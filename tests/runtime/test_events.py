@@ -7,7 +7,6 @@ import pytest
 
 from repro.runtime import (
     ConsoleProgressReporter,
-    EpochProgress,
     EventBus,
     JsonlTraceWriter,
     PairFailed,
@@ -21,10 +20,6 @@ from repro.runtime import (
 def _sample_events():
     return [
         TrainingStarted(total_pairs=2, executor="process", workers=2),
-        EpochProgress(
-            pair="F18|F1", iteration=50, total_iterations=100,
-            d_loss=1.2, g_loss=0.8,
-        ),
         PairTrained(
             pair="F18|F1", index=0, total_pairs=2, seconds=1.5,
             train_size=40, test_size=12, final_d_loss=1.3, final_g_loss=0.7,
@@ -78,14 +73,13 @@ class TestEventBus:
 
 class TestEvents:
     def test_kind_and_to_dict(self):
-        event = EpochProgress(
-            pair="A|B", iteration=10, total_iterations=20,
-            d_loss=1.0, g_loss=2.0,
+        event = PairFailed(
+            pair="A|B", index=1, total_pairs=2, seconds=0.5, error="boom",
         )
         data = event.to_dict()
-        assert data["kind"] == "EpochProgress"
+        assert data["kind"] == "PairFailed"
         assert data["pair"] == "A|B"
-        assert data["iteration"] == 10
+        assert data["index"] == 1
         assert "timestamp" in data
 
     def test_events_are_frozen(self):
@@ -100,11 +94,11 @@ class TestJsonlTraceWriter:
         with JsonlTraceWriter(path) as writer:
             for event in _sample_events():
                 writer.handle(event)
-            assert writer.events_written == 5
+            assert writer.events_written == 4
         rows = read_trace(path)
         assert [r["kind"] for r in rows] == [
-            "TrainingStarted", "EpochProgress", "PairTrained",
-            "PairFailed", "TrainingFinished",
+            "TrainingStarted", "PairTrained", "PairFailed",
+            "TrainingFinished",
         ]
         # Every line is standalone JSON.
         for line in path.read_text().splitlines():
@@ -133,15 +127,7 @@ class TestConsoleProgressReporter:
             reporter.handle(event)
         text = stream.getvalue()
         assert "training 2 flow pair(s)" in text
-        assert "iter 50/100" in text
         assert "trained F18|F1" in text
         assert "FAILED F2|F3" in text
         assert "DataError: not enough rows" in text
         assert "1 trained, 1 failed" in text
-
-    def test_epoch_lines_suppressible(self):
-        stream = io.StringIO()
-        reporter = ConsoleProgressReporter(stream, show_epochs=False)
-        for event in _sample_events():
-            reporter.handle(event)
-        assert "iter 50/100" not in stream.getvalue()

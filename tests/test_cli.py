@@ -279,8 +279,65 @@ class TestProfileFlag:
         ) == 0
         out = capsys.readouterr().out
         assert "VERDICT" in out
-        stats = pstats.Stats(str(model / "analyze_profile.pstats"))
+        stats = pstats.Stats(str(tmp_path / "analyze_profile.pstats"))
         assert stats.total_calls > 0
+        assert not (model / "analyze_profile.pstats").exists()
+
+
+class TestStageCommandsShareTheExperimentPath:
+    """The stage commands run on an experiment directory reproduce its
+    artifacts: same pair, same train/test split, same trainer."""
+
+    SEED = "3"
+
+    @pytest.fixture(scope="class")
+    def rundir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stage-cmds") / "run"
+        assert main(
+            ["experiment", "--out", str(out), "--moves", "3",
+             "--iterations", "40", "--seed", self.SEED]
+        ) == 0
+        return out
+
+    def test_analyze_prints_the_experiment_report(self, rundir, capsys):
+        capsys.readouterr()
+        assert main(
+            ["analyze", "--dataset", str(rundir / "dataset.npz"),
+             "--model", str(rundir / "model"), "--seed", self.SEED]
+        ) == 0
+        assert capsys.readouterr().out == (rundir / "report.txt").read_text()
+
+    def test_train_reproduces_the_experiment_model(self, rundir, tmp_path, capsys):
+        import json
+
+        import numpy as np
+
+        out = tmp_path / "model"
+        assert main(
+            ["train", "--dataset", str(rundir / "dataset.npz"), "--out", str(out),
+             "--iterations", "40", "--seed", self.SEED]
+        ) == 0
+        assert (out / "history.csv").read_bytes() == (rundir / "history.csv").read_bytes()
+        assert json.loads((out / "cgan.json").read_text()) == json.loads(
+            (rundir / "model" / "cgan.json").read_text()
+        )
+        for net in ("generator.npz", "discriminator.npz"):
+            with np.load(out / net) as got, np.load(rundir / "model" / net) as want:
+                assert sorted(got.files) == sorted(want.files)
+                for name in want.files:
+                    np.testing.assert_array_equal(got[name], want[name])
+
+    def test_analyze_profile_leaves_every_stage_ok(self, rundir, capsys):
+        assert main(
+            ["analyze", "--dataset", str(rundir / "dataset.npz"),
+             "--model", str(rundir / "model"), "--seed", self.SEED, "--profile"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["experiment", "status", str(rundir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert all(line.split()[1] == "ok" for line in lines)
+        assert (rundir / "analyze_profile.pstats").exists()
 
 
 class TestStreamCommand:
