@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
-from repro.gan import ConditionalGAN, WassersteinConditionalGAN
+from repro.gan import ConditionalGAN
 from repro.security import SideChannelAttacker
 from repro.utils.tables import format_table
 
@@ -41,29 +41,16 @@ def _run(train, test, loss_name):
     return final["d_loss"], head, tail, acc
 
 
-def _run_wgan(train, test):
-    wgan = WassersteinConditionalGAN(
-        train.feature_dim, train.condition_dim, seed=BENCH_SEED
-    )
-    wgan.train(train, iterations=ITERATIONS, k_disc=5, batch_size=32)
-    final = wgan.history.final()
-    head = np.mean(wgan.history.g_loss[: ITERATIONS // 5])
-    tail = np.mean(wgan.history.g_loss[-ITERATIONS // 5 :])
-    return final["d_loss"], head, tail, _attack_accuracy(wgan, test)
-
-
 def test_ablation_generator_loss(benchmark, bench_split):
     train, test = bench_split
     res_ns = benchmark.pedantic(
         _run, args=(train, test, "non_saturating"), iterations=1, rounds=1
     )
     res_mm = _run(train, test, "minimax")
-    res_wg = _run_wgan(train, test)
 
     rows = [
         ["non_saturating (default)", *res_ns],
         ["minimax (paper-literal)", *res_mm],
-        ["wasserstein (extension)", *res_wg],
     ]
     print()
     print("=" * 70)
@@ -79,19 +66,14 @@ def test_ablation_generator_loss(benchmark, bench_split):
     )
     print()
     print("-- shape checks --")
+    usable = min(res_ns[3], res_mm[3]) > 1 / 3
+    comparable = abs(res_ns[0] - res_mm[0]) < 1.0
+    print(shape_check("both objectives produce usable leakage (above chance)", usable))
     print(
         shape_check(
-            "all objectives produce usable leakage (above chance)",
-            min(res_ns[3], res_mm[3], res_wg[3]) > 1 / 3,
+            "the objectives share fixed points: comparable final D loss",
+            comparable,
         )
     )
-    print(
-        shape_check(
-            "standard objectives share fixed points: comparable final D loss",
-            abs(res_ns[0] - res_mm[0]) < 1.0,
-        )
-    )
-    print(
-        "note: the wasserstein row's losses are critic objectives, not"
-        "\nBCE values - compare its attack accuracy, not its loss column."
-    )
+    assert usable, f"attack accuracy at or below chance: {res_ns[3]}, {res_mm[3]}"
+    assert comparable, f"final D losses differ by >= 1: {res_ns[0]}, {res_mm[0]}"

@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.flows.dataset import FlowPairDataset
 from repro.gan.history import TrainingHistory
-from repro.gan.noise import get_noise_prior
+from repro.gan.noise import GaussianNoise
 from repro.nn.layers import Dense
 from repro.nn.losses import (
     BinaryCrossEntropy,
@@ -36,7 +36,7 @@ from repro.nn.losses import (
     discriminator_loss,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.validation import check_positive_int
 
@@ -101,19 +101,15 @@ class ConditionalGAN:
         Dimension of the conditioning vectors (``F_2``), e.g. 3 for the
         one-hot motor encoding.
     noise_dim:
-        Dimension of the noise prior Z.
+        Dimension of the standard-normal noise prior Z.
     generator_layers / discriminator_layers:
         Optional custom layer stacks (uninitialized
         :class:`~repro.nn.layers.Layer` lists); defaults follow
         :func:`default_generator` / :func:`default_discriminator`.
-    noise:
-        ``"gaussian"`` (default), ``"uniform"``, or a
-        :class:`~repro.gan.noise.NoisePrior`.
     generator_loss:
         ``"non_saturating"`` (default) or ``"minimax"`` (paper-literal).
-    g_optimizer, d_optimizer:
-        :class:`~repro.nn.optimizers.Optimizer` instances; default
-        ``Adam(learning_rate)``.
+    learning_rate:
+        Step size of the two ``Adam`` optimizers.
     seed:
         Seed for weight init and training randomness.
     """
@@ -126,18 +122,13 @@ class ConditionalGAN:
         noise_dim: int = 16,
         generator_layers=None,
         discriminator_layers=None,
-        noise="gaussian",
         generator_loss: str = "non_saturating",
-        g_optimizer=None,
-        d_optimizer=None,
         learning_rate: float = 2e-3,
         seed=None,
     ):
-        if feature_dim <= 0 or condition_dim <= 0:
-            raise ConfigurationError("feature_dim and condition_dim must be > 0")
-        self.feature_dim = int(feature_dim)
-        self.condition_dim = int(condition_dim)
-        self.noise = get_noise_prior(noise, noise_dim)
+        self.feature_dim = check_positive_int(feature_dim, "feature_dim")
+        self.condition_dim = check_positive_int(condition_dim, "condition_dim")
+        self.noise = GaussianNoise(noise_dim)
         self.noise_dim = self.noise.dim
 
         init_rng, self._train_rng = spawn_rngs(seed, 2)
@@ -170,16 +161,8 @@ class ConditionalGAN:
             )
         self.generator_loss_name = generator_loss
         self._bce = BinaryCrossEntropy()
-        self._g_opt = g_optimizer or Adam(learning_rate)
-        self._d_opt = d_optimizer or Adam(learning_rate)
-        for role, opt in (
-            ("g_optimizer", self._g_opt),
-            ("d_optimizer", self._d_opt),
-        ):
-            if not isinstance(opt, Optimizer):
-                raise ConfigurationError(
-                    f"{role} must be a repro.nn Optimizer, got {type(opt).__name__}"
-                )
+        self._g_opt = Adam(learning_rate)
+        self._d_opt = Adam(learning_rate)
 
         self.history = TrainingHistory()
         self.snapshots: list = []

@@ -1,4 +1,4 @@
-"""Noise priors ``Pr(Z)`` for GAN generators (Algorithm 2, Line 5)."""
+"""The noise prior ``Pr(Z)`` of the generator (Algorithm 2, Line 5)."""
 
 from __future__ import annotations
 
@@ -6,28 +6,27 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive_int
 
 
-class NoisePrior:
-    """Base class: a distribution over ``R^dim`` with a ``sample`` method."""
+class GaussianNoise:
+    """Standard normal prior over ``R^dim`` — the usual GAN choice."""
 
     def __init__(self, dim: int):
-        if dim <= 0:
-            raise ConfigurationError(f"noise dim must be > 0, got {dim}")
-        self.dim = int(dim)
+        self.dim = check_positive_int(dim, "noise_dim")
 
-    def sample(self, n: int, rng) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def sample(self, n: int, rng) -> np.ndarray:
+        return rng.normal(0.0, 1.0, size=(n, self.dim))
 
     def sample_into(self, out: np.ndarray, rng) -> np.ndarray:
         """Fill the preallocated ``(n, dim)`` buffer *out* with samples.
 
-        Consumes the RNG stream exactly like :meth:`sample` and produces
-        bitwise-identical values — the training loop uses this to avoid
-        allocating a fresh noise array every step.  The base fallback
-        simply copies a :meth:`sample` result.
+        ``Generator.standard_normal(out=...)`` draws the same stream and
+        the same doubles as the ``Generator.normal(0, 1, size)`` call of
+        :meth:`sample`; the training loop uses this to avoid allocating
+        a fresh noise array every step.
         """
-        out[...] = self.sample(out.shape[0], rng)
+        rng.standard_normal(out=out)
         return out
 
     def __call__(self, n: int, seed=None) -> np.ndarray:
@@ -36,72 +35,4 @@ class NoisePrior:
         return self.sample(n, as_rng(seed))
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim})"
-
-
-class GaussianNoise(NoisePrior):
-    """Standard normal prior — the usual GAN choice."""
-
-    def __init__(self, dim: int, std: float = 1.0):
-        super().__init__(dim)
-        if std <= 0:
-            raise ConfigurationError(f"std must be > 0, got {std}")
-        self.std = float(std)
-
-    def sample(self, n, rng):
-        return rng.normal(0.0, self.std, size=(n, self.dim))
-
-    def sample_into(self, out, rng):
-        if self.std == 1.0:
-            # ``Generator.normal(0, 1, size)`` and
-            # ``standard_normal(out=...)`` draw the same stream and
-            # produce identical doubles; only the unit-std case is safe
-            # to fill in place without a bitwise-equivalence proof for
-            # the scale multiply, and it is the training default.
-            rng.standard_normal(out=out)
-            return out
-        return super().sample_into(out, rng)
-
-    def __repr__(self):
-        return f"GaussianNoise(dim={self.dim}, std={self.std})"
-
-
-class UniformNoise(NoisePrior):
-    """Uniform prior on ``[low, high)^dim``."""
-
-    def __init__(self, dim: int, low: float = -1.0, high: float = 1.0):
-        super().__init__(dim)
-        if not high > low:
-            raise ConfigurationError(f"need high > low, got [{low}, {high})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, n, rng):
-        return rng.uniform(self.low, self.high, size=(n, self.dim))
-
-    def sample_into(self, out, rng):
-        # ``uniform(low, high)`` draws ``low + (high - low) * random()``
-        # from the same double stream as ``random(out=...)``; replaying
-        # that affine map in place reproduces it bitwise.
-        rng.random(out=out)
-        if self.high - self.low != 1.0:
-            out *= self.high - self.low
-        if self.low != 0.0:
-            out += self.low
-        return out
-
-    def __repr__(self):
-        return f"UniformNoise(dim={self.dim}, low={self.low}, high={self.high})"
-
-
-def get_noise_prior(spec, dim: int) -> NoisePrior:
-    """Resolve ``"gaussian"`` / ``"uniform"`` / instance into a prior."""
-    if isinstance(spec, NoisePrior):
-        return spec
-    if spec == "gaussian":
-        return GaussianNoise(dim)
-    if spec == "uniform":
-        return UniformNoise(dim)
-    raise ConfigurationError(
-        f"unknown noise prior {spec!r}; choose 'gaussian', 'uniform', or pass a NoisePrior"
-    )
+        return f"GaussianNoise(dim={self.dim})"

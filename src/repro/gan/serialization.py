@@ -28,7 +28,6 @@ from repro.artifacts.store import sha256_file
 from repro.errors import DataError, SerializationError
 from repro.gan.cgan import ConditionalGAN, TrainingCheckpointState
 from repro.gan.history import TrainingHistory
-from repro.gan.noise import GaussianNoise, UniformNoise
 from repro.nn.layers import Dense
 from repro.nn.serialization import (
     load_optimizer_state,
@@ -71,24 +70,11 @@ def save_cgan(cgan: ConditionalGAN, directory) -> Path:
     """Serialize *cgan* into *directory* (created if needed)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if isinstance(cgan.noise, GaussianNoise):
-        noise_spec = {"kind": "gaussian", "dim": cgan.noise.dim, "std": cgan.noise.std}
-    elif isinstance(cgan.noise, UniformNoise):
-        noise_spec = {
-            "kind": "uniform",
-            "dim": cgan.noise.dim,
-            "low": cgan.noise.low,
-            "high": cgan.noise.high,
-        }
-    else:
-        raise SerializationError(
-            f"cannot serialize custom noise prior {cgan.noise!r}"
-        )
     meta = {
         "version": _FORMAT_VERSION,
         "feature_dim": cgan.feature_dim,
         "condition_dim": cgan.condition_dim,
-        "noise": noise_spec,
+        "noise": {"kind": "gaussian", "dim": cgan.noise_dim, "std": 1.0},
         "generator_hidden": _layer_widths(cgan.generator),
         "discriminator_hidden": _layer_widths(cgan.discriminator),
         "generator_loss": cgan.generator_loss_name,
@@ -115,21 +101,18 @@ def load_cgan(directory) -> ConditionalGAN:
             f"unsupported CGAN format version {meta.get('version')}"
         )
     noise_spec = meta["noise"]
-    if noise_spec["kind"] == "gaussian":
-        noise = GaussianNoise(noise_spec["dim"], std=noise_spec["std"])
-    elif noise_spec["kind"] == "uniform":
-        noise = UniformNoise(
-            noise_spec["dim"], low=noise_spec["low"], high=noise_spec["high"]
+    if noise_spec.get("kind") != "gaussian" or noise_spec.get("std") != 1.0:
+        raise SerializationError(
+            f"unsupported noise prior {noise_spec!r}; only a standard-normal "
+            "Z (kind 'gaussian', std 1.0) can be loaded"
         )
-    else:
-        raise SerializationError(f"unknown noise kind {noise_spec['kind']!r}")
 
     from repro.gan.cgan import default_discriminator, default_generator
 
     cgan = ConditionalGAN(
         meta["feature_dim"],
         meta["condition_dim"],
-        noise=noise,
+        noise_dim=noise_spec["dim"],
         generator_layers=default_generator(
             meta["feature_dim"], hidden=tuple(meta["generator_hidden"])
         ),

@@ -1,9 +1,10 @@
 """A small from-scratch neural-network framework (numpy only).
 
 This is the substrate GAN-Sec's Algorithm 2 runs on.  It provides dense
-feed-forward networks with manual backprop: layers, activations, losses
-(including both GAN generator objectives), first-order optimizers, weight
-serialization, and finite-difference gradient checking.
+feed-forward networks with manual backprop: ``Dense`` layers with
+activations, the BCE discriminator loss and both GAN generator
+objectives, the Adam optimizer, weight serialization, and
+finite-difference gradient checking.
 
 Quick example::
 
@@ -32,27 +33,24 @@ from repro.nn.initializers import (
     Zeros,
     get_initializer,
 )
-from repro.nn.layers import BatchNorm, Dense, Dropout, Layer
+from repro.nn.layers import Dense, Layer
 from repro.nn.losses import (
     BinaryCrossEntropy,
     GeneratorLossMinimax,
     GeneratorLossNonSaturating,
     Loss,
-    MeanSquaredError,
     discriminator_loss,
     get_loss,
 )
 from repro.nn.network import Sequential
-from repro.nn.optimizers import SGD, Adam, Optimizer, RMSProp
+from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.serialization import load_weights, save_weights
 
 __all__ = [
     "Activation",
     "Adam",
-    "BatchNorm",
     "BinaryCrossEntropy",
     "Dense",
-    "Dropout",
     "GeneratorLossMinimax",
     "GeneratorLossNonSaturating",
     "GlorotUniform",
@@ -62,11 +60,8 @@ __all__ = [
     "Layer",
     "LeakyReLU",
     "Loss",
-    "MeanSquaredError",
     "Optimizer",
-    "RMSProp",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "Zeros",

@@ -2,14 +2,16 @@
 
 Used by the test suite to verify that every layer's analytic backward
 pass matches a central-difference numerical gradient — the property-based
-tests run this over random layer configurations.
+tests run this over random layer configurations.  Both checks score the
+network's output with binary cross-entropy, the discriminator loss of
+Algorithm 2, so the checked network must end in a sigmoid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.losses import get_loss
+from repro.nn.losses import BinaryCrossEntropy
 from repro.nn.network import Sequential
 
 
@@ -32,13 +34,10 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def check_input_gradient(
-    net: Sequential, x: np.ndarray, *, loss="mse", target=None, eps: float = 1e-6
+    net: Sequential, x: np.ndarray, *, target=None, eps: float = 1e-6
 ) -> float:
-    """Max abs difference between analytic and numeric input gradients.
-
-    Runs the network in training=False mode for determinism (dropout off).
-    """
-    loss_fn = get_loss(loss)
+    """Max abs difference between analytic and numeric input gradients."""
+    loss_fn = BinaryCrossEntropy()
     x = np.asarray(x, dtype=np.float64)
     if target is None:
         pred0 = net.forward(x, training=False)
@@ -54,10 +53,10 @@ def check_input_gradient(
 
 
 def check_parameter_gradients(
-    net: Sequential, x: np.ndarray, *, loss="mse", target=None, eps: float = 1e-6
+    net: Sequential, x: np.ndarray, *, target=None, eps: float = 1e-6
 ) -> dict:
     """Max abs analytic-vs-numeric difference per parameter tensor."""
-    loss_fn = get_loss(loss)
+    loss_fn = BinaryCrossEntropy()
     x = np.asarray(x, dtype=np.float64)
     if target is None:
         pred0 = net.forward(x, training=False)

@@ -45,7 +45,7 @@ def _fans(shape):
 
 
 class Zeros(Initializer):
-    """All-zero initialization (the standard choice for biases)."""
+    """All-zero initialization."""
 
     name = "zeros"
 

@@ -38,18 +38,6 @@ class Loss:
         return f"{type(self).__name__}()"
 
 
-class MeanSquaredError(Loss):
-    name = "mse"
-
-    def value(self, pred, target):
-        pred, target = _align(pred, target)
-        return float(np.mean((pred - target) ** 2))
-
-    def gradient(self, pred, target):
-        pred, target = _align(pred, target)
-        return 2.0 * (pred - target) / pred.size
-
-
 class BinaryCrossEntropy(Loss):
     """BCE on probabilities in (0, 1) — the discriminator loss of Eq. (2).
 
@@ -137,12 +125,7 @@ def discriminator_loss(d_real: np.ndarray, d_fake: np.ndarray, eps: float = _EPS
 
 _REGISTRY = {
     cls.name: cls
-    for cls in (
-        MeanSquaredError,
-        BinaryCrossEntropy,
-        GeneratorLossMinimax,
-        GeneratorLossNonSaturating,
-    )
+    for cls in (BinaryCrossEntropy, GeneratorLossMinimax, GeneratorLossNonSaturating)
 }
 
 

@@ -75,7 +75,8 @@ class Sequential:
     __call__ = forward
 
     def predict(self, x) -> np.ndarray:
-        """Inference-mode forward pass (dropout off, batchnorm running stats)."""
+        """Inference-mode forward pass: fresh output arrays that never
+        alias the layers' reused training workspaces."""
         return self.forward(x, training=False)
 
     def backward(self, grad_out) -> np.ndarray:

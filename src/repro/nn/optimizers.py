@@ -1,4 +1,4 @@
-"""First-order optimizers operating on (parameter, gradient) dictionaries.
+"""Adam, the first-order optimizer that trains both Algorithm 2 networks.
 
 An optimizer holds per-parameter state keyed by ``(layer_index, name)``.
 The network calls :meth:`Optimizer.step` with the list of layers after a
@@ -11,21 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 class Optimizer:
-    """Base class: subclasses implement :meth:`update` for one tensor."""
+    """Base class: :meth:`step` walks the layers, subclasses implement
+    :meth:`update` for one tensor."""
 
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {learning_rate}")
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = float(check_positive(learning_rate, "learning_rate"))
         self._state: dict = {}
         self._scratch: dict = {}
         self.iterations = 0
 
     def reset(self):
-        """Drop accumulated state (momentum buffers, moment estimates)."""
+        """Drop accumulated state (moment estimates, step counters)."""
         self._state.clear()
         self._scratch.clear()
         self.iterations = 0
@@ -34,9 +34,9 @@ class Optimizer:
         """Two reusable work arrays shaped like *param*.
 
         Updates run sequentially, so one scratch pair per shape serves
-        every parameter; subclasses write their intermediate products
-        here instead of allocating per step.  All in-place update
-        sequences replicate the allocating formulas operation-for-
+        every parameter; :meth:`update` writes its intermediate products
+        here instead of allocating per step.  The in-place update
+        sequence replicates the allocating formula operation-for-
         operation, so parameter trajectories are bitwise unchanged.
         """
         pair = self._scratch.get(param.shape)
@@ -65,68 +65,6 @@ class Optimizer:
 
     def __repr__(self):
         return f"{type(self).__name__}(lr={self.learning_rate})"
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent, optionally with momentum.
-
-    Algorithm 2 in the paper is stated in terms of raw stochastic
-    gradients, so ``SGD(momentum=0)`` is the most literal reproduction;
-    Adam (below) is the practical default.
-    """
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0, nesterov: bool = False):
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0,1), got {momentum}")
-        if nesterov and momentum == 0.0:
-            raise ConfigurationError("nesterov requires momentum > 0")
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
-        np.multiply(grad, self.learning_rate, out=s1)  # lr * grad
-        if self.momentum == 0.0:
-            param -= s1
-            return
-        buf = self._state.get(key)
-        if buf is None:
-            buf = self._state[key] = np.zeros_like(param)
-        buf *= self.momentum
-        buf -= s1
-        if self.nesterov:
-            np.multiply(buf, self.momentum, out=s2)
-            s2 -= s1  # momentum * buf - lr * grad
-            param += s2
-        else:
-            param += buf
-
-
-class RMSProp(Optimizer):
-    """RMSProp with an exponentially decayed squared-gradient average."""
-
-    def __init__(self, learning_rate: float = 0.001, rho: float = 0.9, eps: float = 1e-8):
-        super().__init__(learning_rate)
-        if not 0.0 < rho < 1.0:
-            raise ConfigurationError(f"rho must be in (0,1), got {rho}")
-        self.rho = float(rho)
-        self.eps = float(eps)
-
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
-        acc = self._state.get(key)
-        if acc is None:
-            acc = self._state[key] = np.zeros_like(param)
-        acc *= self.rho
-        np.multiply(grad, 1.0 - self.rho, out=s1)
-        s1 *= grad  # (1 - rho) * grad * grad
-        acc += s1
-        np.multiply(grad, self.learning_rate, out=s1)  # lr * grad
-        np.sqrt(acc, out=s2)
-        s2 += self.eps
-        s1 /= s2
-        param -= s1
 
 
 class Adam(Optimizer):

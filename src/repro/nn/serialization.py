@@ -3,7 +3,7 @@
 Weights are stored in numpy ``.npz`` archives with a small JSON header
 describing the architecture fingerprint, so that loading into a
 mismatched network fails loudly instead of silently corrupting a model.
-Optimizer state (momentum buffers, Adam moments, step counters) uses
+Optimizer state (Adam moments and step counters) uses
 the same archive format, which is what lets an interrupted training run
 resume bitwise-identically from a checkpoint.
 
@@ -94,8 +94,8 @@ def save_optimizer_state(opt: Optimizer, path) -> Path:
     """Serialize *opt*'s accumulated state to ``path`` (.npz).
 
     Captures everything an optimizer carries across steps — the
-    per-parameter buffers (SGD momentum, RMSProp accumulators, Adam
-    moments and per-tensor step counts) plus the global step counter —
+    per-parameter Adam moments and per-tensor step counts plus the
+    global step counter —
     so that restoring it continues a training trajectory bitwise
     identically to one that was never interrupted.
     """
@@ -138,9 +138,9 @@ def save_optimizer_state(opt: Optimizer, path) -> Path:
 def load_optimizer_state(opt: Optimizer, path) -> Optimizer:
     """Restore state written by :func:`save_optimizer_state` into *opt*.
 
-    The optimizer kind must match the one that was saved (an Adam
-    checkpoint cannot be loaded into SGD); the caller is responsible
-    for constructing *opt* with the right hyperparameters.
+    The optimizer class name must match the ``kind`` that was saved;
+    the caller is responsible for constructing *opt* with the right
+    hyperparameters.
     """
     path = Path(path)
     if not path.exists():

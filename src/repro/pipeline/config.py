@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass
@@ -25,8 +25,7 @@ class CGANConfig:
     def __post_init__(self):
         for name in ("noise_dim", "iterations", "batch_size", "k_disc"):
             check_positive_int(getattr(self, name), name)
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
+        check_positive(self.learning_rate, "learning_rate")
 
 
 @dataclass
@@ -39,10 +38,8 @@ class AnalysisConfig:
     feature_indices: tuple | None = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ConfigurationError("h must be > 0")
-        if self.g_size <= 0:
-            raise ConfigurationError("g_size must be > 0")
+        check_positive(self.h, "h")
+        check_positive_int(self.g_size, "g_size")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must be in (0, 1)")
 

@@ -83,7 +83,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.training import CheckpointSpec, pair_split
 from repro.utils.atomic import atomic_write_text
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive, check_positive_int
 
 #: Bump when the fingerprint recipe changes: every stage then re-runs
 #: instead of trusting records produced under different rules.
@@ -155,6 +155,7 @@ class ExperimentConfig:
         ):
             check_positive_int(getattr(self, name), name)
         check_positive_int(self.checkpoint_every, "checkpoint_every", minimum=0)
+        check_positive(self.h, "h")
         emissions = sorted(MONITORED_EMISSIONS.values())
         if self.emission_flow not in emissions:
             raise ConfigurationError(

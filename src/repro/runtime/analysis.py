@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.utils.rng import derive_rngs, fresh_entropy
+from repro.utils.validation import check_positive_int
 
 
 #: Pair label of draws made outside a flow-pair pipeline; Algorithm 3,
@@ -73,11 +74,7 @@ class ConditionSampleCache:
     """
 
     def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.max_entries = int(max_entries)
+        self.max_entries = check_positive_int(max_entries, "max_entries")
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0

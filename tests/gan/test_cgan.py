@@ -43,14 +43,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             small_cgan(generator_loss="wasserstein")
 
-    @pytest.mark.parametrize("role", ["g_optimizer", "d_optimizer"])
-    def test_rejects_non_optimizer(self, role):
-        class StepOnly:
-            def step(self, layers):
-                pass
-
-        with pytest.raises(ConfigurationError, match=role):
-            small_cgan(**{role: StepOnly()})
+    @pytest.mark.parametrize("arg", ["feature_dim", "condition_dim", "noise_dim"])
+    @pytest.mark.parametrize("value", [3.7, True])
+    def test_rejects_non_int_dims(self, arg, value):
+        # noise_dim=3.7 used to train with a 3-wide Z.
+        kwargs = {"feature_dim": 4, "condition_dim": 2, "noise_dim": 4, arg: value}
+        with pytest.raises(ConfigurationError, match=f"^{arg} must be an int >= 1"):
+            ConditionalGAN(**kwargs)
 
 
 class TestGenerate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gan.noise import GaussianNoise, UniformNoise, get_noise_prior
+from repro.gan.noise import GaussianNoise
 
 
 class TestGaussian:
@@ -13,9 +13,9 @@ class TestGaussian:
         assert z.shape == (16, 8)
 
     def test_statistics(self):
-        z = GaussianNoise(4, std=2.0)(5000, seed=0)
+        z = GaussianNoise(4)(5000, seed=0)
         assert abs(z.mean()) < 0.1
-        assert abs(z.std() - 2.0) < 0.1
+        assert abs(z.std() - 1.0) < 0.1
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
@@ -26,36 +26,6 @@ class TestGaussian:
         with pytest.raises(ConfigurationError):
             GaussianNoise(0)
 
-    def test_rejects_bad_std(self):
-        with pytest.raises(ConfigurationError):
-            GaussianNoise(2, std=0.0)
-
     def test_rejects_bad_count(self):
         with pytest.raises(ConfigurationError):
             GaussianNoise(2)(0)
-
-
-class TestUniform:
-    def test_bounds(self):
-        z = UniformNoise(4, -2.0, 3.0)(1000, seed=0)
-        assert z.min() >= -2.0
-        assert z.max() < 3.0
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ConfigurationError):
-            UniformNoise(2, 1.0, -1.0)
-
-
-class TestRegistry:
-    def test_names(self):
-        assert isinstance(get_noise_prior("gaussian", 5), GaussianNoise)
-        assert isinstance(get_noise_prior("uniform", 5), UniformNoise)
-
-    def test_instance_passthrough(self):
-        prior = GaussianNoise(9)
-        assert get_noise_prior(prior, 4) is prior
-        assert prior.dim == 9  # dim argument ignored for instances
-
-    def test_unknown(self):
-        with pytest.raises(ConfigurationError):
-            get_noise_prior("cauchy", 4)

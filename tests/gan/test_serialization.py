@@ -1,11 +1,12 @@
 """Tests for repro.gan.serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import SerializationError
 from repro.gan.cgan import ConditionalGAN
-from repro.gan.noise import UniformNoise
 from repro.gan.serialization import load_cgan, save_cgan
 
 
@@ -45,14 +46,14 @@ class TestRoundTrip:
         assert loaded.trained_iterations == 40
         assert loaded.is_trained
 
-    def test_uniform_noise_preserved(self, toy_dataset, tmp_path):
-        cgan = ConditionalGAN(4, 2, noise=UniformNoise(6, -0.5, 0.5), seed=0)
+    def test_noise_dim_preserved(self, toy_dataset, tmp_path):
+        cgan = ConditionalGAN(4, 2, noise_dim=6, seed=0)
         cgan.train(toy_dataset, iterations=10)
         save_cgan(cgan, tmp_path / "model")
+        meta = json.loads((tmp_path / "model" / "cgan.json").read_text())
+        assert meta["noise"] == {"kind": "gaussian", "dim": 6, "std": 1.0}
         loaded = load_cgan(tmp_path / "model")
-        assert isinstance(loaded.noise, UniformNoise)
-        assert loaded.noise.dim == 6
-        assert loaded.noise.low == -0.5
+        assert loaded.noise_dim == loaded.noise.dim == 6
 
 
 class TestFailures:
@@ -65,4 +66,24 @@ class TestFailures:
         save_cgan(cgan, tmp_path / "model")
         (tmp_path / "model" / "cgan.json").write_text("{broken")
         with pytest.raises(SerializationError, match="corrupt"):
+            load_cgan(tmp_path / "model")
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "uniform", "dim": 4, "low": -1.0, "high": 1.0},
+            {"kind": "gaussian", "dim": 4, "std": 0.5},
+            {"kind": "gaussian", "dim": 4},
+        ],
+        ids=["uniform", "scaled-gauss", "no-std"],
+    )
+    def test_non_standard_noise_rejected(self, toy_dataset, tmp_path, noise):
+        # Only a standard-normal Z is ever written; anything else in
+        # cgan.json cannot have come from save_cgan.
+        save_cgan(trained(toy_dataset), tmp_path / "model")
+        meta_path = tmp_path / "model" / "cgan.json"
+        meta = json.loads(meta_path.read_text())
+        meta["noise"] = noise
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SerializationError, match="unsupported noise prior"):
             load_cgan(tmp_path / "model")

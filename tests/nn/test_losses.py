@@ -9,7 +9,6 @@ from repro.nn.losses import (
     BinaryCrossEntropy,
     GeneratorLossMinimax,
     GeneratorLossNonSaturating,
-    MeanSquaredError,
     discriminator_loss,
     get_loss,
 )
@@ -24,31 +23,13 @@ def numeric_gradient(loss, pred, target, eps=1e-7):
     return grad
 
 
-class TestMSE:
-    def test_zero_at_perfect(self):
-        x = np.array([[1.0, 2.0]])
-        assert MeanSquaredError().value(x, x) == 0.0
-
-    def test_known_value(self):
-        pred = np.array([[0.0, 2.0]])
-        target = np.array([[1.0, 0.0]])
-        assert MeanSquaredError().value(pred, target) == pytest.approx(2.5)
-
-    def test_gradient_numeric(self):
-        rng = np.random.default_rng(0)
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        loss = MeanSquaredError()
-        np.testing.assert_allclose(
-            loss.gradient(pred, target), numeric_gradient(loss, pred, target), atol=1e-6
-        )
-
+class TestBCE:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            MeanSquaredError().value(np.zeros((2, 2)), np.zeros((2, 3)))
+            BinaryCrossEntropy().value(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            BinaryCrossEntropy().gradient(np.zeros((2, 2)), np.zeros((2, 3)))
 
-
-class TestBCE:
     def test_perfect_prediction_near_zero(self):
         pred = np.array([[0.999999, 0.000001]])
         target = np.array([[1.0, 0.0]])
@@ -145,9 +126,12 @@ class TestDiscriminatorLoss:
 
 class TestRegistry:
     def test_lookup(self):
-        assert isinstance(get_loss("mse"), MeanSquaredError)
         assert isinstance(get_loss("bce"), BinaryCrossEntropy)
+        assert isinstance(get_loss("gen_minimax"), GeneratorLossMinimax)
+        assert isinstance(get_loss("gen_non_saturating"), GeneratorLossNonSaturating)
 
     def test_unknown_raises(self):
         with pytest.raises(ConfigurationError):
             get_loss("hinge")
+        with pytest.raises(ConfigurationError):
+            get_loss("mse")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.nn.layers import Dense, Dropout
+from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 
 
@@ -59,12 +59,17 @@ class TestForward:
         np.testing.assert_array_equal(net(x), net.forward(x))
 
     def test_predict_is_inference_mode(self):
-        net = Sequential([Dense(8, "relu"), Dropout(0.9, seed=0), Dense(2)],
-                         input_dim=4, seed=0)
-        x = np.random.default_rng(1).normal(size=(5, 4))
+        # predict() allocates its output: a later training-mode forward
+        # must not overwrite it, though it computes the same values.
+        net = make_net()
+        x = np.random.default_rng(1).normal(size=(5, 5))
         a = net.predict(x)
-        b = net.predict(x)
-        np.testing.assert_array_equal(a, b)  # Dropout off => deterministic.
+        snapshot = a.copy()
+        b = net.forward(x, training=True)
+        assert a is not b
+        np.testing.assert_array_equal(a, b)
+        net.forward(np.zeros((5, 5)), training=True)
+        np.testing.assert_array_equal(a, snapshot)
 
 
 class TestWeights:

@@ -22,6 +22,8 @@ class TestCGANConfig:
             {"batch_size": 0},
             {"k_disc": 0},
             {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -37,7 +39,16 @@ class TestAnalysisConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"h": 0.0}, {"g_size": 0}, {"test_fraction": 0.0}, {"test_fraction": 1.0}],
+        [
+            {"h": 0.0},
+            {"g_size": 0},
+            {"test_fraction": 0.0},
+            {"test_fraction": 1.0},
+            {"h": float("nan")},
+            {"h": float("inf")},
+            {"g_size": 2.5},
+            {"g_size": True},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -90,6 +101,17 @@ class TestCountFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_moves_per_axis": 2, "iterations": 40.5}))
         with pytest.raises(ConfigurationError, match="^iterations must be an int"):
+            main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert not (tmp_path / "run" / "dataset.npz").exists()
+
+    @pytest.mark.parametrize("h", [float("nan"), -0.2], ids=["nan", "negative"])
+    def test_bad_h_rejected_before_any_stage(self, tmp_path, h):
+        # A NaN h used to record and train, and fail only in analyze.
+        from repro.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_moves_per_axis": 2, "iterations": 40, "h": h}))
+        with pytest.raises(ConfigurationError, match="^h must be"):
             main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
         assert not (tmp_path / "run" / "dataset.npz").exists()
 

@@ -197,6 +197,12 @@ class TestSampleCache:
         with pytest.raises(ConfigurationError):
             ConditionSampleCache(max_entries=0)
 
+    @pytest.mark.parametrize("max_entries", [2.5, True])
+    def test_rejects_non_int_capacity(self, max_entries):
+        # 2.5 used to hold 2 entries and True 1.
+        with pytest.raises(ConfigurationError, match="^max_entries must be an int >= 1"):
+            ConditionSampleCache(max_entries=max_entries)
+
 
 class TestFailureIsolation:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
