@@ -72,45 +72,6 @@ def main():
     print("\nconfusion matrix (rows true, cols predicted):")
     print(np.array2string(report.confusion))
 
-    # --- Phase 4: exploit sequential structure (Viterbi smoothing) ----
-    # The attacker also knows typical G-code statistics (motor usage is
-    # sticky); a first-order Markov prior over conditions sharpens the
-    # reconstruction of noisy segments.
-    from repro.security import SequenceAttacker, TransitionModel
-
-    from repro.manufacturing import staircase_program
-
-    label_index = {lbl: i for i, lbl in enumerate(labels)}
-    # Real parts are structured: perimeters alternate X/Y and layer
-    # changes (Z) are periodic.  Fit the Markov prior on similar parts.
-    transition = TransitionModel(len(labels), smoothing=0.5)
-    for i, layers in enumerate((4, 6, 8)):
-        calib = staircase_program(layers, step=8.0 + 2 * i)
-        calib_run = printer.run(calib, seed=400 + i)
-        seq = [
-            label_index[condition_label(s.active_axes)]
-            for s in collect_segments([calib_run])
-        ]
-        transition.update(seq)
-
-    # The structured secret: another staircase part.
-    secret2 = staircase_program(7, step=9.0, name="secret-part")
-    run2 = printer.run(secret2, seed=903)
-    segments2 = collect_segments([run2])
-    observed2 = build_dataset(segments2, extractor, encoder, fit_extractor=False)
-    true_idx2 = [
-        label_index[condition_label(s.active_axes)] for s in segments2
-    ]
-    indep_acc2 = float(
-        (attacker.infer(observed2.features) == np.asarray(true_idx2)).mean()
-    )
-    seq_attacker = SequenceAttacker(attacker, transition)
-    seq_acc2 = seq_attacker.sequence_accuracy(observed2.features, true_idx2)
-    print(
-        "\non a *structured* secret part (staircase, periodic X/Y/Z):"
-        f"\n  independent per-segment inference: {indep_acc2:.1%}"
-        f"\n  with Markov sequence smoothing (Viterbi): {seq_acc2:.1%}"
-    )
     print(
         "\nConclusion: the acoustic energy flow to the environment leaks"
         "\nthe G/M-code signal flow - a confidentiality violation GAN-Sec"

@@ -96,35 +96,46 @@ def load_cgan(directory) -> ConditionalGAN:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise SerializationError(f"corrupt CGAN metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SerializationError(
+            f"corrupt CGAN metadata: {meta_path} holds a JSON "
+            f"{type(meta).__name__}, not an object"
+        )
     if meta.get("version") != _FORMAT_VERSION:
         raise SerializationError(
             f"unsupported CGAN format version {meta.get('version')}"
         )
-    noise_spec = meta["noise"]
-    if noise_spec.get("kind") != "gaussian" or noise_spec.get("std") != 1.0:
-        raise SerializationError(
-            f"unsupported noise prior {noise_spec!r}; only a standard-normal "
-            "Z (kind 'gaussian', std 1.0) can be loaded"
-        )
 
     from repro.gan.cgan import default_discriminator, default_generator
 
-    cgan = ConditionalGAN(
-        meta["feature_dim"],
-        meta["condition_dim"],
-        noise_dim=noise_spec["dim"],
-        generator_layers=default_generator(
-            meta["feature_dim"], hidden=tuple(meta["generator_hidden"])
-        ),
-        discriminator_layers=default_discriminator(
-            hidden=tuple(meta["discriminator_hidden"])
-        ),
-        generator_loss=meta["generator_loss"],
-        seed=0,
-    )
+    try:
+        noise_spec = meta["noise"]
+        if noise_spec.get("kind") != "gaussian" or noise_spec.get("std") != 1.0:
+            raise SerializationError(
+                f"unsupported noise prior {noise_spec!r}; only a standard-normal "
+                "Z (kind 'gaussian', std 1.0) can be loaded"
+            )
+        cgan = ConditionalGAN(
+            meta["feature_dim"],
+            meta["condition_dim"],
+            noise_dim=noise_spec["dim"],
+            generator_layers=default_generator(
+                meta["feature_dim"], hidden=tuple(meta["generator_hidden"])
+            ),
+            discriminator_layers=default_discriminator(
+                hidden=tuple(meta["discriminator_hidden"])
+            ),
+            generator_loss=meta["generator_loss"],
+            seed=0,
+        )
+        trained_iterations = int(meta["trained_iterations"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"corrupt CGAN metadata in {meta_path}: {exc!r}"
+        ) from exc
     load_weights(cgan.generator, directory / _GEN_NAME)
     load_weights(cgan.discriminator, directory / _DISC_NAME)
-    cgan.trained_iterations = int(meta["trained_iterations"])
+    cgan.trained_iterations = trained_iterations
     return cgan
 
 

@@ -31,7 +31,6 @@ from repro.manufacturing.programs import (
     random_single_motor_sequence,
     rectangle_program,
     single_motor_program,
-    staircase_program,
 )
 from repro.manufacturing.traces import (
     MIN_SEGMENT_DURATION,
@@ -80,6 +79,5 @@ __all__ = [
     "read_wav",
     "rectangle_program",
     "single_motor_program",
-    "staircase_program",
     "write_wav",
 ]

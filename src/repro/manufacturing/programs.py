@@ -119,35 +119,6 @@ def rectangle_program(
     return GCodeProgram(commands, name=name)
 
 
-def staircase_program(
-    n_layers: int = 5,
-    *,
-    step: float = 10.0,
-    layer_height: float = 0.3,
-    feed: float = 1200.0,
-    z_feed: float = 120.0,
-    name: str = "staircase",
-) -> GCodeProgram:
-    """Alternating X / Y / Z moves, like printing perimeter + layer change.
-
-    Still one motor per move, but with the Z motor appearing at the
-    realistic 1-in-k rate of layer changes — good for testing whether a
-    detector finds the rare condition.
-    """
-    if n_layers < 1:
-        raise ConfigurationError("n_layers must be >= 1")
-    commands = _preamble()
-    z = 0.0
-    for layer in range(n_layers):
-        x = step * (layer + 1)
-        y = step * (layer + 1) * 0.6
-        commands.append(GCodeCommand("G1", {"X": round(x, 3), "F": feed}))
-        commands.append(GCodeCommand("G1", {"Y": round(y, 3), "F": feed}))
-        z += layer_height
-        commands.append(GCodeCommand("G1", {"Z": round(z, 3), "F": z_feed}))
-    return GCodeProgram(commands, name=name)
-
-
 def layered_object_program(
     n_layers: int = 3,
     *,

@@ -34,7 +34,6 @@ from repro.security.attacks import (
 from repro.security.mutual_information import (
     condition_entropy_bits,
     feature_leakage_profile,
-    generator_leakage_profile,
     histogram_mutual_information,
 )
 from repro.security.baselines import (
@@ -42,32 +41,11 @@ from repro.security.baselines import (
     GaussianConditionalSampler,
     NearestCentroidAttacker,
 )
-from repro.security.defenses import (
-    AcousticMasking,
-    CombinedDefense,
-    Defense,
-    DefenseReport,
-    FeedRateDithering,
-    evaluate_defense,
-    record_defended_dataset,
-)
-from repro.security.sequence import (
-    SequenceAttacker,
-    TransitionModel,
-    viterbi_decode,
-)
 from repro.security.roc import RocCurve, roc_curve
 from repro.security.report import SecurityReport, build_security_report
 
 __all__ = [
-    "AcousticMasking",
     "AnalysisTarget",
-    "CombinedDefense",
-    "Defense",
-    "DefenseReport",
-    "FeedRateDithering",
-    "evaluate_defense",
-    "record_defended_dataset",
     "repeated_likelihood_analysis",
     "EmpiricalConditionalSampler",
     "GaussianConditionalSampler",
@@ -80,8 +58,6 @@ __all__ = [
     "ConditionalParzen",
     "RocCurve",
     "SecurityReport",
-    "SequenceAttacker",
-    "TransitionModel",
     "SideChannelAttacker",
     "axis_swap_attack",
     "build_security_report",
@@ -89,7 +65,6 @@ __all__ = [
     "condition_entropy_bits",
     "feature_leakage_profile",
     "feed_rate_attack",
-    "generator_leakage_profile",
     "histogram_mutual_information",
     "leakage_vs_training_data",
     "motor_stall_attack",
@@ -98,5 +73,4 @@ __all__ = [
     "run_security_analysis",
     "security_analysis",
     "security_analysis_h_sweep",
-    "viterbi_decode",
 ]

@@ -103,16 +103,27 @@ def resolve_analysis_target(
     test_set: FlowPairDataset, conditions=None, feature_indices=None, *, label=None
 ) -> tuple:
     """Algorithm 3's validated ``(conditions, feature_indices)``; they
-    default to the test set's distinct conditions and to every column."""
+    default to the test set's distinct conditions and to every column.
+
+    The test set must hold at least two distinct conditions: with one,
+    no row is ever incorrectly labeled, and ``AvgIncLike`` has no
+    evidence to average.
+    """
+    where = f" for {label}" if label is not None else ""
+    distinct = test_set.unique_conditions()
+    if len(distinct) < 2:
+        raise DataError(
+            f"test set{where} has {len(distinct)} distinct condition(s); "
+            "Algorithm 3 needs at least 2 to score incorrectly labeled rows"
+        )
     if conditions is None:
-        conditions = test_set.unique_conditions()
+        conditions = distinct
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     if feature_indices is None:
         feature_indices = np.arange(test_set.feature_dim)
     feature_indices = check_indices(
         feature_indices, "feature_indices", test_set.feature_dim
     )
-    where = f" for {label}" if label is not None else ""
     for cond in conditions:
         if not test_set.mask_for_condition(cond).any():
             raise DataError(
@@ -127,7 +138,7 @@ def condition_likelihoods(
 ) -> tuple:
     """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
     per-feature mean of ``exp(LogLike) * h`` over the correctly and the
-    incorrectly labeled rows (0 if there are none) of *features*."""
+    incorrectly labeled rows of *features*."""
     claims = np.full(len(features), cond_index)
     likes = np.exp(model.log_density(features, claims).T) * model.h
 
@@ -135,9 +146,7 @@ def condition_likelihoods(
         # C order makes each feature's mean reduce like a 1-D mean.
         return np.ascontiguousarray(likes[:, mask]).mean(axis=1)
 
-    incorrect = ~correct_mask
-    avg_inc = masked_mean(incorrect) if incorrect.any() else np.zeros(model.n_features)
-    return masked_mean(correct_mask), avg_inc
+    return masked_mean(correct_mask), masked_mean(~correct_mask)
 
 
 @dataclass

@@ -4,9 +4,8 @@ The paper notes that "various other metrics may also be created using
 the conditional probability values (e.g., mutual information metrics of
 side channel attacks)".  This module estimates the mutual information
 ``I(C; X)`` between the discrete condition ``C`` (cyber signal flow)
-and continuous emission features ``X`` (physical energy flow), both
-from data and from a trained generator — quantifying side-channel
-capacity in bits.
+and continuous emission features ``X`` (physical energy flow) from
+data — quantifying side-channel capacity in bits.
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.runtime.analysis import (
-    DEFAULT_PAIR,
-    as_sampler,
-    draw_condition_samples,
-    resolve_root_entropy,
-)
 
 
 def histogram_mutual_information(
@@ -79,38 +72,3 @@ def feature_leakage_profile(
         ]
     )
 
-
-def generator_leakage_profile(
-    generator_sampler,
-    conditions,
-    *,
-    n_per_condition: int = 200,
-    bins: int = 16,
-    root_entropy: int | None = None,
-) -> np.ndarray:
-    """Per-feature MI computed on *generated* samples.
-
-    Comparing this with :func:`feature_leakage_profile` on real data
-    shows how faithfully the CGAN reproduces the leakage structure —
-    the property GAN-Sec's design-time analysis relies on.  The draws
-    are those an Algorithm 3 analysis with the same *root_entropy* and
-    ``g_size = n_per_condition`` makes.
-    """
-    sample = as_sampler(generator_sampler)
-    root_entropy = resolve_root_entropy(root_entropy)
-    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    features = np.vstack(
-        [
-            draw_condition_samples(
-                sample, DEFAULT_PAIR, cond, n_per_condition, root_entropy
-            )
-            for cond in conditions
-        ]
-    )
-    labels = np.repeat(np.arange(len(conditions)), n_per_condition)
-    return np.array(
-        [
-            histogram_mutual_information(features[:, d], labels, bins=bins)
-            for d in range(features.shape[1])
-        ]
-    )

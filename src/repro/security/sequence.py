@@ -1,26 +1,7 @@
-"""Sequence-aware side-channel inference.
+"""Sequential decision layer of the streaming attack detector.
 
-The basic :class:`~repro.security.confidentiality.SideChannelAttacker`
-classifies each emission segment independently.  Real G-code is not
-i.i.d. — motor usage has strong sequential structure (perimeter moves
-alternate X/Y, layer changes are rare Z events).  A stronger attacker
-exploits this with a first-order Markov model over conditions:
-
-* :class:`TransitionModel` — estimate the condition-transition matrix
-  (with Laplace smoothing) from observed or assumed G-code statistics,
-  e.g. via :class:`~repro.flows.signal.SignalFlowData` of condition
-  sequences;
-* :func:`viterbi_decode` — maximum a-posteriori condition *sequence*
-  given per-segment log-likelihoods and the transition model;
-* :class:`SequenceAttacker` — glue: per-segment log-likelihoods from any
-  fitted :class:`SideChannelAttacker` + Viterbi smoothing.
-
-This is the "more complex signal flow analysis [that] can still use the
-same CGAN" the paper alludes to under Algorithm 3.
-
-The module also hosts the *sequential decision layer* of the streaming
-attack detector (:mod:`repro.streaming`): :class:`CusumDetector` and
-:class:`EwmaDetector` accumulate per-window log-likelihood evidence
+:class:`CusumDetector` and :class:`EwmaDetector` (used by
+:mod:`repro.streaming`) accumulate per-window log-likelihood evidence
 over time, so a sustained drop in likelihood (integrity/availability
 attack) raises an alarm even when no single window is damning.  Both
 are strictly sequential and deterministic: feeding scores one at a
@@ -32,132 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError, ShapeError
-from repro.flows.signal import SignalFlowData
-from repro.security.confidentiality import SideChannelAttacker
-
-_LOG_FLOOR = -700.0  # exp() underflow boundary; safe log of "never".
-
-
-class TransitionModel:
-    """First-order Markov model over a finite condition set.
-
-    Parameters
-    ----------
-    n_states:
-        Number of conditions.
-    smoothing:
-        Laplace pseudo-count added to every transition (keeps unseen
-        transitions possible; 1.0 by default).
-    """
-
-    def __init__(self, n_states: int, *, smoothing: float = 1.0):
-        if n_states < 2:
-            raise ConfigurationError(f"need >= 2 states, got {n_states}")
-        if smoothing < 0:
-            raise ConfigurationError(f"smoothing must be >= 0, got {smoothing}")
-        self.n_states = int(n_states)
-        self.smoothing = float(smoothing)
-        self._counts = np.full((n_states, n_states), smoothing, dtype=float)
-        self._initial = np.full(n_states, smoothing, dtype=float)
-
-    @classmethod
-    def from_sequences(
-        cls, sequences, n_states: int, *, smoothing: float = 1.0
-    ) -> "TransitionModel":
-        """Fit from iterables of state-index sequences."""
-        model = cls(n_states, smoothing=smoothing)
-        for seq in sequences:
-            model.update(seq)
-        return model
-
-    @classmethod
-    def from_signal_flow(
-        cls, data: SignalFlowData, state_index: dict, *, smoothing: float = 1.0
-    ) -> "TransitionModel":
-        """Fit from a :class:`SignalFlowData` of condition symbols.
-
-        *state_index* maps each symbol to its state index.
-        """
-        seq = []
-        for symbol in data.values:
-            if symbol not in state_index:
-                raise DataError(f"symbol {symbol!r} missing from state_index")
-            seq.append(state_index[symbol])
-        return cls.from_sequences([seq], len(state_index), smoothing=smoothing)
-
-    def update(self, sequence) -> "TransitionModel":
-        """Accumulate transition counts from one state-index sequence."""
-        seq = [int(s) for s in sequence]
-        if any(not 0 <= s < self.n_states for s in seq):
-            raise DataError(
-                f"state indices must be in [0, {self.n_states}): {seq}"
-            )
-        if seq:
-            self._initial[seq[0]] += 1.0
-        for a, b in zip(seq, seq[1:]):
-            self._counts[a, b] += 1.0
-        return self
-
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """Row-normalized transition probabilities ``P(next | current)``."""
-        return self._counts / self._counts.sum(axis=1, keepdims=True)
-
-    @property
-    def initial_probabilities(self) -> np.ndarray:
-        return self._initial / self._initial.sum()
-
-    def log_transition(self) -> np.ndarray:
-        return np.log(np.maximum(self.transition_matrix, np.exp(_LOG_FLOOR)))
-
-    def log_initial(self) -> np.ndarray:
-        return np.log(np.maximum(self.initial_probabilities, np.exp(_LOG_FLOOR)))
-
-    def __repr__(self):
-        return f"TransitionModel(n_states={self.n_states})"
-
-
-def viterbi_decode(
-    log_likelihoods: np.ndarray,
-    transition: TransitionModel,
-) -> np.ndarray:
-    """MAP state sequence for per-step emission log-likelihoods.
-
-    Parameters
-    ----------
-    log_likelihoods:
-        Array ``(n_steps, n_states)`` of per-segment, per-condition
-        emission log-likelihoods (e.g. from
-        :meth:`SideChannelAttacker.log_likelihoods`).
-    transition:
-        The fitted :class:`TransitionModel`.
-
-    Returns the most likely state-index sequence, shape ``(n_steps,)``.
-    """
-    ll = np.asarray(log_likelihoods, dtype=float)
-    if ll.ndim != 2:
-        raise ShapeError("log_likelihoods must be 2-D (steps, states)")
-    n_steps, n_states = ll.shape
-    if n_states != transition.n_states:
-        raise ShapeError(
-            f"log_likelihoods has {n_states} states, transition model "
-            f"{transition.n_states}"
-        )
-    if n_steps == 0:
-        raise DataError("empty sequence")
-    log_a = transition.log_transition()
-    score = transition.log_initial() + ll[0]
-    back = np.zeros((n_steps, n_states), dtype=int)
-    for t in range(1, n_steps):
-        cand = score[:, None] + log_a  # (from, to)
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(n_states)] + ll[t]
-    path = np.empty(n_steps, dtype=int)
-    path[-1] = int(np.argmax(score))
-    for t in range(n_steps - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+from repro.errors import ConfigurationError, DataError
 
 
 class _SequentialDetector:
@@ -344,39 +200,3 @@ class EwmaDetector(_SequentialDetector):
             f"EwmaDetector(alpha={self.alpha}, threshold={self.threshold}, "
             f"E={self.statistic:.3f}, alarms={len(self.alarms)})"
         )
-
-
-class SequenceAttacker:
-    """Viterbi-smoothed side-channel attacker.
-
-    Wraps a fitted :class:`SideChannelAttacker` (the per-segment CGAN
-    likelihood model) with a :class:`TransitionModel` fitted on known or
-    assumed G-code statistics.
-    """
-
-    def __init__(
-        self,
-        base_attacker: SideChannelAttacker,
-        transition: TransitionModel,
-    ):
-        if transition.n_states != len(base_attacker.conditions):
-            raise ConfigurationError(
-                "transition model and attacker disagree on condition count"
-            )
-        self.base = base_attacker
-        self.transition = transition
-
-    def infer_sequence(self, features) -> np.ndarray:
-        """MAP condition-index sequence for temporally ordered segments."""
-        if not self.base.fitted:
-            self.base.fit()
-        ll = self.base.log_likelihoods(features)
-        return viterbi_decode(ll, self.transition)
-
-    def sequence_accuracy(self, features, true_indices) -> float:
-        """Per-step accuracy of the smoothed reconstruction."""
-        true_indices = np.asarray(true_indices, dtype=int)
-        pred = self.infer_sequence(features)
-        if pred.shape != true_indices.shape:
-            raise ShapeError("features and true_indices are misaligned")
-        return float((pred == true_indices).mean())

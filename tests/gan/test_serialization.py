@@ -87,3 +87,19 @@ class TestFailures:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(SerializationError, match="unsupported noise prior"):
             load_cgan(tmp_path / "model")
+
+    @pytest.mark.parametrize("key", ["trained_iterations", "noise", "feature_dim"])
+    def test_missing_key_is_typed(self, toy_dataset, tmp_path, key):
+        save_cgan(trained(toy_dataset), tmp_path / "model")
+        meta_path = tmp_path / "model" / "cgan.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SerializationError, match=key):
+            load_cgan(tmp_path / "model")
+
+    def test_non_object_document_is_typed(self, toy_dataset, tmp_path):
+        save_cgan(trained(toy_dataset), tmp_path / "model")
+        (tmp_path / "model" / "cgan.json").write_text("[1, 2]")
+        with pytest.raises(SerializationError, match="not an object"):
+            load_cgan(tmp_path / "model")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.flows.signal import SignalFlowData
-from repro.flows.encoding import SingleMotorEncoder, condition_label
+from repro.flows.encoding import condition_label
 from repro.manufacturing import (
     MotionPlanner,
     Printer3D,
@@ -12,11 +12,7 @@ from repro.manufacturing import (
     collect_segments,
     rectangle_program,
 )
-from repro.security import (
-    EmissionAttackDetector,
-    TransitionModel,
-    roc_curve,
-)
+from repro.security import EmissionAttackDetector, roc_curve
 
 
 class TestSignalFlowFromPlans:
@@ -30,17 +26,6 @@ class TestSignalFlowFromPlans:
         assert flow.event_probability("X") == pytest.approx(0.5, abs=0.1)
         assert flow.event_probability("Y") == pytest.approx(0.5, abs=0.1)
         assert flow.entropy() > 0.9
-
-    def test_transition_model_from_rectangle(self):
-        segs = MotionPlanner().plan(rectangle_program(20, 10, n_loops=4))
-        enc = SingleMotorEncoder(axes=("X", "Y"))
-        idx = {frozenset({"X"}): 0, frozenset({"Y"}): 1}
-        seq = [idx[s.active_axes] for s in segs if s.active_axes in idx]
-        model = TransitionModel.from_sequences([seq], 2, smoothing=0.1)
-        tm = model.transition_matrix
-        # Perimeter structure: X is always followed by Y and vice versa.
-        assert tm[0, 1] > 0.9
-        assert tm[1, 0] > 0.9
 
 
 class TestArcsThroughFullStack:

@@ -10,7 +10,6 @@ from repro.manufacturing.programs import (
     random_single_motor_sequence,
     rectangle_program,
     single_motor_program,
-    staircase_program,
 )
 
 
@@ -70,11 +69,6 @@ class TestShapes:
     def test_rectangle_rejects_bad_dims(self):
         with pytest.raises(ConfigurationError):
             rectangle_program(0, 10)
-
-    def test_staircase_z_appears_once_per_layer(self):
-        prog = staircase_program(4)
-        z_moves = [a for a in active_sets(prog) if a == {"Z"}]
-        assert len(z_moves) == 4
 
     def test_layered_object_has_multi_axis_moves(self):
         prog = layered_object_program(2)

@@ -29,7 +29,6 @@ from repro.security.engine import (
     security_analysis_h_sweep,
 )
 from repro.security.likelihood import repeated_likelihood_analysis
-from repro.security.mutual_information import generator_leakage_profile
 from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import stable_entropy
 
@@ -291,6 +290,18 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize(
+        "analysis",
+        [security_analysis, security_analysis_h_sweep, repeated_likelihood_analysis],
+        ids=["single", "h-sweep", "repeated"],
+    )
+    def test_single_condition_test_set(self, toy_dataset, analysis):
+        # No row is ever incorrectly labeled, so Inc (and the margin)
+        # would rest on no evidence.
+        one = toy_dataset.subset_for_condition(toy_dataset.unique_conditions()[0])
+        with pytest.raises(DataError, match="at least 2"):
+            analysis(gaussian_sampler, one, g_size=20, root_entropy=ROOT)
+
+    @pytest.mark.parametrize(
         "root", [np.random.default_rng(0), 1.5, "7"], ids=["generator", "float", "str"]
     )
     def test_root_entropy_must_be_int_or_none(self, toy_dataset, root):
@@ -300,7 +311,6 @@ class TestValidation:
             lambda: security_analysis(sampler, toy_dataset, root_entropy=root),
             EmissionAttackDetector(sampler, conds, root_entropy=root).fit,
             SideChannelAttacker(sampler, conds, root_entropy=root).fit,
-            lambda: generator_leakage_profile(sampler, conds, root_entropy=root),
         ]
         for draw in draws:
             with pytest.raises(ConfigurationError, match="root_entropy"):

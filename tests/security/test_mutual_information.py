@@ -8,7 +8,6 @@ from repro.flows.dataset import FlowPairDataset
 from repro.security.mutual_information import (
     condition_entropy_bits,
     feature_leakage_profile,
-    generator_leakage_profile,
     histogram_mutual_information,
 )
 
@@ -65,24 +64,3 @@ class TestProfiles:
         profile = feature_leakage_profile(ds)
         assert profile[0] > 5 * max(profile[1], 0.01)
 
-    def test_generator_profile(self, toy_dataset):
-        def oracle(cond, n, rng):
-            center = 0.2 if cond[0] == 1.0 else 0.8
-            return np.clip(rng.normal(center, 0.05, size=(n, 4)), 0, 1)
-
-        profile = generator_leakage_profile(
-            oracle, toy_dataset.unique_conditions(), n_per_condition=150, root_entropy=0
-        )
-        assert profile.shape == (4,)
-        assert np.all(profile > 0.5)  # Every feature leaks in the oracle.
-
-    def test_real_vs_generated_profiles_correlate(self, trained_cgan, case_split):
-        _train, test = case_split
-        real = feature_leakage_profile(test)
-        gen = generator_leakage_profile(
-            trained_cgan, test.unique_conditions(), n_per_condition=100, root_entropy=0
-        )
-        assert real.shape == gen.shape
-        # The CGAN should reproduce at least the rough leakage structure.
-        corr = np.corrcoef(real, gen)[0, 1]
-        assert corr > 0.0

@@ -109,7 +109,7 @@ class TestDensity:
         # Paper's Line 10: Like = exp(LogLike) * h.
         h = 0.2
         avg_cor, _ = condition_likelihoods(
-            window(h, [0.5]), np.array([[0.5]]), 0, np.array([True])
+            window(h, [0.5]), np.array([[0.5], [0.9]]), 0, np.array([True, False])
         )
         assert avg_cor[0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
 

@@ -1,147 +1,10 @@
-"""Tests for repro.security.sequence (Viterbi sequence attacker)."""
+"""Tests for repro.security.sequence (CUSUM/EWMA decision layer)."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DataError, ShapeError
-from repro.flows.signal import SignalFlowData
-from repro.security.confidentiality import SideChannelAttacker
-from repro.security.sequence import (
-    CusumDetector,
-    EwmaDetector,
-    SequenceAttacker,
-    TransitionModel,
-    viterbi_decode,
-)
-
-
-class TestTransitionModel:
-    def test_counts_normalize(self):
-        model = TransitionModel(2, smoothing=0.0)
-        model.update([0, 0, 1, 0, 1, 1])
-        tm = model.transition_matrix
-        np.testing.assert_allclose(tm.sum(axis=1), 1.0)
-        # Observed transitions: 0->0, 0->1 twice, 1->0, 1->1.
-        assert tm[0, 1] == pytest.approx(2 / 3)
-
-    def test_smoothing_keeps_unseen_possible(self):
-        model = TransitionModel(3, smoothing=1.0)
-        model.update([0, 0, 0])
-        assert np.all(model.transition_matrix > 0)
-
-    def test_from_sequences(self):
-        model = TransitionModel.from_sequences([[0, 1], [1, 0]], 2)
-        assert model.transition_matrix.shape == (2, 2)
-
-    def test_from_signal_flow(self):
-        data = SignalFlowData(["x", "y", "x", "y"])
-        model = TransitionModel.from_signal_flow(
-            data, {"x": 0, "y": 1}, smoothing=0.0
-        )
-        assert model.transition_matrix[0, 1] == pytest.approx(1.0)
-
-    def test_from_signal_flow_unknown_symbol(self):
-        data = SignalFlowData(["x", "q"])
-        with pytest.raises(DataError):
-            TransitionModel.from_signal_flow(data, {"x": 0, "y": 1})
-
-    def test_rejects_bad_state(self):
-        with pytest.raises(DataError):
-            TransitionModel(2).update([0, 5])
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            TransitionModel(1)
-        with pytest.raises(ConfigurationError):
-            TransitionModel(2, smoothing=-1.0)
-
-
-class TestViterbi:
-    def test_follows_strong_emissions(self):
-        model = TransitionModel(2, smoothing=1.0)
-        ll = np.log(
-            np.array([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]])
-        )
-        path = viterbi_decode(ll, model)
-        np.testing.assert_array_equal(path, [0, 1, 0])
-
-    def test_transition_prior_overrides_weak_emissions(self):
-        # Sticky chain: staying is 99x likelier than switching.
-        model = TransitionModel(2, smoothing=0.0)
-        for _ in range(99):
-            model.update([0, 0])
-            model.update([1, 1])
-        model.update([0, 1])
-        model.update([1, 0])
-        # Emissions mildly prefer state 1 at t=1 only.
-        ll = np.log(np.array([[0.9, 0.1], [0.45, 0.55], [0.9, 0.1]]))
-        path = viterbi_decode(ll, model)
-        np.testing.assert_array_equal(path, [0, 0, 0])
-
-    def test_single_step(self):
-        model = TransitionModel(3)
-        ll = np.log(np.array([[0.2, 0.5, 0.3]]))
-        assert viterbi_decode(ll, model)[0] == 1
-
-    def test_shape_errors(self):
-        model = TransitionModel(2)
-        with pytest.raises(ShapeError):
-            viterbi_decode(np.zeros(3), model)
-        with pytest.raises(ShapeError):
-            viterbi_decode(np.zeros((3, 4)), model)
-        with pytest.raises(DataError):
-            viterbi_decode(np.zeros((0, 2)), model)
-
-
-class TestSequenceAttacker:
-    CONDS = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-    @staticmethod
-    def oracle(cond, n, rng):
-        center = 0.2 if cond[0] == 1.0 else 0.8
-        return np.clip(rng.normal(center, 0.08, size=(n, 4)), 0, 1)
-
-    def _noisy_sequence(self, seed=0, n=40, flip=0.0):
-        """A sticky true sequence and matching (noisy) observations."""
-        rng = np.random.default_rng(seed)
-        states = [0]
-        for _ in range(n - 1):
-            if rng.random() < 0.1:
-                states.append(1 - states[-1])
-            else:
-                states.append(states[-1])
-        centers = np.where(np.array(states) == 0, 0.2, 0.8)
-        feats = np.clip(
-            rng.normal(centers[:, None], 0.25, size=(n, 4)), 0, 1
-        )
-        return np.array(states), feats
-
-    def test_smoothing_beats_independent(self):
-        true, feats = self._noisy_sequence(seed=3)
-        base = SideChannelAttacker(
-            self.oracle, self.CONDS, h=0.15, root_entropy=0
-        ).fit()
-        independent_acc = float((base.infer(feats) == true).mean())
-
-        transition = TransitionModel(2, smoothing=1.0)
-        for seed in range(5):
-            seq, _ = self._noisy_sequence(seed=100 + seed)
-            transition.update(seq)
-        seq_attacker = SequenceAttacker(base, transition)
-        smoothed_acc = seq_attacker.sequence_accuracy(feats, true)
-        assert smoothed_acc >= independent_acc
-
-    def test_state_count_mismatch(self):
-        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, root_entropy=0)
-        with pytest.raises(ConfigurationError):
-            SequenceAttacker(base, TransitionModel(3))
-
-    def test_autofits_base(self):
-        base = SideChannelAttacker(self.oracle, self.CONDS, h=0.15, root_entropy=0)
-        attacker = SequenceAttacker(base, TransitionModel(2))
-        _true, feats = self._noisy_sequence(seed=1, n=5)
-        path = attacker.infer_sequence(feats)
-        assert path.shape == (5,)
+from repro.errors import ConfigurationError, DataError
+from repro.security.sequence import CusumDetector, EwmaDetector
 
 
 class TestCusumDetector:

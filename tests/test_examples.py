@@ -49,8 +49,6 @@ def test_expected_examples_present():
         "quickstart",
         "side_channel_attack",
         "attack_detection",
-        "defense_evaluation",
-        "attack_surface_audit",
         "cross_subsystem_analysis",
         "gcode_playground",
     } <= names
