@@ -24,7 +24,9 @@ pipeline and its pair (the monitored emission given the G-code), with
 the train/test split derived from ``--seed`` as an experiment derives
 it.  On an experiment's ``dataset.npz`` with its seed and iterations,
 ``train`` reproduces its ``model/`` and ``history.csv``, and ``analyze``
-prints its ``report.txt``.
+prints its ``report.txt``.  A model directory records its split, and
+``analyze``, ``table1`` and ``detect`` refuse a model whose split their
+``--seed`` and ``--test-fraction`` do not derive.
 
 Examples
 --------
@@ -50,7 +52,7 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.flows.io import load_dataset, save_dataset
-from repro.gan.serialization import load_cgan, save_cgan
+from repro.gan.serialization import load_cgan
 from repro.graph import adjacency_listing, flow_listing, generate, to_dot
 from repro.manufacturing import (
     GCODE_FLOW,
@@ -152,6 +154,8 @@ def _load_pair_model(args, **fields):
 
 
 def _cmd_train(args) -> int:
+    from repro.pipeline.experiment import save_pair_model
+
     pipeline, key, dataset = _case_study_pair(
         args,
         iterations=args.iterations,
@@ -169,7 +173,7 @@ def _cmd_train(args) -> int:
         f"D={final['d_loss']:.3f} G={final['g_loss']:.3f} "
         f"(D fooled at 2ln2={2 * np.log(2):.3f})"
     )
-    save_cgan(model.cgan, args.out)
+    save_pair_model(pipeline, key, args.out)
     model.cgan.history.to_csv(Path(args.out) / "history.csv")
     print(f"model and history.csv saved -> {args.out}")
     return 0

@@ -215,6 +215,11 @@ def restore_training_checkpoint(
         raise SerializationError(
             f"corrupt checkpoint marker {marker}: {exc}"
         ) from exc
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"corrupt checkpoint marker {marker}: a JSON "
+            f"{type(payload).__name__}, not an object"
+        )
     if payload.get("schema") != CHECKPOINT_SCHEMA:
         raise SerializationError(
             f"unknown checkpoint schema {payload.get('schema')!r} in {marker}"
@@ -228,6 +233,11 @@ def restore_training_checkpoint(
             "configuration; refusing to resume from it"
         )
     digests = payload.get("files", {})
+    if not isinstance(digests, dict):
+        raise SerializationError(
+            f"corrupt checkpoint marker {marker}: \"files\" is a JSON "
+            f"{type(digests).__name__}, not an object"
+        )
     for name in _CKPT_FILES:
         path = directory / name
         want = digests.get(name)

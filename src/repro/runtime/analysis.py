@@ -17,8 +17,9 @@ schedule produces bitwise-identical likelihood tables.
 condition samples keyed by ``(pair, condition, n, seed)``.  Because the
 per-job RNG is a pure function of that key, a cache hit is numerically
 indistinguishable from regeneration — it simply skips the generator
-forward passes (the dominant cost when one test set is analyzed under
-several Parzen widths ``h``, as in the paper's Table I sweep).
+forward passes when the same cells are analyzed again with the same
+root.  One job already serves every Parzen width ``h`` of a Table I
+sweep: it draws once and scores all widths in one kernel pass.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class ConditionSampleCache:
 
 @dataclass(eq=False)
 class AnalysisJob:
-    """One (pair, condition) cell of Algorithm 3, picklable.
+    """One (pair, condition) cell of Algorithm 3 at every Parzen width in
+    the tuple ``h``, picklable.
 
     ``generated`` is pre-filled by the engine on a sample-cache hit;
     the job then skips the generator entirely.  (``eq=False``: jobs
@@ -143,7 +145,7 @@ class AnalysisJob:
     test_features: np.ndarray
     correct_mask: np.ndarray
     feature_indices: np.ndarray
-    h: float
+    h: tuple
     g_size: int
     root_entropy: int
     sampler: object = None
@@ -152,7 +154,8 @@ class AnalysisJob:
 
 @dataclass(eq=False)
 class AnalysisOutcome:
-    """Result of one job: Cor/Inc likelihood rows *or* a captured failure."""
+    """Result of one job: one Cor/Inc likelihood row per width of the
+    job's ``h`` (``(len(h), n_features)`` arrays) *or* a captured failure."""
 
     pair: str
     cond_index: int
@@ -262,11 +265,12 @@ def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
     Algorithm 3 Lines 6-14 for one condition: draw ``GSize`` generator
     samples (unless a cached draw is attached), model every analyzed
     feature with a 1-D Parzen window, and average the scaled
-    likelihoods of the correctly- and incorrectly-labeled test rows.
+    likelihoods of the correctly- and incorrectly-labeled test rows, at
+    every width of ``job.h`` from one kernel pass.
     """
     start = time.perf_counter()
     try:
-        from repro.security.likelihood import condition_likelihoods
+        from repro.security.likelihood import condition_likelihood_sweep
         from repro.security.parzen import ConditionalParzen
 
         cache_hit = job.generated is not None
@@ -277,10 +281,10 @@ def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
                 job.sampler, job.pair, job.condition, job.g_size, job.root_entropy
             )
         model = ConditionalParzen(
-            job.h, [generated], feature_indices=job.feature_indices
+            job.h[0], [generated], feature_indices=job.feature_indices
         )
-        avg_cor, avg_inc = condition_likelihoods(
-            model, job.test_features, 0, job.correct_mask
+        avg_cor, avg_inc = condition_likelihood_sweep(
+            model, job.test_features, 0, job.correct_mask, job.h
         )
         return AnalysisOutcome(
             pair=job.pair,

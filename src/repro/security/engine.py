@@ -4,6 +4,12 @@ Every (pair, condition) cell of the likelihood table is an independent
 :class:`~repro.runtime.analysis.AnalysisJob` fanned out by
 :func:`repro.runtime.executors.fan_out`, with
 
+* **one pass per sweep** — a job carries every Parzen width ``h`` of
+  the call: it draws ``G(Z | C_i)`` once and scores all widths from one
+  set of squared kernel distances, so a Table I sweep
+  (:func:`security_analysis_h_sweep`) is one fan-out and a single-``h``
+  analysis is the sweep of one width;
+
 * **fused scoring** — all test points are evaluated against the
   kernels of every feature in small fixed-size blocks
   (:class:`~repro.security.parzen.ConditionalParzen`) instead of
@@ -14,12 +20,13 @@ Every (pair, condition) cell of the likelihood table is an independent
   schedules produce bitwise-identical likelihood tables;
 * **sample caching** — generated condition samples are reused through a
   :class:`~repro.runtime.analysis.ConditionSampleCache` keyed by
-  ``(pair, condition, n, seed)``, which makes Table-I-style ``h``
-  sweeps pay for generation once;
+  ``(pair, condition, n, seed)``, so repeated calls with the same root
+  (and the detector and attacker fitted after them) skip generation;
 * **instrumentation** — ``AnalysisStarted`` / ``ConditionScored`` /
   ``AnalysisCompleted`` events on the shared
   :class:`~repro.runtime.events.EventBus` feed the existing console and
-  JSONL reporters.
+  JSONL reporters; ``ConditionScored`` fires once per (pair, condition)
+  per call, whatever the number of widths.
 
 Failures are isolated like training: every job is attempted, completed
 cells are assembled, and a single :class:`~repro.errors.AnalysisError`
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import (
     DEFAULT_PAIR,
@@ -117,7 +124,9 @@ def run_security_analysis(
     bus: EventBus | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> dict:
-    """Run Algorithm 3 for several flow pairs in one parallel fan-out.
+    """Run Algorithm 3 at width *h* for several flow pairs in one
+    parallel fan-out: the engine pass of :func:`security_analysis_h_sweep`
+    at one width.
 
     Parameters
     ----------
@@ -150,8 +159,27 @@ def run_security_analysis(
         If one or more jobs failed.  Raised only after every job was
         attempted.
     """
+    results = _analyze(
+        targets,
+        (h,),
+        g_size=g_size,
+        root_entropy=root_entropy,
+        workers=workers,
+        bus=bus,
+        cache=cache,
+    )
+    return {key: sweep[float(h)] for key, sweep in results.items()}
+
+
+def _analyze(
+    targets, h_values, *, g_size, root_entropy, workers, bus, cache
+) -> dict:
+    """The one Algorithm 3 fan-out: ``{target.key: {h: LikelihoodResult}}``
+    for every width in *h_values*, one job per (pair, condition)."""
     check_positive_int(workers, "workers")
-    check_positive(h, "h")
+    hs = tuple(dict.fromkeys(float(check_positive(h, "h")) for h in h_values))
+    if not hs:
+        raise ConfigurationError("h_values must hold at least one width")
     check_positive_int(g_size, "g_size")
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
@@ -172,7 +200,7 @@ def run_security_analysis(
                 test_features=features,
                 correct_mask=prep.target.test_set.mask_for_condition(cond),
                 feature_indices=prep.feature_indices,
-                h=h,
+                h=hs,
                 g_size=g_size,
                 root_entropy=root_entropy,
                 sampler=prep.sampler,
@@ -250,21 +278,18 @@ def run_security_analysis(
     results: dict = {}
     cursor = 0
     for prep in prepared:
-        n_conds = prep.conditions.shape[0]
-        n_feats = prep.feature_indices.size
-        avg_cor = np.empty((n_conds, n_feats))
-        avg_inc = np.empty((n_conds, n_feats))
-        for outcome in outcomes[cursor : cursor + n_conds]:
-            avg_cor[outcome.cond_index] = outcome.avg_correct
-            avg_inc[outcome.cond_index] = outcome.avg_incorrect
-        cursor += n_conds
-        results[prep.target.key] = LikelihoodResult(
-            conditions=prep.conditions,
-            feature_indices=prep.feature_indices,
-            avg_correct=avg_cor,
-            avg_incorrect=avg_inc,
-            h=h,
-        )
+        scored = outcomes[cursor : cursor + prep.conditions.shape[0]]
+        cursor += len(scored)
+        results[prep.target.key] = {
+            h: LikelihoodResult(
+                conditions=prep.conditions,
+                feature_indices=prep.feature_indices,
+                avg_correct=np.stack([o.avg_correct[k] for o in scored]),
+                avg_incorrect=np.stack([o.avg_incorrect[k] for o in scored]),
+                h=h,
+            )
+            for k, h in enumerate(hs)
+        }
     return results
 
 
@@ -272,18 +297,11 @@ def security_analysis(
     generator_sampler,
     test_set: FlowPairDataset,
     *,
-    conditions=None,
-    feature_indices=None,
     h: float = 0.2,
-    g_size: int = 200,
-    root_entropy: int | None = None,
-    pair: str = DEFAULT_PAIR,
-    workers: int = 1,
-    bus: EventBus | None = None,
-    cache: ConditionSampleCache | None = None,
+    **kwargs,
 ) -> LikelihoodResult:
-    """Algorithm 3 for one flow pair: :func:`run_security_analysis` on a
-    single target keyed by *pair*.
+    """Algorithm 3 for one flow pair: :func:`security_analysis_h_sweep`
+    at the one width *h*.
 
     *generator_sampler* is a trained
     :class:`~repro.gan.cgan.ConditionalGAN` or any callable
@@ -293,6 +311,35 @@ def security_analysis(
     shared ``Generator``: schedule independence requires each
     (pair, condition) stream to be derived, not consumed in sequence.
     """
+    sweep = security_analysis_h_sweep(
+        generator_sampler, test_set, h_values=(h,), **kwargs
+    )
+    return sweep[float(h)]
+
+
+def security_analysis_h_sweep(
+    generator_sampler,
+    test_set: FlowPairDataset,
+    *,
+    h_values=(0.2, 0.4, 0.6, 0.8, 1.0),
+    conditions=None,
+    feature_indices=None,
+    g_size: int = 200,
+    root_entropy: int | None = None,
+    pair: str = DEFAULT_PAIR,
+    workers: int = 1,
+    bus: EventBus | None = None,
+    cache: ConditionSampleCache | None = None,
+) -> dict:
+    """Engine-backed Table I sweep: ``{h: LikelihoodResult}``, keyed by
+    ``float(h)``, from one engine pass keyed by *pair*.
+
+    Each (pair, condition) job draws ``G(Z | C_i)`` once and scores
+    every width in *h_values* from the same squared kernel distances;
+    entry ``h`` is bitwise equal to :func:`security_analysis` at ``h``
+    with the same arguments.  A *cache*, when given, serves and stores
+    the draws as in :func:`run_security_analysis`.
+    """
     target = AnalysisTarget(
         key=pair,
         sampler=generator_sampler,
@@ -301,9 +348,9 @@ def security_analysis(
         feature_indices=feature_indices,
         label=pair,
     )
-    results = run_security_analysis(
+    results = _analyze(
         [target],
-        h=h,
+        h_values,
         g_size=g_size,
         root_entropy=root_entropy,
         workers=workers,
@@ -311,27 +358,3 @@ def security_analysis(
         cache=cache,
     )
     return results[pair]
-
-
-def security_analysis_h_sweep(
-    generator_sampler,
-    test_set: FlowPairDataset,
-    *,
-    h_values=(0.2, 0.4, 0.6, 0.8, 1.0),
-    cache: ConditionSampleCache | None = None,
-    **kwargs,
-) -> dict:
-    """Engine-backed Table I sweep: ``{h: LikelihoodResult}``.
-
-    A shared sample cache (created automatically when not supplied)
-    means the generator runs once per condition for the *whole* sweep —
-    the samples do not depend on ``h``, only the Parzen fits do.
-    """
-    if cache is None:
-        cache = ConditionSampleCache(max_entries=max(64, 4 * len(tuple(h_values))))
-    out = {}
-    for h in h_values:
-        out[float(h)] = security_analysis(
-            generator_sampler, test_set, h=float(h), cache=cache, **kwargs
-        )
-    return out

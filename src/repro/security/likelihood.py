@@ -138,13 +138,28 @@ def condition_likelihoods(
 ) -> tuple:
     """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
     per-feature mean of ``exp(LogLike) * h`` over the correctly and the
-    incorrectly labeled rows of *features*."""
+    incorrectly labeled rows of *features*, at the model's ``h``."""
+    avg_cor, avg_inc = condition_likelihood_sweep(
+        model, features, cond_index, correct_mask, (model.h,)
+    )
+    return avg_cor[0], avg_inc[0]
+
+
+def condition_likelihood_sweep(
+    model: ConditionalParzen, features, cond_index: int, correct_mask, bandwidths
+) -> tuple:
+    """:func:`condition_likelihoods` at every width in *bandwidths* from
+    one :meth:`~repro.security.parzen.ConditionalParzen.log_densities`
+    pass: ``(AvgCor, AvgInc)``, each ``(len(bandwidths), n_features)``."""
     claims = np.full(len(features), cond_index)
-    likes = np.exp(model.log_density(features, claims).T) * model.h
+    hs = np.asarray(bandwidths, dtype=float)[:, None, None]
+    likes = np.exp(
+        model.log_densities(features, claims, bandwidths).transpose(0, 2, 1)
+    ) * hs
 
     def masked_mean(mask):
         # C order makes each feature's mean reduce like a 1-D mean.
-        return np.ascontiguousarray(likes[:, mask]).mean(axis=1)
+        return np.ascontiguousarray(likes[:, :, mask]).mean(axis=2)
 
     return masked_mean(correct_mask), masked_mean(~correct_mask)
 

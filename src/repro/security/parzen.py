@@ -58,11 +58,21 @@ class ConditionalParzen:
 
     def log_density(self, features, claim_idx) -> np.ndarray:
         """``(n, n_features)`` log density of each ``(n, n_inputs)`` row's
-        features under the condition index it claims.
+        features under the condition index it claims, at this model's
+        ``h``: :meth:`log_densities` at the one bandwidth ``(h,)``.
 
         The result is the transpose of a C-contiguous array, so each
         feature's rows are contiguous.  Rows are scored independently.
         """
+        return self.log_densities(features, claim_idx, (self.h,))[0]
+
+    def log_densities(self, features, claim_idx, bandwidths) -> np.ndarray:
+        """``(len(bandwidths), n, n_features)``: :meth:`log_density` at
+        every window width in *bandwidths*, from one pass over the
+        kernel blocks.  Entry ``k`` is bitwise equal to the
+        :meth:`log_density` of a model of width ``bandwidths[k]``.
+        """
+        hs = tuple(float(check_positive(h, "h")) for h in bandwidths)
         x = check_array(features, "features", ndim=2, allow_empty=True)
         claims = np.asarray(claim_idx).ravel()
         if x.shape[1] != self.n_inputs:
@@ -83,60 +93,74 @@ class ConditionalParzen:
             x = x[:, self.feature_indices]
         groups = np.unique(claims)
         if groups.size == 1:
-            return self._score(groups[0], x.T).T
-        out = np.empty((self.n_features, x.shape[0]))
+            return self._score(groups[0], x.T, hs).transpose(0, 2, 1)
+        out = np.empty((len(hs), self.n_features, x.shape[0]))
         for ci in groups:
             rows = np.flatnonzero(claims == ci)
-            out[:, rows] = self._score(ci, x[rows].T)
-        return out.T
+            out[:, :, rows] = self._score(ci, x[rows].T, hs)
+        return out.transpose(0, 2, 1)
 
     def joint_log_density(self, features, claim_idx) -> np.ndarray:
         """Per-row sum of :meth:`log_density` over features, added one
         feature at a time (``sum`` goes pairwise for a single row)."""
         return np.add.accumulate(self.log_density(features, claim_idx).T)[-1]
 
-    def _score(self, ci: int, xt: np.ndarray) -> np.ndarray:
-        """``(n_features, rows)`` log densities under condition *ci*, in
-        ``(feature, row, kernel)`` blocks of about :data:`BLOCK_ELEMENTS`."""
+    def _score(self, ci: int, xt: np.ndarray, hs: tuple) -> np.ndarray:
+        """``(len(hs), n_features, rows)`` log densities under condition
+        *ci*, in ``(feature, row, kernel)`` blocks of about
+        :data:`BLOCK_ELEMENTS`."""
         n_feats, n_rows = xt.shape
         pairs = max(1, BLOCK_ELEMENTS // self.g_size)
         row_step = max(1, min(n_rows, pairs))
         feat_step = max(1, pairs // row_step)
-        out = np.empty((n_feats, n_rows))
+        out = np.empty((len(hs), n_feats, n_rows))
         for f0 in range(0, n_feats, feat_step):
             f = slice(f0, f0 + feat_step)
             kernels = self.kernels[ci, f, None, :]
             for r0 in range(0, n_rows, row_step):
                 r = slice(r0, r0 + row_step)
-                out[f, r] = self._score_block(xt[f, r, None], kernels)
+                self._score_block(xt[f, r, None], kernels, hs, out[:, f, r])
         return out
 
-    def _score_block(self, x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-        """Log density of ``(feats, rows, 1)`` points against ``(feats,
-        1, g)`` kernels: a log-sum-exp over the kernel axis."""
-        scale = -0.5 / (self.h * self.h)
+    def _score_block(self, x, kernels, hs: tuple, out: np.ndarray) -> None:
+        """Write to ``out[k]`` the log density at width ``hs[k]`` of
+        ``(feats, rows, 1)`` points against ``(feats, 1, g)`` kernels: a
+        log-sum-exp over the kernel axis.
+
+        The squared distances and each row's nearest one do not depend
+        on ``h`` and are computed once.  As ``scale = -1/(2h^2) < 0`` and
+        rounding is monotone, ``(min_k sq) * scale`` is bitwise
+        ``max_k(sq * scale)``, the log-sum-exp shift.
+        """
         # Overflow to inf is the right saturation for astronomically far
         # points (their kernel weight is exactly 0).
         with np.errstate(over="ignore"):
             # C order keeps each row's kernels contiguous, so every sum
             # below reduces one row in numpy's pairwise order whatever
             # the block shape: blocking never changes a score.
-            diffs = np.subtract(x, kernels, order="C")
-            log_kernel = (diffs * diffs) * scale
-        m = log_kernel.max(axis=2, keepdims=True)
-        finite = np.isfinite(m)
-        if finite.all():
-            lse = m[..., 0] + np.log(np.exp(log_kernel - m).sum(axis=2))
-        else:
-            # Rows where every kernel underflowed are exactly -inf, not nan.
-            shifted = np.where(
-                finite, log_kernel - np.where(finite, m, 0.0), -np.inf
-            )
-            with np.errstate(divide="ignore"):
-                lse = np.where(
-                    finite[..., 0],
-                    m[..., 0] + np.log(np.exp(shifted).sum(axis=2)),
-                    -np.inf,
-                )
-        return lse - np.log(self.g_size) - np.log(self.h) - 0.5 * _LOG_2PI
-
+            sq = np.subtract(x, kernels, order="C")
+            np.multiply(sq, sq, out=sq)
+        sq_min = sq.min(axis=2, keepdims=True)
+        work = np.empty_like(sq)
+        for k, h in enumerate(hs):
+            scale = -0.5 / (h * h)
+            with np.errstate(over="ignore"):
+                m = sq_min * scale
+                np.multiply(sq, scale, out=work)
+            finite = np.isfinite(m)
+            if finite.all():
+                np.subtract(work, m, out=work)
+                np.exp(work, out=work)
+                lse = m[..., 0] + np.log(work.sum(axis=2))
+            else:
+                # Rows where every kernel underflowed are exactly -inf,
+                # not nan: their kernels are all -inf, shifted by 0.
+                np.subtract(work, np.where(finite, m, 0.0), out=work)
+                np.exp(work, out=work)
+                with np.errstate(divide="ignore"):
+                    lse = np.where(
+                        finite[..., 0],
+                        m[..., 0] + np.log(work.sum(axis=2)),
+                        -np.inf,
+                    )
+            out[k] = lse - np.log(self.g_size) - np.log(h) - 0.5 * _LOG_2PI

@@ -131,6 +131,20 @@ class TestRestoreRejection:
         with pytest.raises(SerializationError, match="corrupt"):
             restore_training_checkpoint(_fresh_cgan(toy_dataset), ckpt_dir)
 
+    @pytest.mark.parametrize(
+        "marker",
+        ["[1, 2]", '{"schema": "gansec-train-checkpoint/v1", "files": [1]}'],
+        ids=["list-marker", "list-files"],
+    )
+    def test_non_object_marker(self, tmp_path, toy_dataset, marker):
+        # Both shapes used to raise a raw AttributeError, which the
+        # fall-back to training from scratch does not catch.
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        (ckpt_dir / CHECKPOINT_MARKER).write_text(marker)
+        with pytest.raises(SerializationError, match="not an object"):
+            restore_training_checkpoint(_fresh_cgan(toy_dataset), ckpt_dir)
+
     def test_missing_component(self, toy_dataset, tmp_path):
         ckpt_dir = self._checkpointed_dir(toy_dataset, tmp_path)
         (ckpt_dir / "history.csv").unlink()

@@ -1,18 +1,26 @@
 """Tests for reloading a trained pair model.
 
 The one on-disk model layout is a :func:`~repro.gan.serialization.save_cgan`
-directory; :func:`~repro.pipeline.experiment.hydrate_pair_model` loads it
-and re-derives the pair's train/test split from the pipeline seed.
+directory; :func:`~repro.pipeline.experiment.save_pair_model` adds the
+identity of the pair's train/test split to it.
+:func:`~repro.pipeline.experiment.hydrate_pair_model` loads either and
+re-derives the split from the pipeline seed.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import SerializationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.gan.serialization import save_cgan
 from repro.manufacturing import GCODE_FLOW, printer_architecture
-from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
-from repro.pipeline.experiment import hydrate_pair_model
+from repro.pipeline import (
+    AnalysisConfig,
+    CGANConfig,
+    FlowPairKey,
+    GANSec,
+    GANSecConfig,
+)
+from repro.pipeline.experiment import SPLIT_NAME, hydrate_pair_model, save_pair_model
 
 KEY = FlowPairKey("F18", GCODE_FLOW)
 
@@ -71,3 +79,45 @@ class TestSaveLoad:
         with pytest.raises(SerializationError, match="no CGAN metadata"):
             hydrate_pair_model(pipe, tmp_path / "hollow", KEY, case_dataset)
         assert pipe.models == {}
+
+
+class TestSplitRecord:
+    """A pair-model directory records the split its model trained on."""
+
+    def test_saved_split_reloads(self, trained_pipeline, case_dataset, tmp_path):
+        save_pair_model(trained_pipeline, KEY, tmp_path / "model")
+        restored = hydrate_pair_model(_pipeline(), tmp_path / "model", KEY, case_dataset)
+        np.testing.assert_array_equal(
+            restored.test_set.features, trained_pipeline.models[KEY].test_set.features
+        )
+
+    def test_other_seed_is_refused(self, trained_pipeline, case_dataset, tmp_path):
+        save_pair_model(trained_pipeline, KEY, tmp_path / "model")
+        pipe = _pipeline(seed=2)
+        with pytest.raises(ConfigurationError, match="'root_entropy': 1.*'root_entropy': 2"):
+            hydrate_pair_model(pipe, tmp_path / "model", KEY, case_dataset)
+        assert pipe.models == {}
+
+    def test_other_test_fraction_is_refused(
+        self, trained_pipeline, case_dataset, tmp_path
+    ):
+        save_pair_model(trained_pipeline, KEY, tmp_path / "model")
+        pipe = GANSec(
+            printer_architecture(),
+            GANSecConfig(
+                cgan=CGANConfig(iterations=100),
+                analysis=AnalysisConfig(test_fraction=0.5),
+                seed=1,
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="test_fraction"):
+            hydrate_pair_model(pipe, tmp_path / "model", KEY, case_dataset)
+
+    @pytest.mark.parametrize("text", ["{broken", "[1, 2]"])
+    def test_corrupt_split_record(
+        self, trained_pipeline, case_dataset, tmp_path, text
+    ):
+        directory = save_pair_model(trained_pipeline, KEY, tmp_path / "model")
+        (directory / SPLIT_NAME).write_text(text)
+        with pytest.raises(SerializationError, match="split record"):
+            hydrate_pair_model(_pipeline(), directory, KEY, case_dataset)

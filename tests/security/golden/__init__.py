@@ -2,10 +2,13 @@
 
 ``fixture.json`` pins the correct/incorrect likelihood tables of a
 fixed-seed mini experiment run through the parallel engine
-(:func:`repro.security.engine.security_analysis`).  The regression test
-recomputes them and compares against the committed numbers, so any
-change to the Parzen scoring, the RNG derivation, or the engine's
-assembly is caught even when it is numerically "plausible".
+(:func:`repro.security.engine.security_analysis`, one call per ``h``).
+The regression test recomputes them and compares against the committed
+numbers, so any change to the Parzen scoring, the RNG derivation, or
+the engine's assembly is caught even when it is numerically
+"plausible".  The same tables from one
+:func:`~repro.security.engine.security_analysis_h_sweep` pass must be
+bitwise equal to the per-``h`` calls.
 
 Regenerate (only after an intentional numerical change) with::
 
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.flows.dataset import FlowPairDataset
-from repro.security.engine import security_analysis
+from repro.security.engine import security_analysis, security_analysis_h_sweep
 
 FIXTURE_PATH = Path(__file__).parent / "fixture.json"
 
@@ -53,30 +56,47 @@ def mini_dataset() -> FlowPairDataset:
     )
 
 
-def compute_golden() -> dict:
-    """Recompute the pinned tables with the engine (serial, no cache)."""
-    test_set = mini_dataset()
-    tables = {}
-    for h in GOLDEN_H_VALUES:
-        result = security_analysis(
-            golden_sampler,
-            test_set,
-            h=h,
-            g_size=GOLDEN_G_SIZE,
-            root_entropy=GOLDEN_ROOT_ENTROPY,
-            pair=GOLDEN_PAIR,
-        )
-        tables[repr(float(h))] = {
+#: The engine arguments of every golden run besides the widths.
+GOLDEN_RUN = dict(
+    g_size=GOLDEN_G_SIZE, root_entropy=GOLDEN_ROOT_ENTROPY, pair=GOLDEN_PAIR
+)
+
+
+def _tables(results: dict) -> dict:
+    """``{repr(h): {table name: nested list}}`` of ``{h: LikelihoodResult}``."""
+    return {
+        repr(float(h)): {
             "avg_correct": result.avg_correct.tolist(),
             "avg_incorrect": result.avg_incorrect.tolist(),
         }
+        for h, result in results.items()
+    }
+
+
+def compute_golden() -> dict:
+    """Recompute the pinned tables with the engine (serial, no cache),
+    one :func:`security_analysis` call per width."""
+    test_set = mini_dataset()
+    results = {
+        h: security_analysis(golden_sampler, test_set, h=h, **GOLDEN_RUN)
+        for h in GOLDEN_H_VALUES
+    }
     return {
         "root_entropy": GOLDEN_ROOT_ENTROPY,
         "g_size": GOLDEN_G_SIZE,
         "pair": GOLDEN_PAIR,
-        "conditions": mini_dataset().unique_conditions().tolist(),
-        "tables": tables,
+        "conditions": test_set.unique_conditions().tolist(),
+        "tables": _tables(results),
     }
+
+
+def compute_golden_sweep() -> dict:
+    """The pinned tables from one :func:`security_analysis_h_sweep` pass
+    over :data:`GOLDEN_H_VALUES`, keyed as ``compute_golden()["tables"]``."""
+    sweep = security_analysis_h_sweep(
+        golden_sampler, mini_dataset(), h_values=GOLDEN_H_VALUES, **GOLDEN_RUN
+    )
+    return _tables(sweep)
 
 
 def load_fixture() -> dict:

@@ -19,6 +19,7 @@ import numpy as np
 from tests.security.golden import (
     FIXTURE_PATH,
     compute_golden,
+    compute_golden_sweep,
     load_fixture,
     write_fixture,
 )
@@ -42,8 +43,14 @@ def main(argv=None) -> int:
         print(f"no fixture at {FIXTURE_PATH}; run with --regen to create it")
         return 1
     fresh = compute_golden()
+    sweep = compute_golden_sweep()
     pinned = load_fixture()
-    failures = []
+    failures = [
+        f"h={h} {name}: the h sweep differs from the per-h call"
+        for h, tables in fresh["tables"].items()
+        for name, table in tables.items()
+        if sweep[h][name] != table
+    ]
     for h, tables in pinned["tables"].items():
         for name in ("avg_correct", "avg_incorrect"):
             want = np.asarray(tables[name])

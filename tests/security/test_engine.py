@@ -164,8 +164,9 @@ class TestSampleCache:
             cache=cache,
         )
         assert set(sweep) == {0.2, 0.5, 1.0}
-        # 2 conditions: 2 misses on the first h, hits afterwards.
-        assert cache.stats() == {"entries": 2, "hits": 4, "misses": 2}
+        # 2 conditions, one pass: each condition is looked up and drawn
+        # once for every h together.
+        assert cache.stats() == {"entries": 2, "hits": 0, "misses": 2}
 
     def test_cache_hit_is_bitwise_equal_to_regeneration(self, toy_dataset):
         cached = ConditionSampleCache()
@@ -262,6 +263,10 @@ class TestValidation:
             for build in model_builders(toy_dataset, h=h):
                 with pytest.raises(ConfigurationError, match="h must be"):
                     build()
+
+    def test_sweep_needs_a_width(self, toy_dataset):
+        with pytest.raises(ConfigurationError, match="at least one width"):
+            security_analysis_h_sweep(gaussian_sampler, toy_dataset, h_values=())
 
     def test_bad_g_size(self, toy_dataset):
         for g_size in (0, 2.5, np.inf, True):

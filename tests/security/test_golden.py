@@ -16,6 +16,7 @@ from tests.security.golden import (
     GOLDEN_H_VALUES,
     GOLDEN_ROOT_ENTROPY,
     compute_golden,
+    compute_golden_sweep,
     load_fixture,
 )
 
@@ -23,6 +24,11 @@ from tests.security.golden import (
 @pytest.fixture(scope="module")
 def fresh():
     return compute_golden()
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return compute_golden_sweep()
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +54,16 @@ class TestGoldenFixture:
         # rtol absorbs libm/BLAS variation across platforms; any real
         # change to scoring or seeding is orders of magnitude larger.
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [repr(float(h)) for h in GOLDEN_H_VALUES])
+    @pytest.mark.parametrize("table", ["avg_correct", "avg_incorrect"])
+    def test_h_sweep_reproduces_the_fixture(self, fresh, sweep, pinned, h, table):
+        # One sweep pass is bitwise the per-h calls the fixture pins,
+        # and so matches the fixture exactly as closely as they do.
+        np.testing.assert_array_equal(sweep[h][table], fresh["tables"][h][table])
+        np.testing.assert_allclose(
+            sweep[h][table], pinned["tables"][h][table], rtol=1e-9, atol=1e-12
+        )
 
     def test_correct_dominates_incorrect(self, fresh):
         # Sanity on the fixture's physics: the generator is sharply

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError, ShapeError
+from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import DEFAULT_PAIR, analysis_rng
 from repro.security import parzen
 from repro.security.confidentiality import SideChannelAttacker
 from repro.security.detection import EmissionAttackDetector
+from repro.security.engine import security_analysis, security_analysis_h_sweep
 from repro.security.likelihood import condition_likelihoods
 from repro.security.parzen import ConditionalParzen
 
@@ -315,6 +317,68 @@ class TestConditionalParzen:
             ConditionalParzen(0.2, [np.zeros((4, 2)), np.zeros((5, 2))])
         with pytest.raises(DataError):
             ConditionalParzen(0.2, [])
+
+
+class TestBandwidthSweep:
+    """``log_densities`` scores every width from one set of squared
+    distances, bitwise as one model per width."""
+
+    @given(
+        case=conditional_case(),
+        widths=st.lists(
+            st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=3
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_one_model_per_width(self, case, widths):
+        draws, x, claims, h, block = case
+        hs = (h, *widths)
+        with mock.patch.object(parzen, "BLOCK_ELEMENTS", block):
+            got = ConditionalParzen(h, draws).log_densities(x, claims, hs)
+            for k, width in enumerate(hs):
+                want = ConditionalParzen(width, draws).log_density(x, claims)
+                np.testing.assert_array_equal(got[k], want)
+
+    def test_far_rows_are_the_same_bits(self):
+        # Row 0, feature 0 underflows every kernel at every width (the
+        # -inf branch); row 1, feature 1 underflows only at h = 0.1.
+        draws = [np.zeros((3, 2)), np.ones((3, 2))]
+        x = np.array([[1e200, 0.0], [0.5, 1e154], [0.3, 0.2]])
+        claims = [0, 1, 0]
+        hs = (0.1, 1.0, 2.0)
+        got = ConditionalParzen(0.1, draws).log_densities(x, claims, hs)
+        for k, h in enumerate(hs):
+            want = ConditionalParzen(h, draws).log_density(x, claims)
+            np.testing.assert_array_equal(got[k], want)
+        assert np.all(got[:, 0, 0] == -np.inf)
+        assert got[0, 1, 1] == -np.inf and np.isfinite(got[1:, 1, 1]).all()
+        assert np.isfinite(got[:, 2]).all()
+
+    def test_rejects_bad_width(self):
+        model = ConditionalParzen(0.2, [np.zeros((4, 2))])
+        with pytest.raises(ConfigurationError, match="h must be"):
+            model.log_densities(np.zeros((1, 2)), [0], (0.2, 0.0))
+
+    def test_process_sweep_is_the_serial_sweep(self):
+        rng = np.random.default_rng(4)
+        conds = np.repeat([[0.0, 1.0], [1.0, 0.0]], 10, axis=0)
+        test_set = FlowPairDataset(rng.normal(size=(20, 12)) + conds[:, :1], conds)
+        hs = (0.2, 0.5, 1.0)
+        kwargs = dict(g_size=30, root_entropy=5, pair="sweep")
+        serial = security_analysis_h_sweep(
+            _sampler, test_set, h_values=hs, workers=1, **kwargs
+        )
+        process = security_analysis_h_sweep(
+            _sampler, test_set, h_values=hs, workers=2, **kwargs
+        )
+        assert list(serial) == list(process) == list(hs)
+        for h in hs:
+            single = security_analysis(_sampler, test_set, h=h, **kwargs)
+            for result in (process[h], single):
+                np.testing.assert_array_equal(result.avg_correct, serial[h].avg_correct)
+                np.testing.assert_array_equal(
+                    result.avg_incorrect, serial[h].avg_incorrect
+                )
 
 
 def _sampler(condition, n, rng):

@@ -339,6 +339,23 @@ class TestStageCommandsShareTheExperimentPath:
         assert all(line.split()[1] == "ok" for line in lines)
         assert (rundir / "analyze_profile.pstats").exists()
 
+    def test_table1_refuses_a_model_trained_on_another_split(
+        self, rundir, tmp_path, capsys
+    ):
+        # Under seed 4 the held-out rows of the seed-3 model are rows
+        # it trained on; the model directory records its split.
+        from repro.errors import ConfigurationError
+
+        dataset, model = str(rundir / "dataset.npz"), str(tmp_path / "model")
+        assert main(
+            ["train", "--dataset", dataset, "--out", model,
+             "--iterations", "40", "--seed", self.SEED]
+        ) == 0
+        for where in (model, str(rundir / "model")):
+            with pytest.raises(ConfigurationError, match="'root_entropy': 3") as info:
+                main(["table1", "--dataset", dataset, "--model", where, "--seed", "4"])
+            assert "'root_entropy': 4" in str(info.value)
+
 
 class TestStreamCommand:
     COMMON = [
