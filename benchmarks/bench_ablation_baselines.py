@@ -21,7 +21,7 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.gan import GAN, ConditionalGAN
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 from repro.security.baselines import (
     EmpiricalConditionalSampler,
     GaussianConditionalSampler,
@@ -35,17 +35,17 @@ ITERATIONS = 1500
 def _cgan_attacker_accuracy(train, test):
     cgan = ConditionalGAN(train.feature_dim, train.condition_dim, seed=BENCH_SEED)
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
-    ).fit()
-    return attacker.evaluate(test).accuracy
+    )
+    return attacker.leakage(test).accuracy
 
 
 def _sampler_attacker_accuracy(sampler, test):
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         sampler, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
-    ).fit()
-    return attacker.evaluate(test).accuracy
+    )
+    return attacker.leakage(test).accuracy
 
 
 def _uncond_gan_accuracy(train, test):

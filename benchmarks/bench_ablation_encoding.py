@@ -20,7 +20,7 @@ from repro.manufacturing import (
     collect_segments,
     layered_object_program,
 )
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 from repro.utils.rng import as_rng
 from repro.utils.tables import format_table
 
@@ -43,10 +43,10 @@ def _evaluate(encoder, segments, total_segments):
         ds.feature_dim, ds.condition_dim, seed=BENCH_SEED
     )
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, test.unique_conditions(), h=0.2, g_size=150, root_entropy=BENCH_SEED
-    ).fit()
-    report = attacker.evaluate(test)
+    )
+    report = attacker.leakage(test)
     coverage = len(ds) / total_segments
     return coverage, len(test.unique_conditions()), report
 

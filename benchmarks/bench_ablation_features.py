@@ -17,7 +17,7 @@ from repro.manufacturing import (
     calibration_suite,
     collect_segments,
 )
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 from repro.utils.rng import as_rng
 from repro.utils.tables import format_table
 
@@ -45,10 +45,10 @@ def _evaluate(segments, method, n_bins):
     train, test = ds.split(0.25, seed=BENCH_SEED)
     cgan = ConditionalGAN(ds.feature_dim, ds.condition_dim, seed=BENCH_SEED)
     cgan.train(train, iterations=ITERATIONS, batch_size=32)
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, test.unique_conditions(), h=0.2, g_size=150, root_entropy=BENCH_SEED
-    ).fit()
-    return attacker.evaluate(test).accuracy
+    )
+    return attacker.leakage(test).accuracy
 
 
 def test_ablation_feature_extraction(benchmark):

@@ -12,17 +12,17 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.gan import ConditionalGAN
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 from repro.utils.tables import format_table
 
 ITERATIONS = 1500
 
 
 def _attack_accuracy(model, test):
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         model, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
-    ).fit()
-    return attacker.evaluate(test).accuracy
+    )
+    return attacker.leakage(test).accuracy
 
 
 def _run(train, test, loss_name):

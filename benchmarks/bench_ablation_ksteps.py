@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.gan import ConditionalGAN
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 from repro.utils.tables import format_table
 
 K_VALUES = (1, 2, 5)
@@ -24,10 +24,10 @@ def _train_and_attack(train, test, k):
     )
     cgan.train(train, iterations=ITERATIONS, batch_size=32, k_disc=k)
     final = cgan.history.final()
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, test.unique_conditions(), h=0.2, g_size=200, root_entropy=BENCH_SEED
-    ).fit()
-    accuracy = attacker.evaluate(test).accuracy
+    )
+    accuracy = attacker.leakage(test).accuracy
     return final["d_loss"], final["g_loss"], accuracy
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from repro.gan import ConditionalGAN
 from repro.manufacturing import Printer3D, record_case_study_dataset
 from repro.security import (
-    EmissionAttackDetector,
+    EmissionModel,
     axis_swap_attack,
     feature_leakage_profile,
     feed_rate_attack,
@@ -42,15 +42,15 @@ def main():
     # Score on the 20 most condition-informative frequency bins: the
     # detector watches where the side channel actually lives.
     top_features = np.argsort(feature_leakage_profile(train))[::-1][:20]
-    detector = EmissionAttackDetector(
+    emission = EmissionModel(
         cgan,
         dataset.unique_conditions(),
         h=0.2,
         g_size=250,
         feature_indices=top_features,
         root_entropy=SEED,
-    ).fit()
-    threshold = detector.calibrate(train, false_positive_rate=0.05)
+    )
+    threshold = emission.calibrate(train, false_positive_rate=0.05)
     print(f"[defender] detector calibrated: threshold={threshold:.2f} "
           "(5% clean-trace false-positive budget)")
 
@@ -58,14 +58,14 @@ def main():
 
     print("\n--- integrity attack: axis swap ---")
     feats, claims = axis_swap_attack(clean_test, seed=SEED)
-    report = detector.evaluate(clean_test, feats, claims)
+    report = emission.detection(clean_test, feats, claims, threshold=threshold)
     print(report.summary())
 
     print("\n--- integrity attack: feed rate x4 ---")
     feats, claims = feed_rate_attack(
         printer, extractor, encoder, "X", scale=4.0, n_moves=15, seed=SEED
     )
-    report = detector.evaluate(clean_test, feats, claims)
+    report = emission.detection(clean_test, feats, claims, threshold=threshold)
     print(report.summary())
     feed_auc = report.auc
 
@@ -73,7 +73,7 @@ def main():
     feats, claims = motor_stall_attack(
         printer, extractor, encoder, "Z", n_moves=15, seed=SEED
     )
-    report = detector.evaluate(clean_test, feats, claims)
+    report = emission.detection(clean_test, feats, claims, threshold=threshold)
     print(report.summary())
 
     print(

@@ -21,7 +21,7 @@ from repro.manufacturing import (
     random_single_motor_sequence,
     record_case_study_dataset,
 )
-from repro.security import SideChannelAttacker
+from repro.security import EmissionModel
 
 SEED = 7
 
@@ -47,9 +47,9 @@ def main():
     # --- Phase 3: the attacker listens and infers ---------------------
     segments = collect_segments([run])
     observed = build_dataset(segments, extractor, encoder, fit_extractor=False)
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, train_ds.unique_conditions(), h=0.2, g_size=250, root_entropy=SEED
-    ).fit()
+    )
 
     true_seq = [condition_label(s.active_axes) for s in segments]
     pred_idx = attacker.infer(observed.features)
@@ -63,7 +63,7 @@ def main():
         ok = t == p
         hits += ok
         print(f"{i:4d} | {t:10s} | {p:8s} | {'ok' if ok else 'MISS'}")
-    report = attacker.evaluate(observed)
+    report = attacker.leakage(observed)
     print("-" * 44)
     print(
         f"reconstruction accuracy: {report.accuracy:.1%} "

@@ -247,7 +247,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_detect(args) -> int:
     from repro.security import (
-        EmissionAttackDetector,
+        EmissionModel,
         axis_swap_attack,
         feature_leakage_profile,
         roc_curve,
@@ -256,7 +256,7 @@ def _cmd_detect(args) -> int:
     _pipeline, key, dataset, model = _load_pair_model(args)
     train, test = model.train_set, model.test_set
     top = np.argsort(feature_leakage_profile(train))[::-1][: args.top_features]
-    detector = EmissionAttackDetector(
+    emission = EmissionModel(
         model.cgan,
         dataset.unique_conditions(),
         h=args.h,
@@ -264,10 +264,12 @@ def _cmd_detect(args) -> int:
         feature_indices=top,
         root_entropy=args.seed,
         pair=str(key),
-    ).fit()
-    detector.calibrate(train, false_positive_rate=args.fpr)
+    )
+    threshold = emission.calibrate(train, false_positive_rate=args.fpr)
     attack_features, attack_claims = axis_swap_attack(test, seed=args.seed)
-    report = detector.evaluate(test, attack_features, attack_claims)
+    report = emission.detection(
+        test, attack_features, attack_claims, threshold=threshold
+    )
     print(report.summary())
     curve = roc_curve(report.clean_scores, report.attack_scores)
     print()

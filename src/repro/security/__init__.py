@@ -1,6 +1,6 @@
-"""Security analyses: Parzen likelihood (Algorithm 3), side-channel
-confidentiality attacks, integrity/availability attack detection, and
-mutual-information leakage metrics.
+"""Security analyses: Parzen likelihood (Algorithm 3), the CGAN's
+emission model with its side-channel attacker and integrity/availability
+detector read-outs, and mutual-information leakage metrics.
 """
 
 from repro.security.parzen import ConditionalParzen
@@ -16,15 +16,11 @@ from repro.security.likelihood import (
     RepeatedLikelihoodResult,
     repeated_likelihood_analysis,
 )
-from repro.security.confidentiality import (
-    LeakageReport,
-    SideChannelAttacker,
-    leakage_vs_training_data,
-)
-from repro.security.detection import (
+from repro.security.emission import (
     DetectionReport,
-    EmissionAttackDetector,
-    roc_auc,
+    EmissionModel,
+    LeakageReport,
+    leakage_vs_training_data,
 )
 from repro.security.attacks import (
     axis_swap_attack,
@@ -41,7 +37,7 @@ from repro.security.baselines import (
     GaussianConditionalSampler,
     NearestCentroidAttacker,
 )
-from repro.security.roc import RocCurve, roc_curve
+from repro.security.roc import RocCurve, roc_auc, roc_curve
 from repro.security.report import SecurityReport, build_security_report
 
 __all__ = [
@@ -51,14 +47,13 @@ __all__ = [
     "GaussianConditionalSampler",
     "NearestCentroidAttacker",
     "DetectionReport",
-    "EmissionAttackDetector",
+    "EmissionModel",
     "LeakageReport",
     "LikelihoodResult",
     "RepeatedLikelihoodResult",
     "ConditionalParzen",
     "RocCurve",
     "SecurityReport",
-    "SideChannelAttacker",
     "axis_swap_attack",
     "build_security_report",
     "choose_analysis_feature",

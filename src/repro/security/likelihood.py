@@ -21,7 +21,7 @@ condition-emission relationship.
 
 The engine (:mod:`repro.security.engine`) runs the algorithm; this
 module holds its result types, its input validation, the Lines 9-15
-scoring of one condition (:func:`condition_likelihoods`), and the
+scoring of one condition (:func:`condition_likelihood_sweep`), and the
 repeated and feature-selection analyses built on the engine.
 """
 
@@ -133,24 +133,15 @@ def resolve_analysis_target(
     return conditions, feature_indices
 
 
-def condition_likelihoods(
-    model: ConditionalParzen, features, cond_index: int, correct_mask
-) -> tuple:
-    """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
-    per-feature mean of ``exp(LogLike) * h`` over the correctly and the
-    incorrectly labeled rows of *features*, at the model's ``h``."""
-    avg_cor, avg_inc = condition_likelihood_sweep(
-        model, features, cond_index, correct_mask, (model.h,)
-    )
-    return avg_cor[0], avg_inc[0]
-
-
 def condition_likelihood_sweep(
     model: ConditionalParzen, features, cond_index: int, correct_mask, bandwidths
 ) -> tuple:
-    """:func:`condition_likelihoods` at every width in *bandwidths* from
-    one :meth:`~repro.security.parzen.ConditionalParzen.log_densities`
-    pass: ``(AvgCor, AvgInc)``, each ``(len(bandwidths), n_features)``."""
+    """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
+    per-feature mean of ``exp(LogLike) * h`` over the correctly and the
+    incorrectly labeled rows of *features*, at every width in
+    *bandwidths* from one
+    :meth:`~repro.security.parzen.ConditionalParzen.log_densities` pass:
+    ``(AvgCor, AvgInc)``, each ``(len(bandwidths), n_features)``."""
     claims = np.full(len(features), cond_index)
     hs = np.asarray(bandwidths, dtype=float)[:, None, None]
     likes = np.exp(

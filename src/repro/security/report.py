@@ -18,7 +18,7 @@ from repro.runtime.analysis import (
     ConditionSampleCache,
     resolve_root_entropy,
 )
-from repro.security.confidentiality import LeakageReport, SideChannelAttacker
+from repro.security.emission import EmissionModel, LeakageReport
 from repro.security.engine import security_analysis
 from repro.security.likelihood import LikelihoodResult
 from repro.security.mutual_information import (
@@ -37,7 +37,6 @@ class SecurityReport:
     leakage: LeakageReport
     mi_profile: np.ndarray
     condition_entropy: float
-    detection: "DetectionReport | None" = None
 
     @property
     def leaked_bits_upper_bound(self) -> float:
@@ -73,14 +72,6 @@ class SecurityReport:
                 ],
                 ["metric", "value"],
             ),
-        ]
-        if self.detection is not None:
-            lines += [
-                "",
-                "-- Integrity/availability detection (axis-swap attack) --",
-                self.detection.summary(),
-            ]
-        lines += [
             "",
             f"VERDICT: {self.verdict()}",
         ]
@@ -95,7 +86,6 @@ def build_security_report(
     h: float = 0.2,
     g_size: int = 200,
     feature_indices=None,
-    include_detection: bool = False,
     root_entropy: int | None = None,
     pair: str = DEFAULT_PAIR,
     cache: ConditionSampleCache | None = None,
@@ -103,12 +93,8 @@ def build_security_report(
 ) -> SecurityReport:
     """Run the full analysis suite for one trained CGAN + test set.
 
-    With ``include_detection=True`` the report also evaluates the dual
-    use: an :class:`~repro.security.detection.EmissionAttackDetector`
-    against an axis-swap integrity attack synthesized from the test set
-    (needs at least two distinct conditions).
-
-    Algorithm 3, the attacker and the detector all fit the same draws:
+    Algorithm 3 and the attacker's
+    :class:`~repro.security.emission.EmissionModel` fit the same draws:
     one per condition from the ``(root_entropy, pair, condition)``
     stream, served from *cache* when one is given.
     *likelihood* injects a precomputed Algorithm 3 result — the parallel
@@ -130,21 +116,11 @@ def build_security_report(
         likelihood = security_analysis(
             cgan, test_set, conditions=conditions, **fit_args
         )
-    leakage = SideChannelAttacker(cgan, conditions, **fit_args).evaluate(test_set)
-    mi_profile = feature_leakage_profile(test_set)
-    detection = None
-    if include_detection:
-        from repro.security.attacks import axis_swap_attack
-        from repro.security.detection import EmissionAttackDetector
-
-        detector = EmissionAttackDetector(cgan, conditions, **fit_args).fit()
-        attack_features, attack_claims = axis_swap_attack(test_set, seed=root_entropy)
-        detection = detector.evaluate(test_set, attack_features, attack_claims)
+    leakage = EmissionModel(cgan, conditions, **fit_args).leakage(test_set)
     return SecurityReport(
         pair_name=pair_name,
         likelihood=likelihood,
         leakage=leakage,
-        mi_profile=mi_profile,
+        mi_profile=feature_leakage_profile(test_set),
         condition_entropy=condition_entropy_bits(test_set.conditions),
-        detection=detection,
     )

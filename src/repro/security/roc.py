@@ -1,10 +1,10 @@
 """Full ROC analysis for emission attack detectors.
 
-:func:`repro.security.detection.roc_auc` gives the scalar AUC; this
-module computes the whole curve and operating-point tables so a
-designer can pick a detection threshold for a target false-positive
-budget — the practical artifact of the paper's "estimate the
-performance of such a [detection] model".
+:func:`roc_auc` gives the scalar AUC; :func:`roc_curve` computes the
+whole curve and operating-point tables so a designer can pick a
+detection threshold for a target false-positive budget — the practical
+artifact of the paper's "estimate the performance of such a [detection]
+model".
 """
 
 from __future__ import annotations
@@ -16,6 +16,28 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError
 from repro.utils.ascii_plot import ascii_line_plot
 from repro.utils.tables import format_table
+
+
+def roc_auc(clean_scores, attack_scores) -> float:
+    """AUC via the Mann–Whitney U statistic.
+
+    *clean_scores* should stochastically exceed *attack_scores* for a
+    working detector (higher score = more normal).  Scores may be
+    ``±inf`` (the Parzen floor is ``-inf``); NaN raises
+    :class:`~repro.errors.DataError`.
+    """
+    clean = np.asarray(clean_scores, dtype=float).ravel()
+    attack = np.asarray(attack_scores, dtype=float).ravel()
+    if clean.size == 0 or attack.size == 0:
+        raise DataError("need both clean and attack scores for AUC")
+    if np.isnan(clean).any() or np.isnan(attack).any():
+        raise DataError("AUC scores must not be NaN")
+    # U = #(clean > attack) + 0.5 #(clean == attack), counted exactly.
+    ordered = np.sort(attack)
+    below = np.searchsorted(ordered, clean, side="left")
+    not_above = np.searchsorted(ordered, clean, side="right")
+    u = (below.sum() + not_above.sum()) / 2.0
+    return float(u / (clean.size * attack.size))
 
 
 @dataclass

@@ -7,9 +7,10 @@ a long-lived service over incrementally arriving samples:
 * :mod:`~repro.streaming.windowing` — bounded ring buffer and
   hop-based windowing (any chunking, identical windows);
 * :mod:`~repro.streaming.calibration` — fitting extractor, scorer (the
-  offline :class:`~repro.security.detection.EmissionAttackDetector`,
-  scoring batches of windows under their claimed conditions), and
-  decision layer from a clean labeled trace (CGAN or empirical);
+  offline :class:`~repro.security.emission.EmissionModel`'s detector
+  read-out, scoring batches of windows under their claimed
+  conditions), and decision layer from a clean labeled trace (CGAN or
+  empirical);
 * :mod:`~repro.streaming.session` — the driver: bounded queue with
   backpressure, graceful drain, metrics, typed events;
 * :mod:`~repro.streaming.replay` — WAV/synthetic trace sources and

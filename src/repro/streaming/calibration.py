@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.dsp.features import FrequencyFeatureExtractor
 from repro.flows.dataset import FlowPairDataset
 from repro.security.baselines import EmpiricalConditionalSampler
-from repro.security.detection import EmissionAttackDetector
+from repro.security.emission import EmissionModel
 from repro.security.sequence import CusumDetector, EwmaDetector
 from repro.streaming.replay import ClaimTrack
 from repro.streaming.windowing import frame_signal
@@ -34,7 +34,7 @@ class StreamCalibration:
     """Fitted monitor components plus the evidence they were fitted on."""
 
     extractor: FrequencyFeatureExtractor
-    scorer: EmissionAttackDetector
+    scorer: EmissionModel
     detector: object
     windows: FlowPairDataset  # calibration window features + one-hot claims
     claim_indices: np.ndarray  # per-window condition index
@@ -117,7 +117,7 @@ def calibrate_stream_monitor(
     )
     if sampler is None:
         sampler = EmpiricalConditionalSampler(window_set)
-    scorer = EmissionAttackDetector(
+    scorer = EmissionModel(
         sampler,
         claims.conditions,
         h=h,
@@ -125,7 +125,7 @@ def calibrate_stream_monitor(
         root_entropy=root_entropy,
         pair=pair,
         cache=cache,
-    ).fit()
+    )
     clean_scores = scorer.score_windows(features, claim_idx)
     if detector == "cusum":
         decision = CusumDetector.from_calibration(

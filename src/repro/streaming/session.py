@@ -4,7 +4,7 @@
 
     chunk source → bounded queue (backpressure) → StreamWindower
         → FrequencyFeatureExtractor (cached filter bank, batched)
-        → EmissionAttackDetector (batched Parzen scoring)
+        → EmissionModel.score_windows (batched Parzen scoring)
         → sequential decision layer (CUSUM/EWMA)
         → typed events on the EventBus
 
@@ -214,8 +214,8 @@ class StreamSession:
     extractor:
         Fitted :class:`~repro.dsp.features.FrequencyFeatureExtractor`.
     scorer:
-        Fitted :class:`~repro.security.detection.EmissionAttackDetector`
-        (its :meth:`score_windows` is called on each batch).
+        A :class:`~repro.security.emission.EmissionModel` (its
+        :meth:`score_windows` is called on each batch).
     claims:
         :class:`~repro.streaming.replay.ClaimTrack` giving the claimed
         condition at every sample (window claim = claim at its start).

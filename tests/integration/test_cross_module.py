@@ -12,7 +12,7 @@ from repro.manufacturing import (
     collect_segments,
     rectangle_program,
 )
-from repro.security import EmissionAttackDetector, roc_curve
+from repro.security import EmissionModel, roc_curve
 
 
 class TestSignalFlowFromPlans:
@@ -46,7 +46,7 @@ class TestDetectorRocIntegration:
             center = 0.2 if cond[0] == 1.0 else 0.8
             return np.clip(rng.normal(center, 0.05, size=(n, 4)), 0, 1)
 
-        detector = EmissionAttackDetector(oracle, conds, h=0.1, root_entropy=0).fit()
+        detector = EmissionModel(oracle, conds, h=0.1, root_entropy=0)
         clean = detector.score(toy_dataset.features, toy_dataset.conditions)
         attacked = detector.score(
             toy_dataset.features, toy_dataset.conditions[:, ::-1]

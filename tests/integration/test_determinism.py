@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.gan import ConditionalGAN
 from repro.manufacturing import record_case_study_dataset
-from repro.security import SideChannelAttacker, security_analysis
+from repro.security import EmissionModel, security_analysis
 
 
 def run_once(seed=2024):
@@ -17,10 +17,10 @@ def run_once(seed=2024):
     res = security_analysis(
         cgan, test, feature_indices=[5], h=0.3, g_size=40, root_entropy=seed
     )
-    attacker = SideChannelAttacker(
+    attacker = EmissionModel(
         cgan, test.unique_conditions(), h=0.3, g_size=40, root_entropy=seed
-    ).fit()
-    report = attacker.evaluate(test)
+    )
+    report = attacker.leakage(test)
     return ds, cgan, res, report
 
 

@@ -16,8 +16,7 @@ from repro.manufacturing import (
     random_single_motor_sequence,
 )
 from repro.security import (
-    EmissionAttackDetector,
-    SideChannelAttacker,
+    EmissionModel,
     axis_swap_attack,
     security_analysis,
 )
@@ -32,10 +31,10 @@ class TestPaperStory:
 
     def test_confidentiality_leakage_above_chance(self, trained_cgan, case_split):
         _train, test = case_split
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             trained_cgan, test.unique_conditions(), h=0.2, root_entropy=0
-        ).fit()
-        report = attacker.evaluate(test)
+        )
+        report = attacker.leakage(test)
         assert report.accuracy > 0.5  # Chance is 1/3.
 
     def test_algorithm3_margin_positive_on_average(self, trained_cgan, case_split):
@@ -50,12 +49,14 @@ class TestPaperStory:
 
     def test_integrity_attack_detected(self, trained_cgan, case_split):
         train, test = case_split
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             trained_cgan, train.unique_conditions(), h=0.2, root_entropy=0
-        ).fit()
-        detector.calibrate(train, false_positive_rate=0.1)
+        )
+        threshold = detector.calibrate(train, false_positive_rate=0.1)
         attack_features, attack_claims = axis_swap_attack(test, seed=1)
-        report = detector.evaluate(test, attack_features, attack_claims)
+        report = detector.detection(
+            test, attack_features, attack_claims, threshold=threshold
+        )
         assert report.auc > 0.5
 
 
@@ -71,10 +72,10 @@ class TestSecretObjectAttack:
         secret_ds = build_dataset(
             segments, extractor, encoder, fit_extractor=False
         )
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             trained_cgan, secret_ds.unique_conditions(), h=0.2, root_entropy=0
-        ).fit()
-        report = attacker.evaluate(secret_ds)
+        )
+        report = attacker.leakage(secret_ds)
         assert report.accuracy > report.chance_accuracy
 
 

@@ -10,7 +10,7 @@ from repro.security.baselines import (
     GaussianConditionalSampler,
     NearestCentroidAttacker,
 )
-from repro.security.confidentiality import SideChannelAttacker
+from repro.security.emission import EmissionModel
 from repro.security.engine import security_analysis
 
 
@@ -63,10 +63,10 @@ class TestGaussianSampler:
 
     def test_usable_as_attacker_model(self, toy_dataset):
         sampler = GaussianConditionalSampler(toy_dataset)
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             sampler, toy_dataset.unique_conditions(), h=0.1, root_entropy=0
-        ).fit()
-        assert attacker.evaluate(toy_dataset).accuracy > 0.9
+        )
+        assert attacker.leakage(toy_dataset).accuracy > 0.9
 
     def test_rejects_bad_min_std(self, toy_dataset):
         with pytest.raises(ConfigurationError):

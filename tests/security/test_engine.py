@@ -20,8 +20,7 @@ from repro.runtime.analysis import (
     analysis_rng,
     condition_tokens,
 )
-from repro.security.confidentiality import SideChannelAttacker
-from repro.security.detection import EmissionAttackDetector
+from repro.security.emission import EmissionModel
 from repro.security.engine import (
     AnalysisTarget,
     run_security_analysis,
@@ -239,8 +238,7 @@ def model_builders(dataset, **kwargs):
     """Every entry point that fits Parzen models, called with *kwargs*."""
     conds = dataset.unique_conditions()
     return [
-        lambda: EmissionAttackDetector(gaussian_sampler, conds, **kwargs).fit(),
-        lambda: SideChannelAttacker(gaussian_sampler, conds, **kwargs).fit(),
+        lambda: EmissionModel(gaussian_sampler, conds, **kwargs),
         lambda: security_analysis(gaussian_sampler, dataset, **kwargs),
     ]
 
@@ -314,8 +312,7 @@ class TestValidation:
         sampler = gaussian_sampler
         draws = [
             lambda: security_analysis(sampler, toy_dataset, root_entropy=root),
-            EmissionAttackDetector(sampler, conds, root_entropy=root).fit,
-            SideChannelAttacker(sampler, conds, root_entropy=root).fit,
+            lambda: EmissionModel(sampler, conds, root_entropy=root),
         ]
         for draw in draws:
             with pytest.raises(ConfigurationError, match="root_entropy"):
@@ -331,26 +328,26 @@ class TestOneDrawPath:
         _run(toy_dataset, cache=cache)
         conds = toy_dataset.unique_conditions()
         kwargs = dict(h=0.2, g_size=50, root_entropy=ROOT, pair="toy")
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             gaussian_sampler, conds, cache=cache, **kwargs
-        ).fit()
-        attacker = SideChannelAttacker(
+        )
+        attacker = EmissionModel(
             gaussian_sampler, conds, cache=cache, **kwargs
-        ).fit()
+        )
         assert cache.stats()["hits"] == 2 * len(conds)
         x, claims = toy_dataset.features, toy_dataset.conditions
-        fresh = EmissionAttackDetector(gaussian_sampler, conds, **kwargs).fit()
+        fresh = EmissionModel(gaussian_sampler, conds, **kwargs)
         np.testing.assert_array_equal(detector.score(x, claims), fresh.score(x, claims))
-        fresh = SideChannelAttacker(gaussian_sampler, conds, **kwargs).fit()
+        fresh = EmissionModel(gaussian_sampler, conds, **kwargs)
         np.testing.assert_array_equal(
             attacker.log_likelihoods(x), fresh.log_likelihoods(x)
         )
 
     def test_window_score_is_the_claim_score(self, toy_dataset):
         conds = toy_dataset.unique_conditions()
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             gaussian_sampler, conds, g_size=50, root_entropy=ROOT
-        ).fit()
+        )
         claim_idx = np.arange(len(toy_dataset)) % len(conds)
         np.testing.assert_array_equal(
             detector.score_windows(toy_dataset.features, claim_idx),

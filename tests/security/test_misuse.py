@@ -1,7 +1,7 @@
 """Misuse-resistance of the public security entry points.
 
-Every public function/class in likelihood.py, detection.py, roc.py,
-confidentiality.py, and engine.py must fail loudly and specifically —
+Every public function/class in likelihood.py, emission.py, roc.py and
+engine.py must fail loudly and specifically —
 NotFittedError for untrained models, ShapeError/DataError for
 misaligned inputs — rather than producing silently wrong tables.
 """
@@ -18,8 +18,7 @@ from repro.errors import (
 from repro.gan import ConditionalGAN
 from repro.security import (
     AnalysisTarget,
-    EmissionAttackDetector,
-    SideChannelAttacker,
+    EmissionModel,
     choose_analysis_feature,
     repeated_likelihood_analysis,
     roc_auc,
@@ -77,31 +76,19 @@ class TestLikelihoodEntryPoints:
 class TestDetectionEntryPoints:
     def test_untrained_cgan_in_constructor_raises(self, untrained_cgan):
         with pytest.raises(NotFittedError):
-            EmissionAttackDetector(untrained_cgan, CONDS)
-
-    def test_score_before_fit_raises(self):
-        detector = EmissionAttackDetector(dummy_sampler, CONDS, g_size=20)
-        with pytest.raises(NotFittedError):
-            detector.score(np.zeros((3, 4)), CONDS[0])
-
-    def test_detect_before_calibrate_raises(self):
-        detector = EmissionAttackDetector(
-            dummy_sampler, CONDS, g_size=20, root_entropy=0
-        ).fit()
-        with pytest.raises(NotFittedError):
-            detector.detect(np.zeros((3, 4)), CONDS[0])
+            EmissionModel(untrained_cgan, CONDS)
 
     def test_misaligned_claims_raise(self):
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             dummy_sampler, CONDS, g_size=20, root_entropy=0
-        ).fit()
+        )
         with pytest.raises(DataError):
             detector.score(np.zeros((3, 4)), CONDS)  # 3 samples, 2 claims
 
     def test_unknown_claimed_condition_raises(self):
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             dummy_sampler, CONDS, g_size=20, root_entropy=0
-        ).fit()
+        )
         with pytest.raises(DataError):
             detector.score(np.zeros((1, 4)), [[0.5, 0.5]])
 
@@ -133,35 +120,26 @@ class TestRocEntryPoints:
 class TestConfidentialityEntryPoints:
     def test_untrained_cgan_in_constructor_raises(self, untrained_cgan):
         with pytest.raises(NotFittedError):
-            SideChannelAttacker(untrained_cgan, CONDS)
-
-    def test_log_likelihoods_before_fit_raises(self):
-        attacker = SideChannelAttacker(dummy_sampler, CONDS, g_size=20)
-        with pytest.raises(NotFittedError):
-            attacker.log_likelihoods(np.zeros((2, 4)))
-
-    def test_infer_before_fit_raises(self):
-        attacker = SideChannelAttacker(dummy_sampler, CONDS, g_size=20)
-        with pytest.raises(NotFittedError):
-            attacker.infer(np.zeros((2, 4)))
+            EmissionModel(untrained_cgan, CONDS)
 
     def test_single_condition_rejected(self):
+        attacker = EmissionModel(dummy_sampler, [[1.0, 0.0]], g_size=20)
         with pytest.raises(ConfigurationError):
-            SideChannelAttacker(dummy_sampler, [[1.0, 0.0]])
+            attacker.infer(np.zeros((2, 4)))
 
     def test_feature_width_mismatch_raises(self):
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             dummy_sampler, CONDS, g_size=20, root_entropy=0
-        ).fit()
+        )
         with pytest.raises(DataError):
             attacker.log_likelihoods(np.zeros((2, 7)))
 
     def test_evaluate_with_foreign_condition_raises(self, toy_dataset):
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             dummy_sampler,
             [[1.0, 0.0], [0.5, 0.5]],  # does not cover toy's [0,1]
             g_size=20,
             root_entropy=0,
-        ).fit()
+        )
         with pytest.raises(DataError):
-            attacker.evaluate(toy_dataset)
+            attacker.leakage(toy_dataset)

@@ -10,10 +10,9 @@ from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import DEFAULT_PAIR, analysis_rng
 from repro.security import parzen
-from repro.security.confidentiality import SideChannelAttacker
-from repro.security.detection import EmissionAttackDetector
+from repro.security.emission import EmissionModel
 from repro.security.engine import security_analysis, security_analysis_h_sweep
-from repro.security.likelihood import condition_likelihoods
+from repro.security.likelihood import condition_likelihood_sweep
 from repro.security.parzen import ConditionalParzen
 
 
@@ -110,10 +109,14 @@ class TestDensity:
     def test_likelihood_scaling(self):
         # Paper's Line 10: Like = exp(LogLike) * h.
         h = 0.2
-        avg_cor, _ = condition_likelihoods(
-            window(h, [0.5]), np.array([[0.5], [0.9]]), 0, np.array([True, False])
+        avg_cor, _ = condition_likelihood_sweep(
+            window(h, [0.5]),
+            np.array([[0.5], [0.9]]),
+            0,
+            np.array([True, False]),
+            (h,),
         )
-        assert avg_cor[0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
+        assert avg_cor[0][0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
 
     def test_far_points_no_underflow_to_nan(self):
         scores = log_density(window(0.1, [0.0]), [100.0])
@@ -407,10 +410,10 @@ class TestViewsMatchPerFeatureLoop:
         rng = np.random.default_rng(n_rows)
         x = rng.normal(size=(n_rows, 12))
         claim_idx = rng.integers(0, len(self.CONDS), size=n_rows)
-        detector = EmissionAttackDetector(
+        detector = EmissionModel(
             _sampler, self.CONDS, h=0.3, g_size=30,
             feature_indices=self.FEATURES, root_entropy=5,
-        ).fit()
+        )
         got = detector.score(x, self.CONDS[claim_idx])
 
         windows = self._windows(5)
@@ -426,10 +429,10 @@ class TestViewsMatchPerFeatureLoop:
     @pytest.mark.parametrize("n_rows", [1, 2, 9])
     def test_attacker_log_likelihoods(self, n_rows):
         x = np.random.default_rng(n_rows).normal(size=(n_rows, 12))
-        attacker = SideChannelAttacker(
+        attacker = EmissionModel(
             _sampler, self.CONDS, h=0.3, g_size=30,
             feature_indices=self.FEATURES, root_entropy=5,
-        ).fit()
+        )
         got = attacker.log_likelihoods(x)
 
         want = np.empty((n_rows, len(self.CONDS)))

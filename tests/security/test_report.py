@@ -42,27 +42,3 @@ class TestSecurityReport:
         )
         assert report.leaked_bits_upper_bound <= report.condition_entropy + 0.3
 
-
-class TestDetectionSection:
-    def test_included_on_request(self, trained_cgan, case_split):
-        _train, test = case_split
-        report = build_security_report(
-            trained_cgan,
-            test,
-            h=0.2,
-            g_size=80,
-            include_detection=True,
-            root_entropy=0,
-        )
-        assert report.detection is not None
-        assert 0.0 <= report.detection.auc <= 1.0
-        text = report.to_text()
-        assert "Integrity/availability detection" in text
-
-    def test_absent_by_default(self, trained_cgan, case_split):
-        _train, test = case_split
-        report = build_security_report(
-            trained_cgan, test, h=0.2, g_size=80, root_entropy=0
-        )
-        assert report.detection is None
-        assert "Integrity/availability" not in report.to_text()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError
-from repro.security.detection import roc_auc
-from repro.security.roc import RocCurve, roc_curve
+from repro.security.roc import roc_auc, roc_curve
 
 
 def separable():

@@ -27,7 +27,7 @@ import repro
 for info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(info.name)
 from repro.dsp.features import FrequencyFeatureExtractor
-from repro.security.detection import roc_auc
+from repro.security.roc import roc_auc
 FrequencyFeatureExtractor(12000.0).raw_feature_matrix(
     np.random.default_rng(0).normal(size=(2, 600))
 )
