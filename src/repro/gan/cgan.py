@@ -150,15 +150,17 @@ class ConditionalGAN:
                 f"discriminator must output 1 value, got {self.discriminator.output_dim}"
             )
 
-        if generator_loss == "minimax":
-            self._g_loss = GeneratorLossMinimax()
-        elif generator_loss == "non_saturating":
-            self._g_loss = GeneratorLossNonSaturating()
-        else:
+        # Every step reports both objectives; the chosen one is descended.
+        self._g_losses = {
+            "minimax": GeneratorLossMinimax(),
+            "non_saturating": GeneratorLossNonSaturating(),
+        }
+        if generator_loss not in self._g_losses:
             raise ConfigurationError(
                 f"generator_loss must be 'minimax' or 'non_saturating', "
                 f"got {generator_loss!r}"
             )
+        self._g_loss = self._g_losses[generator_loss]
         self.generator_loss_name = generator_loss
         self._bce = BinaryCrossEntropy()
         self._g_opt = Adam(learning_rate)
@@ -241,8 +243,8 @@ class ConditionalGAN:
         targets = bufs["targets"]
         targets[:n].fill(1.0 - label_smoothing)
         preds = self.discriminator.forward(d_in, training=True)
-        self.discriminator.backward(self._bce.gradient(preds, targets))
-        self._d_opt.step(self.discriminator.layers)
+        self.discriminator._backward(self._bce.gradient(preds, targets))
+        self._d_opt.step(self.discriminator)
         return discriminator_loss(preds[:n], preds[n:])
 
     def _g_step(self, cond_batch):
@@ -251,7 +253,8 @@ class ConditionalGAN:
         The generator gradient flows through the (frozen) discriminator:
         we backprop the generator loss to the discriminator's *input*,
         slice off the feature columns, and continue into the generator.
-        The discriminator optimizer is simply not stepped.
+        The discriminator optimizer is not stepped, so that backward
+        skips D's parameter gradients (the next D step overwrites them).
         """
         n = cond_batch.shape[0]
         bufs = self._step_buffers(n)
@@ -264,12 +267,13 @@ class ConditionalGAN:
         d_in[:, : self.feature_dim] = fake_x
         d_in[:, self.feature_dim :] = cond_batch
         d_pred = self.discriminator.forward(d_in, training=True)
-        grad_d_in = self.discriminator.backward(self._g_loss.gradient(d_pred))
-        grad_fake = grad_d_in[:, : self.feature_dim]
-        self.generator.backward(grad_fake)
-        self._g_opt.step(self.generator.layers)
-        g_objective = GeneratorLossMinimax().value(d_pred)
-        g_loss = GeneratorLossNonSaturating().value(d_pred)
+        grad_d_in = self.discriminator._backward(
+            self._g_loss.gradient(d_pred), input_grad=True, param_grads=False
+        )
+        self.generator._backward(grad_d_in[:, : self.feature_dim])
+        self._g_opt.step(self.generator)
+        g_objective = self._g_losses["minimax"].value(d_pred)
+        g_loss = self._g_losses["non_saturating"].value(d_pred)
         return g_loss, g_objective
 
     def train(

@@ -168,8 +168,8 @@ def save_training_checkpoint(
     marker.unlink(missing_ok=True)
     save_weights(cgan.generator, directory / "generator.npz")
     save_weights(cgan.discriminator, directory / "discriminator.npz")
-    save_optimizer_state(cgan._g_opt, directory / "opt_generator.npz")
-    save_optimizer_state(cgan._d_opt, directory / "opt_discriminator.npz")
+    for opt, net in ((cgan._g_opt, "generator"), (cgan._d_opt, "discriminator")):
+        save_optimizer_state(opt, getattr(cgan, net), directory / f"opt_{net}.npz")
     cgan.history.to_csv(directory / "history.csv")
     payload = {
         "schema": CHECKPOINT_SCHEMA,
@@ -249,8 +249,8 @@ def restore_training_checkpoint(
     try:
         load_weights(cgan.generator, directory / "generator.npz")
         load_weights(cgan.discriminator, directory / "discriminator.npz")
-        load_optimizer_state(cgan._g_opt, directory / "opt_generator.npz")
-        load_optimizer_state(cgan._d_opt, directory / "opt_discriminator.npz")
+        for opt, net in ((cgan._g_opt, "generator"), (cgan._d_opt, "discriminator")):
+            load_optimizer_state(opt, getattr(cgan, net), directory / f"opt_{net}.npz")
         cgan.history = TrainingHistory.from_csv(directory / "history.csv")
         cgan.trained_iterations = int(payload["trained_iterations"])
         return TrainingCheckpointState(

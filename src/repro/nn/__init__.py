@@ -20,7 +20,6 @@ Quick example::
 
 from repro.nn.activations import (
     Activation,
-    Identity,
     LeakyReLU,
     ReLU,
     Sigmoid,
@@ -30,7 +29,6 @@ from repro.nn.initializers import (
     GlorotUniform,
     HeUniform,
     Initializer,
-    Zeros,
     get_initializer,
 )
 from repro.nn.layers import Dense, Layer
@@ -55,7 +53,6 @@ __all__ = [
     "GeneratorLossNonSaturating",
     "GlorotUniform",
     "HeUniform",
-    "Identity",
     "Initializer",
     "Layer",
     "LeakyReLU",
@@ -64,7 +61,6 @@ __all__ = [
     "ReLU",
     "Sequential",
     "Sigmoid",
-    "Zeros",
     "discriminator_loss",
     "get_activation",
     "get_initializer",

@@ -37,22 +37,6 @@ class Activation:
         return f"{type(self).__name__}()"
 
 
-class Identity(Activation):
-    name = "identity"
-
-    def forward(self, x, out=None):
-        if out is None:
-            return x
-        np.copyto(out, x)
-        return out
-
-    def backward(self, x, y, out=None):
-        if out is None:
-            return np.ones_like(x)
-        out.fill(1.0)
-        return out
-
-
 class ReLU(Activation):
     name = "relu"
 
@@ -122,8 +106,7 @@ class Sigmoid(Activation):
         return out
 
 
-_REGISTRY = {cls.name: cls for cls in (Identity, ReLU, LeakyReLU, Sigmoid)}
-_REGISTRY["linear"] = Identity
+_REGISTRY = {cls.name: cls for cls in (ReLU, LeakyReLU, Sigmoid)}
 
 
 def get_activation(spec) -> Activation:

@@ -64,26 +64,12 @@ def check_parameter_gradients(
 
     pred = net.forward(x, training=False)
     net.backward(loss_fn.gradient(pred, target))
-    analytic = {
-        (li, name): np.asarray(layer.gradients()[name]).copy()
-        for li, layer in enumerate(net.layers)
-        for name in layer.parameters()
-        if layer.gradients().get(name) is not None
-    }
+    analytic = net.flat_grads.copy()
 
-    errors = {}
-    for li, layer in enumerate(net.layers):
-        for name, param in layer.parameters().items():
-            if (li, name) not in analytic:
-                continue
+    def objective(_params):
+        return loss_fn.value(net.forward(x, training=False), target)
 
-            def objective(p, _param=param):
-                backup = _param.copy()
-                _param[...] = p
-                val = loss_fn.value(net.forward(x, training=False), target)
-                _param[...] = backup
-                return val
-
-            numeric = numerical_gradient(objective, param.copy(), eps=eps)
-            errors[f"{li}.{name}"] = float(np.max(np.abs(analytic[(li, name)] - numeric)))
-    return errors
+    # Perturbs the network's flat weights in place, restoring each one.
+    numeric = numerical_gradient(objective, net.flat_params, eps=eps)
+    errors = np.abs(analytic - numeric)
+    return {f"{li}.{name}": float(err.max()) for li, name, err in net.split(errors)}

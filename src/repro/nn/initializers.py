@@ -44,15 +44,6 @@ def _fans(shape):
     return shape[1] * receptive, shape[0] * receptive
 
 
-class Zeros(Initializer):
-    """All-zero initialization."""
-
-    name = "zeros"
-
-    def sample(self, shape, rng):
-        return np.zeros(shape, dtype=np.float64)
-
-
 class GlorotUniform(Initializer):
     """Xavier/Glorot uniform: ``U(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``.
 
@@ -82,7 +73,7 @@ class HeUniform(Initializer):
         return rng.uniform(-limit, limit, size=shape)
 
 
-_REGISTRY = {cls.name: cls for cls in (Zeros, GlorotUniform, HeUniform)}
+_REGISTRY = {cls.name: cls for cls in (GlorotUniform, HeUniform)}
 
 
 def get_initializer(spec) -> Initializer:

@@ -2,9 +2,9 @@
 
 The framework is deliberately small: GAN-Sec's generator and discriminator
 are conditional MLPs, so dense layers with activations cover the whole
-paper.  Each layer owns its parameters and the gradients computed during
-the last backward pass; optimizers iterate ``layer.parameters()`` /
-``layer.gradients()`` pairs.
+paper.  Each layer holds its parameters and the gradients computed during
+the last backward pass; inside a :class:`~repro.nn.network.Sequential`
+both are views into the network's flat buffers (see :meth:`Dense.bind`).
 
 Conventions
 -----------
@@ -13,7 +13,7 @@ Conventions
   ``training=True`` writes through reused workspaces, ``training=False``
   returns freshly allocated arrays.
 * ``backward(grad_out)`` returns the gradient w.r.t. the layer input and
-  stores parameter gradients internally.
+  writes the parameter gradients in place.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class Layer:
         """Mapping of parameter name -> ndarray (shared, not copied)."""
         return {}
 
-    def gradients(self) -> dict:
-        """Mapping of parameter name -> gradient ndarray from last backward."""
-        return {}
-
     # -- computation --------------------------------------------------------
     def build(self, input_dim: int, rng) -> int:
         """Allocate parameters for a given input width; return output width."""
@@ -52,6 +48,12 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out):  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _backward(self, grad_out, *, input_grad, param_grads):  # pragma: no cover - abstract
+        """Backward computing only what the caller reads: the input
+        gradient (else ``None`` may be returned) and the parameter
+        gradients."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -98,6 +100,8 @@ class Dense(Layer):
         rng = as_rng(rng)
         self.W = self.kernel_init((input_dim, self.units), rng)
         self.b = np.zeros(self.units, dtype=np.float64)
+        self.dW = np.zeros_like(self.W)
+        self.db = np.zeros_like(self.b)
         self.built = True
         self._workspaces.clear()
         self._ws = None
@@ -112,8 +116,6 @@ class Dense(Layer):
                 "out": np.empty((n, self.units), dtype=np.float64),
                 "deriv": np.empty((n, self.units), dtype=np.float64),
                 "grad_in": np.empty((n, in_dim), dtype=np.float64),
-                "dW": np.empty((in_dim, self.units), dtype=np.float64),
-                "db": np.empty(self.units, dtype=np.float64),
             }
             self._workspaces[n] = ws
         return ws
@@ -121,8 +123,10 @@ class Dense(Layer):
     def parameters(self):
         return {"W": self.W, "b": self.b}
 
-    def gradients(self):
-        return {"W": self.dW, "b": self.db}
+    def bind(self, name, param, grad):
+        """Adopt flat-buffer views as parameter *name* and its gradient."""
+        setattr(self, name, param)
+        setattr(self, "d" + name, grad)
 
     def forward(self, x, training=False):
         if not self.built:
@@ -155,24 +159,24 @@ class Dense(Layer):
         return self._out
 
     def backward(self, grad_out):
+        return self._backward(grad_out, input_grad=True, param_grads=True)
+
+    def _backward(self, grad_out, *, input_grad, param_grads):
         grad_out = np.asarray(grad_out, dtype=np.float64)
+        # A training forward leaves a workspace for this batch shape;
+        # without one, out=None allocates arrays holding the same values.
         ws = self._ws if self._ws is not None and grad_out.shape == self._pre.shape else None
-        if ws is not None:
-            if self.activation:
-                deriv = self.activation.backward(self._pre, self._out, out=ws["deriv"])
-                grad_pre = np.multiply(grad_out, deriv, out=ws["deriv"])
-            else:
-                grad_pre = grad_out
-            self.dW = np.matmul(self._x.T, grad_pre, out=ws["dW"])
-            self.db = grad_pre.sum(axis=0, out=ws["db"])
-            return np.matmul(grad_pre, self.W.T, out=ws["grad_in"])
+        grad_pre = grad_out
         if self.activation:
-            grad_pre = grad_out * self.activation.backward(self._pre, self._out)
-        else:
-            grad_pre = grad_out
-        self.dW = self._x.T @ grad_pre
-        self.db = grad_pre.sum(axis=0)
-        return grad_pre @ self.W.T
+            buf = None if ws is None else ws["deriv"]
+            deriv = self.activation.backward(self._pre, self._out, out=buf)
+            grad_pre = np.multiply(grad_out, deriv, out=buf)
+        if param_grads:
+            np.matmul(self._x.T, grad_pre, out=self.dW)
+            grad_pre.sum(axis=0, out=self.db)
+        if not input_grad:
+            return None
+        return np.matmul(grad_pre, self.W.T, out=None if ws is None else ws["grad_in"])
 
     def __repr__(self):
         act = self.activation.name if self.activation else "linear"

@@ -4,9 +4,15 @@
 hooks the GAN trainer needs: gradients w.r.t. the *input* (so generator
 gradients can flow through a frozen discriminator) and in-place parameter
 access for optimizers and serialization.
+
+A built network keeps its parameters in one vector, ``flat_params``, and
+their gradients in another, ``flat_grads``; every layer's parameter and
+gradient arrays are views into them.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -38,19 +44,52 @@ class Sequential:
                 raise ConfigurationError(f"not a Layer: {layer!r}")
         self.input_dim = None
         self.output_dim = None
+        self.flat_params = None
+        self.flat_grads = None
         if input_dim is not None:
             self.build(input_dim, seed)
 
     # -- lifecycle ----------------------------------------------------------
     def build(self, input_dim: int, seed=None) -> "Sequential":
-        """Allocate all layer parameters for a given input width."""
+        """Allocate all layer parameters for a given input width, then move
+        them into the flat buffers."""
         rng = as_rng(seed)
         dim = int(input_dim)
         self.input_dim = dim
         for layer in self.layers:
             dim = layer.build(dim, rng)
         self.output_dim = dim
+        self._flatten()
         return self
+
+    def split(self, flat) -> list:
+        """``(layer_index, name, view)`` per parameter tensor, cut from a
+        vector *flat* laid out like :attr:`flat_params`."""
+        out, offset = [], 0
+        for li, name, arr in self.parameters():
+            out.append((li, name, flat[offset : offset + arr.size].reshape(arr.shape)))
+            offset += arr.size
+        return out
+
+    def _flatten(self) -> None:
+        """Copy the layers' parameters into one new flat buffer, zero the
+        gradient buffer, and make the layers' arrays views into both."""
+        self.flat_params = np.concatenate([a.ravel() for *_, a in self.parameters()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        params, grads = self.split(self.flat_params), self.split(self.flat_grads)
+        for (li, name, param), (_, _, grad) in zip(params, grads):
+            self.layers[li].bind(name, param, grad)
+
+    # pickle and deepcopy turn views into arrays of their own, so a copy
+    # rebuilds its flat buffers from its layers' weights (else steps would
+    # update a buffer the weights no longer view); gradients restart at 0.
+    def __getstate__(self):
+        return {**self.__dict__, "flat_params": None, "flat_grads": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self.built:
+            self._flatten()
 
     @property
     def built(self) -> bool:
@@ -82,13 +121,20 @@ class Sequential:
     def backward(self, grad_out) -> np.ndarray:
         """Backpropagate *grad_out* (d loss / d output) through all layers.
 
-        Returns the gradient w.r.t. the network input — the GAN trainer
-        feeds this into the generator when the discriminator is the head
-        of the composed model.
+        Writes the parameter gradients into :attr:`flat_grads` and
+        returns the gradient w.r.t. the network input.
         """
+        return self._backward(grad_out, input_grad=True)
+
+    def _backward(self, grad_out, *, input_grad=False, param_grads=True):
+        """The training backward: the input gradient only when asked for
+        (else ``None``), and the parameter gradients unless *param_grads*
+        is false (the GAN trainer's G step through a frozen D)."""
         grad = np.asarray(grad_out, dtype=np.float64)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for li in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[li]._backward(
+                grad, input_grad=input_grad or li > 0, param_grads=param_grads
+            )
         return grad
 
     # -- parameters ---------------------------------------------------------
@@ -125,10 +171,7 @@ class Sequential:
 
     def clone(self) -> "Sequential":
         """Structural copy with independent parameters (same values)."""
-        import copy
-
-        twin = copy.deepcopy(self)
-        return twin
+        return copy.deepcopy(self)
 
     def __repr__(self):
         inner = ", ".join(repr(layer) for layer in self.layers)

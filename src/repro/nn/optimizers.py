@@ -1,66 +1,43 @@
 """Adam, the first-order optimizer that trains both Algorithm 2 networks.
 
-An optimizer holds per-parameter state keyed by ``(layer_index, name)``.
-The network calls :meth:`Optimizer.step` with the list of layers after a
-backward pass; updates are applied in place so layer parameter arrays keep
-their identity (which the serialization code relies on).
+An optimizer serves one network.  After a backward pass the trainer
+calls :meth:`Optimizer.step` with the network, and the optimizer updates
+the network's ``flat_params`` in place from its ``flat_grads`` in one
+pass.  The layers' parameter arrays are views into that buffer, so they
+keep their identity (which the serialization code relies on).  Adam is
+elementwise, so one update of the flat vector gives the same bits as one
+update per tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive
 
 
 class Optimizer:
-    """Base class: :meth:`step` walks the layers, subclasses implement
-    :meth:`update` for one tensor."""
+    """Base class: :meth:`step` hands a network's flat parameter and
+    gradient buffers to :meth:`update`, which subclasses implement."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = float(check_positive(learning_rate, "learning_rate"))
-        self._state: dict = {}
-        self._scratch: dict = {}
+        self._state = None
+        self._scratch = None
         self.iterations = 0
 
     def reset(self):
-        """Drop accumulated state (moment estimates, step counters)."""
-        self._state.clear()
-        self._scratch.clear()
+        """Drop accumulated state (moment estimates, step counter)."""
+        self._state = None
+        self._scratch = None
         self.iterations = 0
 
-    def _scratch_for(self, param):
-        """Two reusable work arrays shaped like *param*.
-
-        Updates run sequentially, so one scratch pair per shape serves
-        every parameter; :meth:`update` writes its intermediate products
-        here instead of allocating per step.  The in-place update
-        sequence replicates the allocating formula operation-for-
-        operation, so parameter trajectories are bitwise unchanged.
-        """
-        pair = self._scratch.get(param.shape)
-        if pair is None:
-            pair = (
-                np.empty_like(param, dtype=np.float64),
-                np.empty_like(param, dtype=np.float64),
-            )
-            self._scratch[param.shape] = pair
-        return pair
-
-    def step(self, layers) -> None:
-        """Apply one update to every trainable parameter of *layers*."""
+    def step(self, network) -> None:
+        """Apply one update to every parameter of *network*."""
         self.iterations += 1
-        for li, layer in enumerate(layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads.get(name)
-                if grad is None:
-                    continue
-                self.update((li, name), param, np.asarray(grad, dtype=np.float64))
+        self.update(network.flat_params, network.flat_grads)
 
-    def update(self, key, param, grad):  # pragma: no cover - abstract
+    def update(self, param, grad):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __repr__(self):
@@ -71,35 +48,23 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias-corrected first/second moments.
 
     The de-facto GAN optimizer; ``beta1=0.5`` is the common GAN setting
-    (following DCGAN) and the library default for Algorithm 2.
+    (following DCGAN).  The state is ``[m, v, t]``: flat moment vectors
+    laid out like the network's parameters and one step count.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.5,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        super().__init__(learning_rate)
-        if not 0.0 <= beta1 < 1.0:
-            raise ConfigurationError(f"beta1 must be in [0,1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ConfigurationError(f"beta2 must be in [0,1), got {beta2}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    beta1 = 0.5
+    beta2 = 0.999
+    eps = 1e-8
 
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
-        state = self._state.get(key)
-        if state is None:
-            state = self._state[key] = [
-                np.zeros_like(param),
-                np.zeros_like(param),
-                0,
-            ]
-        m, v, t = state
+    def update(self, param, grad):
+        if self._state is None:
+            self._state = [np.zeros_like(param), np.zeros_like(param), 0]
+        if self._scratch is None:
+            # Two reusable work arrays: the in-place sequence below
+            # replicates the allocating formula operation for operation.
+            self._scratch = (np.empty_like(param), np.empty_like(param))
+        s1, s2 = self._scratch
+        m, v, t = self._state
         t += 1
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=s1)
@@ -108,7 +73,7 @@ class Adam(Optimizer):
         np.multiply(grad, 1.0 - self.beta2, out=s1)
         s1 *= grad  # (1 - beta2) * grad * grad
         v += s1
-        self._state[key][2] = t
+        self._state[2] = t
         np.divide(m, 1.0 - self.beta1**t, out=s1)  # m_hat
         s1 *= self.learning_rate
         np.divide(v, 1.0 - self.beta2**t, out=s2)  # v_hat

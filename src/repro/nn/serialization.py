@@ -3,7 +3,7 @@
 Weights are stored in numpy ``.npz`` archives with a small JSON header
 describing the architecture fingerprint, so that loading into a
 mismatched network fails loudly instead of silently corrupting a model.
-Optimizer state (Adam moments and step counters) uses
+Optimizer state (Adam moments and step counter) uses
 the same archive format, which is what lets an interrupted training run
 resume bitwise-identically from a checkpoint.
 
@@ -90,33 +90,28 @@ def _optimizer_slot(li: int, name: str, index: int) -> str:
     return f"s{li}__{name}__{index}"
 
 
-def save_optimizer_state(opt: Optimizer, path) -> Path:
-    """Serialize *opt*'s accumulated state to ``path`` (.npz).
+# Every tensor's entry in an optimizer state header: Adam's [m, v, t].
+_ADAM_ENTRY = {"kinds": ["array", "array", "scalar"], "is_list": True}
 
-    Captures everything an optimizer carries across steps — the
-    per-parameter Adam moments and per-tensor step counts plus the
-    global step counter —
-    so that restoring it continues a training trajectory bitwise
-    identically to one that was never interrupted.
+
+def save_optimizer_state(opt: Optimizer, net: Sequential, path) -> Path:
+    """Serialize *opt*'s accumulated state for *net* to ``path`` (.npz).
+
+    Captures everything an optimizer carries across steps, so that
+    restoring it continues a training trajectory bitwise identically to
+    one that was never interrupted: the Adam moments, cut by *net*'s
+    layout into one ``[m, v, t]`` entry per parameter tensor, and the
+    global step counter.
     """
     path = Path(path)
     entries: dict = {}
     arrays: dict = {}
-    for (li, name), value in opt._state.items():
-        items = list(value) if isinstance(value, list) else [value]
-        kinds = []
-        for index, item in enumerate(items):
-            slot = _optimizer_slot(li, name, index)
-            if isinstance(item, np.ndarray):
-                arrays[slot] = item
-                kinds.append("array")
-            else:
-                arrays[slot] = np.asarray(item)
-                kinds.append("scalar")
-        entries[f"{li}.{name}"] = {
-            "kinds": kinds,
-            "is_list": isinstance(value, list),
-        }
+    if opt._state is not None:
+        m, v, t = opt._state
+        for (li, name, m_i), (_, _, v_i) in zip(net.split(m), net.split(v)):
+            for index, item in enumerate((m_i, v_i, np.asarray(t))):
+                arrays[_optimizer_slot(li, name, index)] = item
+            entries[f"{li}.{name}"] = _ADAM_ENTRY
     header = json.dumps(
         {
             "version": _OPT_FORMAT_VERSION,
@@ -135,12 +130,15 @@ def save_optimizer_state(opt: Optimizer, path) -> Path:
     return path
 
 
-def load_optimizer_state(opt: Optimizer, path) -> Optimizer:
-    """Restore state written by :func:`save_optimizer_state` into *opt*.
+def load_optimizer_state(opt: Optimizer, net: Sequential, path) -> Optimizer:
+    """Restore state written by :func:`save_optimizer_state` for *net*
+    into *opt*.
 
     The optimizer class name must match the ``kind`` that was saved;
     the caller is responsible for constructing *opt* with the right
-    hyperparameters.
+    hyperparameters.  Every entry must be ``[array, array, scalar]``
+    shaped like its tensor, and all entries must carry the same step
+    count.
     """
     path = Path(path)
     if not path.exists():
@@ -168,18 +166,39 @@ def load_optimizer_state(opt: Optimizer, path) -> Optimizer:
         )
     opt.reset()
     opt.iterations = int(header.get("iterations", 0))
-    try:
-        for key_str, spec in header["entries"].items():
-            li_str, name = key_str.split(".", 1)
-            items: list = []
-            for index, kind in enumerate(spec["kinds"]):
-                arr = arrays[_optimizer_slot(int(li_str), name, index)]
-                items.append(int(arr) if kind == "scalar" else arr)
-            opt._state[(int(li_str), name)] = (
-                items if spec["is_list"] else items[0]
-            )
-    except (KeyError, ValueError) as exc:
+    entries = header.get("entries")
+    if not entries:
+        return opt
+    m, v = np.zeros_like(net.flat_params), np.zeros_like(net.flat_params)
+    layout = list(zip(net.split(m), net.split(v)))
+    if not isinstance(entries, dict) or len(entries) != len(layout):
         raise SerializationError(
-            f"optimizer state file {path} is inconsistent: {exc}"
-        ) from exc
+            f"optimizer state file {path}: entries {entries!r:.60} do not "
+            f"match the {len(layout)} parameter tensors"
+        )
+    steps = set()
+    for (li, name, m_i), (_, _, v_i) in layout:
+        slots = [arrays.get(_optimizer_slot(li, name, i)) for i in range(3)]
+        if (
+            entries.get(f"{li}.{name}") != _ADAM_ENTRY
+            or any(slot is None for slot in slots)
+            or slots[0].shape != m_i.shape
+            or slots[1].shape != v_i.shape
+            or slots[0].dtype.kind != "f"
+            or slots[1].dtype.kind != "f"
+            or slots[2].shape != ()
+            or slots[2].dtype.kind not in "iu"
+        ):
+            raise SerializationError(
+                f"optimizer state file {path}: entry {li}.{name} is not "
+                "[array, array, scalar] shaped like its tensor"
+            )
+        m_i[...], v_i[...] = slots[0], slots[1]
+        steps.add(int(slots[2]))
+    if len(steps) != 1:
+        raise SerializationError(
+            f"optimizer state file {path}: per-tensor step counts disagree "
+            f"({sorted(steps)}); one network has one step count"
+        )
+    opt._state = [m, v, steps.pop()]
     return opt

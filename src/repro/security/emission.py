@@ -30,7 +30,7 @@ from repro.flows.dataset import FlowPairDataset, condition_indices
 from repro.runtime.analysis import DEFAULT_PAIR, as_sampler, fit_condition_model
 from repro.security.roc import roc_auc
 from repro.utils.tables import format_table
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_array, check_positive, check_positive_int
 
 
 @dataclass
@@ -261,6 +261,8 @@ class EmissionModel:
                 f"false_positive_rate must be in (0,1), got {false_positive_rate}"
             )
         scores = self.score(clean_set.features, clean_set.conditions)
+        # np.quantile over a -inf score returns nan, which flags nothing.
+        scores = check_array(scores, "calibration scores")
         return float(np.quantile(scores, false_positive_rate))
 
     def detection(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
+from repro.utils.validation import check_array
 
 
 class _SequentialDetector:
@@ -38,7 +39,8 @@ class _SequentialDetector:
 
     @staticmethod
     def _calibration_stats(clean_scores) -> tuple:
-        scores = np.asarray(clean_scores, dtype=float).ravel()
+        # A -inf score makes the reference -inf, and then no alarm can fire.
+        scores = check_array(np.ravel(clean_scores), "calibration scores")
         if scores.size < 2:
             raise DataError("need >= 2 calibration scores")
         std = float(scores.std())

@@ -43,7 +43,8 @@ def check_array(x, name: str, *, ndim=None, dtype=float, allow_empty=False) -> n
     if not allow_empty and arr.size == 0:
         raise DataError(f"{name} is empty")
     if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite values (nan/inf)")
+        bad = int(arr.size - np.count_nonzero(np.isfinite(arr)))
+        raise DataError(f"{name} contains {bad} non-finite values (nan/inf)")
     return arr
 
 

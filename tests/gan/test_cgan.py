@@ -1,5 +1,8 @@
 """Tests for repro.gan.cgan (Algorithm 2)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -204,3 +207,31 @@ class TestStateChecks:
             a.generate_for_condition([1, 0], 4, seed=0),
             b.generate_for_condition([1, 0], 4, seed=0),
         )
+
+
+class TestFlatBuffers:
+    def test_copies_train_through_their_own_buffers(self, toy_dataset):
+        # numpy pickles and deep-copies views as arrays of their own; a
+        # copy whose W no longer views its flat buffer would train the
+        # buffer and leave the weights behind.
+        original = small_cgan(seed=3)
+        original.train(toy_dataset, iterations=5)
+        copies = [
+            original,
+            pickle.loads(pickle.dumps(original)),
+            copy.deepcopy(original),
+        ]
+        for cgan in copies:
+            cgan.train(toy_dataset, iterations=20)
+        for net_name in ("generator", "discriminator"):
+            want = getattr(original, net_name).get_weights()
+            for cgan in copies:
+                net = getattr(cgan, net_name)
+                got = net.get_weights()
+                for key in want:
+                    np.testing.assert_array_equal(got[key], want[key])
+                for layer in net.layers:
+                    for arr in (layer.W, layer.b):
+                        assert np.shares_memory(arr, net.flat_params)
+                    for arr in (layer.dW, layer.db):
+                        assert np.shares_memory(arr, net.flat_grads)

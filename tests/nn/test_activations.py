@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.nn.activations import (
-    Identity,
     LeakyReLU,
     ReLU,
     Sigmoid,
     get_activation,
 )
 
-ALL_ACTIVATIONS = [Identity(), ReLU(), LeakyReLU(0.2), Sigmoid()]
+ALL_ACTIVATIONS = [ReLU(), LeakyReLU(0.2), Sigmoid()]
 
 
 def numeric_derivative(act, x, eps=1e-6):
@@ -72,7 +71,6 @@ class TestConfig:
 class TestRegistry:
     def test_by_name(self):
         assert isinstance(get_activation("relu"), ReLU)
-        assert isinstance(get_activation("linear"), Identity)
 
     def test_instance_passthrough(self):
         act = LeakyReLU(0.3)

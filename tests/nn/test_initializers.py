@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.nn.initializers import GlorotUniform, HeUniform, Zeros, get_initializer
-
-
-class TestZerosAndConstant:
-    def test_zeros(self):
-        w = Zeros()((3, 4), 0)
-        assert w.shape == (3, 4)
-        assert np.all(w == 0.0)
+from repro.nn.initializers import GlorotUniform, HeUniform, get_initializer
 
 
 class TestVarianceScaling:
@@ -51,10 +44,10 @@ class TestDeterminism:
 class TestRegistry:
     def test_lookup_by_name(self):
         assert isinstance(get_initializer("he_uniform"), HeUniform)
-        assert isinstance(get_initializer("zeros"), Zeros)
+        assert isinstance(get_initializer("glorot_uniform"), GlorotUniform)
 
     def test_passthrough_instance(self):
-        init = Zeros()
+        init = HeUniform()
         assert get_initializer(init) is init
 
     def test_unknown_name_raises(self):

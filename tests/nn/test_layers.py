@@ -20,7 +20,7 @@ class TestDense:
         assert layer.b.shape == (7,)
 
     def test_forward_linear(self):
-        layer = Dense(3, kernel_init="zeros")
+        layer = Dense(3)
         layer.build(2, rng())
         layer.W[...] = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
         layer.b[...] = np.array([0.5, 0.0, 0.0])
@@ -57,9 +57,8 @@ class TestDense:
         layer.build(3, rng())
         y = layer.forward(rng().normal(size=(8, 3)))
         layer.backward(np.ones_like(y))
-        grads = layer.gradients()
-        assert grads["W"].shape == layer.W.shape
-        assert grads["b"].shape == layer.b.shape
+        assert layer.dW.shape == layer.W.shape
+        assert layer.db.shape == layer.b.shape
 
     def test_backward_gradient_numerically(self):
         layer = Dense(4, "sigmoid")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
+from repro.flows.dataset import FlowPairDataset
 from repro.security.emission import EmissionModel
 from repro.security.roc import roc_auc
 
@@ -71,6 +72,17 @@ class TestDetector:
         detector = EmissionModel(oracle, CONDS, h=0.1, root_entropy=0)
         scores = detector.score(toy_dataset.features[:5], np.array([1.0, 0.0]))
         assert scores.shape == (5,)
+
+    def test_calibrate_rejects_non_finite_scores(self):
+        # A clean row whose squared kernel distance overflows scores
+        # -inf; its quantile would be nan, and a nan threshold flags
+        # nothing.
+        features = np.vstack([np.full((5, 4), 0.2), np.full((1, 4), 1e200)])
+        clean = FlowPairDataset(features, np.tile([1.0, 0.0], (6, 1)))
+        detector = EmissionModel(oracle, CONDS, h=0.1, root_entropy=0)
+        assert np.isneginf(detector.score(features[5:], [1.0, 0.0])).all()
+        with pytest.raises(DataError, match="1 non-finite"):
+            detector.calibrate(clean, false_positive_rate=0.05)
 
     def test_calibrate_rejects_bad_fpr(self, toy_dataset):
         detector = EmissionModel(oracle, CONDS, h=0.1, root_entropy=0)

@@ -79,6 +79,14 @@ class TestCusumDetector:
         with pytest.raises(DataError):
             CusumDetector.from_calibration([1.0])
 
+    @pytest.mark.parametrize("cls", [CusumDetector, EwmaDetector])
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_non_finite_calibration_score_rejected(self, cls, bad):
+        # A -inf clean score would make the reference -inf, after which
+        # not even fifty scores of -1e6 raise an alarm.
+        with pytest.raises(DataError, match="1 non-finite"):
+            cls.from_calibration([-1.0, -1.2, -0.9, bad])
+
 
 class TestEwmaDetector:
     def test_sustained_shift_alarms(self):
