@@ -1,17 +1,14 @@
 """Command-line interface for the GAN-Sec reproduction.
 
-Subcommands mirror the pipeline stages so each step can run (and be
-cached on disk) independently:
+``experiment`` runs the paper's Figure 4 flow (record → G_CPPS → CGAN →
+analysis) into a run directory; every other pipeline command is a
+read-out of one such directory:
 
-* ``record``   — simulate the printer and save the labeled dataset;
 * ``graph``    — run Algorithm 1 on the printer architecture and print
   the G_CPPS listing / DOT;
-* ``train``    — train the case-study CGAN on a recorded dataset and
-  save it with its ``history.csv``;
-* ``analyze``  — load a trained CGAN + dataset and print the full
-  security report;
-* ``table1``   — regenerate the paper's Table I for a trained model;
-* ``detect``   — evaluate axis-swap attack detection for a trained model;
+* ``analyze``  — print the run's full security report;
+* ``table1``   — regenerate the paper's Table I for the run's model;
+* ``detect``   — evaluate axis-swap attack detection for the run's model;
 * ``experiment`` — run the whole staged pipeline into a resumable run
   directory; ``experiment status <dir>`` and
   ``experiment invalidate <dir> <stage>`` inspect and edit its manifest.
@@ -19,25 +16,23 @@ cached on disk) independently:
   synthetic printer trace, real-time or max-rate, printing live alarms
   and a throughput summary.
 
-``train``, ``analyze``, ``table1`` and ``detect`` run on the experiment's
-pipeline and its pair (the monitored emission given the G-code), with
-the train/test split derived from ``--seed`` as an experiment derives
-it.  On an experiment's ``dataset.npz`` with its seed and iterations,
-``train`` reproduces its ``model/`` and ``history.csv``, and ``analyze``
-prints its ``report.txt``.  A model directory records its split, and
-``analyze``, ``table1`` and ``detect`` refuse a model whose split their
-``--seed`` and ``--test-fraction`` do not derive.
+``analyze``, ``table1`` and ``detect`` take ``--run DIR`` and read the
+run's ``config.json``, ``dataset.npz`` and ``model/``: the pipeline,
+pair, seed and train/test split are the experiment's, so ``analyze``
+prints its ``report.txt``.  Their flags override only read-out values
+(Parzen width, draws per condition, analysis workers) and default to the
+run's config.  Experiment defaults live only in
+:class:`~repro.pipeline.experiment.ExperimentConfig`.
 
 Examples
 --------
 ::
 
-    python -m repro.cli record --out run/dataset.npz --moves 35 --seed 7
-    python -m repro.cli train --dataset run/dataset.npz --out run/model --iterations 2500
-    python -m repro.cli analyze --dataset run/dataset.npz --model run/model
-    python -m repro.cli table1 --dataset run/dataset.npz --model run/model
     python -m repro.cli experiment --out run/exp --moves 8 --iterations 200
     python -m repro.cli experiment status run/exp
+    python -m repro.cli analyze --run run/exp
+    python -m repro.cli table1 --run run/exp
+    python -m repro.cli detect --run run/exp --fpr 0.01
     python -m repro.cli stream --synthetic --attack-spans 2 --rate max --progress
     python -m repro.cli stream --wav trace.wav --claims claims.json --rate realtime
 """
@@ -51,15 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import DataError
-from repro.flows.io import load_dataset, save_dataset
+from repro.flows.io import load_dataset
 from repro.gan.serialization import load_cgan
 from repro.graph import adjacency_listing, flow_listing, generate, to_dot
-from repro.manufacturing import (
-    GCODE_FLOW,
-    monitored_flow_names,
-    printer_architecture,
-    record_case_study_dataset,
-)
+from repro.manufacturing import GCODE_FLOW, monitored_flow_names, printer_architecture
 from repro.utils.tables import format_grouped_table
 
 
@@ -98,20 +88,6 @@ def _report_handler_errors(bus) -> int:
     return 1
 
 
-def _cmd_record(args) -> int:
-    dataset, _extractor, _encoder, runs = record_case_study_dataset(
-        n_moves_per_axis=args.moves,
-        seed=args.seed,
-        n_bins=args.bins,
-        sample_rate=args.sample_rate,
-        feature_cache=args.feature_cache,
-    )
-    path = save_dataset(dataset, args.out)
-    total = sum(len(r.segments) for r in runs)
-    print(f"recorded {dataset} ({total} raw segments) -> {path}")
-    return 0
-
-
 def _cmd_graph(args) -> int:
     result = generate(printer_architecture(), monitored_flow_names())
     print(result.summary())
@@ -125,74 +101,51 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _case_study_pair(args, **fields):
-    """The experiment's pipeline for *args*, its case-study pair and
-    ``--dataset``.
+def _given(**values) -> dict:
+    """The *values* whose flag was given (not ``None``)."""
+    return {name: value for name, value in values.items() if value is not None}
 
-    *fields* are the :class:`~repro.pipeline.experiment.ExperimentConfig`
-    values the command's flags set beside ``--seed`` and
-    ``--test-fraction``.
+
+def _read_run(args, **overrides):
+    """The run directory ``--run`` as ``(config, pipeline, key, dataset,
+    pair model)``.
+
+    The config is the run's ``config.json`` with the read-out
+    *overrides* whose flag was given; the model is ``model/``, loaded
+    onto the split the config derives.
     """
-    from repro.pipeline.experiment import ExperimentConfig, build_pipeline
+    from dataclasses import replace
+
+    from repro.pipeline.experiment import (
+        ExperimentConfig,
+        build_pipeline,
+        hydrate_pair_model,
+    )
     from repro.pipeline.pairs import FlowPairKey
 
-    config = ExperimentConfig(
-        seed=args.seed, test_fraction=args.test_fraction, **fields
+    run = Path(args.run)
+    config = replace(
+        ExperimentConfig.from_json(run / "config.json"), **_given(**overrides)
     )
+    pipeline = build_pipeline(config)
     key = FlowPairKey(config.emission_flow, GCODE_FLOW)
-    return build_pipeline(config), key, load_dataset(args.dataset)
-
-
-def _load_pair_model(args, **fields):
-    """:func:`_case_study_pair` with ``--model`` loaded onto the pair:
-    ``(pipeline, key, dataset, pair model)``."""
-    from repro.pipeline.experiment import hydrate_pair_model
-
-    pipeline, key, dataset = _case_study_pair(args, **fields)
-    model = hydrate_pair_model(pipeline, args.model, key, dataset)
-    return pipeline, key, dataset, model
-
-
-def _cmd_train(args) -> int:
-    from repro.pipeline.experiment import save_pair_model
-
-    pipeline, key, dataset = _case_study_pair(
-        args,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        k_disc=args.k_disc,
-    )
-    print(
-        f"training CGAN {key.label()} "
-        f"({args.iterations} iterations, batch {args.batch_size}) ..."
-    )
-    model = pipeline.train_models({key: dataset}, pairs=[key])[key]
-    final = model.cgan.history.final()
-    print(
-        f"final losses on {len(model.train_set)} training samples: "
-        f"D={final['d_loss']:.3f} G={final['g_loss']:.3f} "
-        f"(D fooled at 2ln2={2 * np.log(2):.3f})"
-    )
-    save_pair_model(pipeline, key, args.out)
-    model.cgan.history.to_csv(Path(args.out) / "history.csv")
-    print(f"model and history.csv saved -> {args.out}")
-    return 0
+    dataset = load_dataset(run / "dataset.npz")
+    model = hydrate_pair_model(pipeline, run / "model", key, dataset)
+    return config, pipeline, key, dataset, model
 
 
 def _cmd_analyze(args) -> int:
-    # The profile dump lands beside the model directory: a file inside
-    # it would change the digest of an experiment's train stage.
+    # The profile dump lands outside model/: a file inside it would
+    # change the digest of the experiment's train stage.
     return _profiled(
-        args,
-        lambda: _run_analyze(args),
-        Path(args.model).resolve().parent / "analyze_profile.pstats",
+        args, lambda: _run_analyze(args), Path(args.run) / "analyze_profile.pstats"
     )
 
 
 def _run_analyze(args) -> int:
     from repro.pipeline.experiment import CONDITION_NAMES
 
-    pipeline, key, _dataset, _model = _load_pair_model(
+    _config, pipeline, key, _dataset, _model = _read_run(
         args, h=args.h, g_size=args.g_size, analysis_workers=args.analysis_workers
     )
     report = pipeline.analyze(key)[key]
@@ -206,20 +159,20 @@ def _run_analyze(args) -> int:
 def _cmd_table1(args) -> int:
     from repro.security import choose_analysis_feature, security_analysis_h_sweep
 
-    _pipeline, key, _dataset, model = _load_pair_model(args)
+    config, _pipeline, key, _dataset, model = _read_run(args, g_size=args.g_size)
     ft = choose_analysis_feature(
-        model.cgan, model.train_set, h=0.2, objective="peak", root_entropy=args.seed
+        model.cgan, model.train_set, h=0.2, objective="peak", root_entropy=config.seed
     )
     h_values = (0.2, 0.4, 0.6, 0.8, 1.0)
-    # Same draws as `analyze` with the same seed: feature ft of its
-    # table at h equals this table's column.
+    # Same draws as the run's analyze stage: at the run's g-size, feature
+    # ft of its table at h=0.2 equals this table's column.
     sweep = security_analysis_h_sweep(
         model.cgan,
         model.test_set,
         h_values=h_values,
         feature_indices=[ft],
-        g_size=args.g_size,
-        root_entropy=args.seed,
+        g_size=config.g_size,
+        root_entropy=config.seed,
         pair=str(key),
     )
     conds = model.test_set.unique_conditions()
@@ -253,20 +206,22 @@ def _cmd_detect(args) -> int:
         roc_curve,
     )
 
-    _pipeline, key, dataset, model = _load_pair_model(args)
+    config, _pipeline, key, dataset, model = _read_run(
+        args, h=args.h, g_size=args.g_size
+    )
     train, test = model.train_set, model.test_set
     top = np.argsort(feature_leakage_profile(train))[::-1][: args.top_features]
     emission = EmissionModel(
         model.cgan,
         dataset.unique_conditions(),
-        h=args.h,
-        g_size=args.g_size,
+        h=config.h,
+        g_size=config.g_size,
         feature_indices=top,
-        root_entropy=args.seed,
+        root_entropy=config.seed,
         pair=str(key),
     )
     threshold = emission.calibrate(train, false_positive_rate=args.fpr)
-    attack_features, attack_claims = axis_swap_attack(test, seed=args.seed)
+    attack_features, attack_claims = axis_swap_attack(test, seed=config.seed)
     report = emission.detection(
         test, attack_features, attack_claims, threshold=threshold
     )
@@ -463,13 +418,15 @@ def _run_experiment(args) -> int:
         config = ExperimentConfig.from_json(args.config)
     else:
         config = ExperimentConfig(
-            seed=args.seed,
-            n_moves_per_axis=args.moves,
-            iterations=args.iterations,
-            analysis_workers=args.analysis_workers,
             trace=args.trace,
-            feature_cache=args.feature_cache,
-            checkpoint_every=args.checkpoint_every,
+            **_given(
+                seed=args.seed,
+                n_moves_per_axis=args.moves,
+                iterations=args.iterations,
+                analysis_workers=args.analysis_workers,
+                feature_cache=args.feature_cache,
+                checkpoint_every=args.checkpoint_every,
+            ),
         )
     bus = EventBus()
     if args.progress:
@@ -516,6 +473,16 @@ def _cmd_experiment_invalidate(args) -> int:
     return 1
 
 
+def _read_out_parser(sub, name, help):
+    """Subcommand *name* reading one run directory, with ``--g-size``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--run", required=True, metavar="DIR",
+                   help="experiment run directory")
+    p.add_argument("--g-size", type=int,
+                   help="generator draws per condition (default: the run's)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gansec",
@@ -523,44 +490,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("record", help="simulate the printer and save a dataset")
-    p.add_argument("--out", required=True, help="output .npz path")
-    p.add_argument("--moves", type=int, default=35, help="moves per axis")
-    p.add_argument("--bins", type=int, default=100, help="frequency bins")
-    p.add_argument("--sample-rate", type=float, default=12000.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-cache", metavar="DIR",
-                   help="on-disk raw-feature cache directory (reruns over "
-                        "identical audio skip CWT extraction)")
-    p.set_defaults(func=_cmd_record)
-
     p = sub.add_parser("graph", help="run Algorithm 1 and print G_CPPS")
     p.add_argument("--dot", action="store_true", help="print Graphviz DOT")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("train", help="train a CGAN on a recorded dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="output model directory")
-    p.add_argument("--iterations", type=int, default=2500)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--k-disc", type=int, default=1)
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("analyze", help="print the security report")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--h", type=float, default=0.2, help="Parzen window width")
-    p.add_argument("--g-size", type=int, default=200)
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--analysis-workers", type=int, default=1,
-                   help="parallel (pair, condition) analysis workers")
+    p = _read_out_parser(sub, "analyze", "print the run's security report")
+    p.add_argument("--h", type=float,
+                   help="Parzen window width (default: the run's)")
+    p.add_argument("--analysis-workers", type=int,
+                   help="parallel (pair, condition) analysis workers "
+                        "(default: the run's)")
     p.add_argument("--profile", action="store_true",
-                   help="run under cProfile; dump pstats beside the "
-                        "model directory")
+                   help="run under cProfile; dump pstats to "
+                        "<run>/analyze_profile.pstats")
     p.set_defaults(func=_cmd_analyze)
+
+    p = _read_out_parser(sub, "table1", "regenerate the paper's Table I")
+    p.set_defaults(func=_cmd_table1)
+
+    p = _read_out_parser(
+        sub, "detect", "evaluate integrity-attack detection (axis swap)"
+    )
+    p.add_argument("--h", type=float,
+                   help="Parzen window width (default: the run's)")
+    p.add_argument("--top-features", type=int, default=20,
+                   help="score on the k most leaky feature bins")
+    p.add_argument("--fpr", type=float, default=0.05,
+                   help="false-positive budget for threshold calibration")
+    p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser(
         "experiment",
@@ -576,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fresh", dest="resume", action="store_false",
         help="ignore any prior state in --out and re-run every stage")
     p.set_defaults(resume=True)
-    p.add_argument("--checkpoint-every", type=int, default=500,
+    p.add_argument("--checkpoint-every", type=int,
                    help="training-checkpoint cadence in iterations "
                         "(0 disables crash-recovery checkpoints)")
-    p.add_argument("--moves", type=int, default=30)
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--analysis-workers", type=int, default=1,
+    p.add_argument("--moves", type=int, help="moves per axis")
+    p.add_argument("--iterations", type=int, help="Algorithm 2 iterations")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--analysis-workers", type=int,
                    help="parallel (pair, condition) analysis workers")
     p.add_argument("--trace", action="store_true",
                    help="write training events to <out>/trace.jsonl")
@@ -665,29 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dropped", type=int, default=None,
                    help="exit 1 if more than this many windows were dropped")
     p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser(
-        "detect", help="evaluate integrity-attack detection (axis swap)"
-    )
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--h", type=float, default=0.2)
-    p.add_argument("--g-size", type=int, default=200)
-    p.add_argument("--top-features", type=int, default=20,
-                   help="score on the k most leaky feature bins")
-    p.add_argument("--fpr", type=float, default=0.05,
-                   help="false-positive budget for threshold calibration")
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("table1", help="regenerate the paper's Table I")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--g-size", type=int, default=300)
-    p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_table1)
 
     return parser
 

@@ -115,6 +115,19 @@ class TestCountFields:
             main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
         assert not (tmp_path / "run" / "dataset.npz").exists()
 
+    @pytest.mark.parametrize("value", [1.5, float("nan")], ids=["1.5", "nan"])
+    def test_bad_test_fraction_rejected_before_any_stage(self, tmp_path, value):
+        # Read-outs take the split from config.json, so it must not be
+        # written with a bad one (the sample rate is checked alike, in
+        # tests/test_cli.py::TestRecordCommand).
+        from repro.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_moves_per_axis": 2, "test_fraction": value}))
+        with pytest.raises(ConfigurationError, match="^test_fraction must be"):
+            main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert not (tmp_path / "run").exists()
+
     def test_from_json_rejects_string_workers(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"analysis_workers": "2"}))

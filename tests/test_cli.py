@@ -5,21 +5,51 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture(scope="module")
+def rundir(tmp_path_factory):
+    """One tiny experiment run directory that the read-out commands share."""
+    out = tmp_path_factory.mktemp("run") / "run"
+    assert main(
+        ["experiment", "--out", str(out), "--moves", "3",
+         "--iterations", "40", "--seed", "3"]
+    ) == 0
+    return out
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_record_args(self):
-        args = build_parser().parse_args(
-            ["record", "--out", "x.npz", "--moves", "10", "--seed", "3"]
-        )
-        assert args.moves == 10
-        assert args.seed == 3
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{graph,analyze,table1,detect,experiment,stream}" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "table1", "detect"])
+    @pytest.mark.parametrize("flag", ["--dataset", "--model", "--seed", "--test-fraction"])
+    def test_read_outs_take_only_the_run(self, command, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--run", "x", flag, "1"])
+
+    def test_experiment_defaults_are_the_config_defaults(self, monkeypatch, capsys):
+        import repro.pipeline.experiment as experiment
+
+        configs = []
+
+        def fake_run(config, out, **_kwargs):
+            configs.append(config)
+            return experiment.ExperimentResult(directory=out, config=config)
+
+        monkeypatch.setattr(experiment, "run_experiment", fake_run)
+        assert main(["experiment", "--out", "x"]) == 0
+        assert configs == [experiment.ExperimentConfig()]
 
 
 class TestGraphCommand:
@@ -35,58 +65,20 @@ class TestGraphCommand:
 
 
 class TestPipelineCommands:
-    @pytest.fixture(scope="class")
-    def workdir(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("cli")
+    def test_record_train_analyze_table1(self, rundir, capsys):
+        # The run directory's experiment recorded and trained.
+        assert main(["analyze", "--run", str(rundir), "--g-size", "60"]) == 0
+        assert "VERDICT" in capsys.readouterr().out
 
-    def test_record_train_analyze_table1(self, workdir, capsys):
-        ds = workdir / "ds.npz"
-        model = workdir / "model"
-        assert main(
-            ["record", "--out", str(ds), "--moves", "8", "--seed", "1",
-             "--bins", "40"]
-        ) == 0
-        assert ds.exists()
-
-        assert main(
-            ["train", "--dataset", str(ds), "--out", str(model),
-             "--iterations", "120", "--seed", "1"]
-        ) == 0
-        assert (model / "cgan.json").exists()
-        out = capsys.readouterr().out
-        assert "final losses" in out
-
-        assert main(
-            ["analyze", "--dataset", str(ds), "--model", str(model),
-             "--g-size", "60", "--seed", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "VERDICT" in out
-
-        assert main(
-            ["table1", "--dataset", str(ds), "--model", str(model),
-             "--g-size", "60", "--seed", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "h=0.2 Cor" in out
+        assert main(["table1", "--run", str(rundir), "--g-size", "60"]) == 0
+        assert "h=0.2 Cor" in capsys.readouterr().out
 
 
 class TestDetectCommand:
-    def test_detect_reports_roc(self, tmp_path, capsys):
-        ds = tmp_path / "ds.npz"
-        model = tmp_path / "model"
+    def test_detect_reports_roc(self, rundir, capsys):
         assert main(
-            ["record", "--out", str(ds), "--moves", "8", "--seed", "2",
-             "--bins", "40"]
-        ) == 0
-        assert main(
-            ["train", "--dataset", str(ds), "--out", str(model),
-             "--iterations", "150", "--seed", "2"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["detect", "--dataset", str(ds), "--model", str(model),
-             "--g-size", "60", "--seed", "2", "--top-features", "10"]
+            ["detect", "--run", str(rundir), "--g-size", "60",
+             "--top-features", "10"]
         ) == 0
         out = capsys.readouterr().out
         assert "AUC" in out
@@ -213,36 +205,42 @@ class TestHandlerErrors:
 
 
 class TestRecordCommand:
+    """The record stage's sample rate comes from the run's config, which
+    rejects a bad rate before the run directory is made."""
+
     @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
     def test_rejects_bad_sample_rate(self, tmp_path, rate):
+        import json
+
         from repro.errors import ConfigurationError
 
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_moves_per_axis": 2, "sample_rate": float(rate)}))
         with pytest.raises(ConfigurationError, match="sample_rate must be"):
-            main(["record", "--out", str(tmp_path / "ds.npz"), "--moves", "2",
-                  "--sample-rate", rate])
-        assert not (tmp_path / "ds.npz").exists()
+            main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert not (tmp_path / "run").exists()
 
 
 class TestFeatureCacheFlag:
     def test_record_populates_and_reuses_cache(self, tmp_path, capsys):
+        import numpy as np
+
         from repro.dsp.cache import FeatureCache
 
         cache_dir = tmp_path / "fc"
-        for name in ("a.npz", "b.npz"):
+        for name in ("a", "b"):
             assert main(
-                ["record", "--out", str(tmp_path / name), "--moves", "6",
-                 "--seed", "5", "--bins", "30",
+                ["experiment", "--out", str(tmp_path / name), "--moves", "3",
+                 "--iterations", "40", "--seed", "5",
                  "--feature-cache", str(cache_dir)]
             ) == 0
-        # Identical seed/config => second run hits the cache entry the
-        # first run wrote.
+        # Identical seed/config => the second record stage hits the cache
+        # entry the first one wrote.
         assert len(FeatureCache(cache_dir)) == 1
 
-        import numpy as np
-
-        a = np.load(tmp_path / "a.npz")
-        b = np.load(tmp_path / "b.npz")
-        np.testing.assert_array_equal(a["features"], b["features"])
+        with np.load(tmp_path / "a" / "dataset.npz") as a, \
+                np.load(tmp_path / "b" / "dataset.npz") as b:
+            np.testing.assert_array_equal(a["features"], b["features"])
 
 
 class TestProfileFlag:
@@ -259,79 +257,66 @@ class TestProfileFlag:
         stats = pstats.Stats(str(out / "profile.pstats"))
         assert stats.total_calls > 0
 
-    def test_analyze_profile_dump(self, tmp_path, capsys):
+    def test_analyze_profile_dump(self, rundir, capsys):
         import pstats
 
-        ds = tmp_path / "ds.npz"
-        model = tmp_path / "model"
         assert main(
-            ["record", "--out", str(ds), "--moves", "8", "--seed", "1",
-             "--bins", "40"]
-        ) == 0
-        assert main(
-            ["train", "--dataset", str(ds), "--out", str(model),
-             "--iterations", "100", "--seed", "1"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["analyze", "--dataset", str(ds), "--model", str(model),
-             "--g-size", "60", "--seed", "1", "--profile"]
+            ["analyze", "--run", str(rundir), "--g-size", "60", "--profile"]
         ) == 0
         out = capsys.readouterr().out
         assert "VERDICT" in out
-        stats = pstats.Stats(str(tmp_path / "analyze_profile.pstats"))
+        stats = pstats.Stats(str(rundir / "analyze_profile.pstats"))
         assert stats.total_calls > 0
-        assert not (model / "analyze_profile.pstats").exists()
+        assert not (rundir / "model" / "analyze_profile.pstats").exists()
 
 
 class TestStageCommandsShareTheExperimentPath:
-    """The stage commands run on an experiment directory reproduce its
-    artifacts: same pair, same train/test split, same trainer."""
-
-    SEED = "3"
-
-    @pytest.fixture(scope="class")
-    def rundir(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("stage-cmds") / "run"
-        assert main(
-            ["experiment", "--out", str(out), "--moves", "3",
-             "--iterations", "40", "--seed", self.SEED]
-        ) == 0
-        return out
+    """The read-out commands run on the experiment's pair, train/test
+    split and analysis, all read from its run directory."""
 
     def test_analyze_prints_the_experiment_report(self, rundir, capsys):
         capsys.readouterr()
-        assert main(
-            ["analyze", "--dataset", str(rundir / "dataset.npz"),
-             "--model", str(rundir / "model"), "--seed", self.SEED]
-        ) == 0
+        assert main(["analyze", "--run", str(rundir)]) == 0
         assert capsys.readouterr().out == (rundir / "report.txt").read_text()
 
-    def test_train_reproduces_the_experiment_model(self, rundir, tmp_path, capsys):
-        import json
+    def test_table1_column_is_the_analyze_table(self, rundir, capsys):
+        import re
 
-        import numpy as np
-
-        out = tmp_path / "model"
-        assert main(
-            ["train", "--dataset", str(rundir / "dataset.npz"), "--out", str(out),
-             "--iterations", "40", "--seed", self.SEED]
-        ) == 0
-        assert (out / "history.csv").read_bytes() == (rundir / "history.csv").read_bytes()
-        assert json.loads((out / "cgan.json").read_text()) == json.loads(
-            (rundir / "model" / "cgan.json").read_text()
+        from repro.flows.io import load_dataset
+        from repro.manufacturing import GCODE_FLOW
+        from repro.pipeline.experiment import (
+            ExperimentConfig,
+            build_pipeline,
+            hydrate_pair_model,
         )
-        for net in ("generator.npz", "discriminator.npz"):
-            with np.load(out / net) as got, np.load(rundir / "model" / net) as want:
-                assert sorted(got.files) == sorted(want.files)
-                for name in want.files:
-                    np.testing.assert_array_equal(got[name], want[name])
+        from repro.pipeline.pairs import FlowPairKey
+
+        capsys.readouterr()
+        assert main(["table1", "--run", str(rundir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ft = int(re.fullmatch(r"Table I \(feature #(\d+)\)", lines[0]).group(1))
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines
+            if line.startswith("| Cond")
+        ]
+
+        config = ExperimentConfig.from_json(rundir / "config.json")
+        pipeline = build_pipeline(config)
+        key = FlowPairKey(config.emission_flow, GCODE_FLOW)
+        hydrate_pair_model(
+            pipeline, rundir / "model", key, load_dataset(rundir / "dataset.npz")
+        )
+        likelihood = pipeline.analyze(key)[key].likelihood
+        assert [row[1:3] for row in rows] == [
+            [f"{cor:.4f}", f"{inc:.4f}"]
+            for cor, inc in zip(
+                likelihood.avg_correct[:, ft], likelihood.avg_incorrect[:, ft]
+            )
+        ]
 
     def test_analyze_profile_leaves_every_stage_ok(self, rundir, capsys):
-        assert main(
-            ["analyze", "--dataset", str(rundir / "dataset.npz"),
-             "--model", str(rundir / "model"), "--seed", self.SEED, "--profile"]
-        ) == 0
+        assert main(["analyze", "--run", str(rundir), "--profile"]) == 0
         capsys.readouterr()
         assert main(["experiment", "status", str(rundir)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -340,21 +325,32 @@ class TestStageCommandsShareTheExperimentPath:
         assert (rundir / "analyze_profile.pstats").exists()
 
     def test_table1_refuses_a_model_trained_on_another_split(
-        self, rundir, tmp_path, capsys
+        self, rundir, tmp_path, monkeypatch
     ):
-        # Under seed 4 the held-out rows of the seed-3 model are rows
-        # it trained on; the model directory records its split.
+        # A re-run under seed 4 writes its config.json first; interrupted
+        # in record, it leaves that config beside the seed-3 model, whose
+        # held-out rows under seed 4 are rows it trained on.
+        import shutil
+
+        import repro.pipeline.experiment as experiment
         from repro.errors import ConfigurationError
 
-        dataset, model = str(rundir / "dataset.npz"), str(tmp_path / "model")
-        assert main(
-            ["train", "--dataset", dataset, "--out", model,
-             "--iterations", "40", "--seed", self.SEED]
-        ) == 0
-        for where in (model, str(rundir / "model")):
-            with pytest.raises(ConfigurationError, match="'root_entropy': 3") as info:
-                main(["table1", "--dataset", dataset, "--model", where, "--seed", "4"])
-            assert "'root_entropy': 4" in str(info.value)
+        run = tmp_path / "run"
+        shutil.copytree(rundir, run)
+
+        def interrupted(**_kwargs):
+            raise RuntimeError("interrupted in record")
+
+        monkeypatch.setattr(experiment, "record_case_study_dataset", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted in record"):
+            main(["experiment", "--out", str(run), "--moves", "3",
+                  "--iterations", "40", "--seed", "4"])
+        monkeypatch.undo()
+
+        with pytest.raises(ConfigurationError, match="'root_entropy': 3") as info:
+            main(["table1", "--run", str(run)])
+        assert "'root_entropy': 4" in str(info.value)
+        assert "config.json" in str(info.value)
 
 
 class TestStreamCommand:
