@@ -71,43 +71,36 @@ def _report(ft, sweep, conditions):
     print("-- paper-shape checks --")
     cor = np.array([[v[0] for v in row] for row in values])  # (conds, hs)
     inc = np.array([[v[1] for v in row] for row in values])
-    print(
-        shape_check(
-            "Cor > Inc for every condition at every h",
-            bool(np.all(cor > inc)),
-        )
-    )
-    margins = (cor - inc)[:, 0]  # At h=0.2.
-    print(
-        shape_check(
-            "Cond3 (Z motor) is the most identifiable at h=0.2",
-            int(np.argmax(margins)) == 2,
-        )
-    )
-    print(
-        shape_check(
-            "Inc rises with h (over-smoothing) for every condition",
-            bool(np.all(inc[:, -1] > inc[:, 0])),
-        )
-    )
-    print(
-        shape_check(
-            "margin shrinks from h=0.2 to h=1.0 for every condition",
-            bool(np.all((cor - inc)[:, -1] < (cor - inc)[:, 0])),
-        )
-    )
+    margin = cor - inc
+    checks = {
+        "Cor > Inc for every condition at every h": np.all(margin > 0),
+        "Cond3 (Z motor) is the most identifiable at h=0.2": (
+            int(np.argmax(margin[:, 0])) == 2
+        ),
+        "Inc rises with h (over-smoothing) for every condition": np.all(
+            inc[:, -1] > inc[:, 0]
+        ),
+        "margin shrinks from h=0.2 to h=1.0 for every condition": np.all(
+            margin[:, -1] < margin[:, 0]
+        ),
+    }
+    for label, ok in checks.items():
+        print(shape_check(label, bool(ok)))
     print()
     print("paper values for reference (physical testbed):")
     print("  Cond1 h=0.2: Cor 0.6000 Inc 0.2245 | h=1: Cor 0.6437 Inc 0.3856")
     print("  Cond2 h=0.2: Cor 0.5750 Inc 0.3887 | h=1: Cor 0.5532 Inc 0.3978")
     print("  Cond3 h=0.2: Cor 0.6556 Inc 0.3876 | h=1: Cor 0.6556 Inc 0.3985")
+    return checks
 
 
 def test_table1_h_sweep(benchmark, bench_cgan, bench_split):
     train, test = bench_split
 
     ft, sweep = _run_sweep(bench_cgan, train, test)
-    _report(ft, sweep, test.unique_conditions())
+    checks = _report(ft, sweep, test.unique_conditions())
+    failed = [label for label, ok in checks.items() if not ok]
+    assert not failed, f"paper-shape checks failed: {failed}"
 
     # Benchmark the core Algorithm 3 call at the paper's default h.
     benchmark(

@@ -14,6 +14,12 @@ The synthesis is physics-inspired rather than a full mechanical model:
   microphone a white measurement-noise floor and a gentle band-pass
   response.
 
+The resonance humps and the microphone response are zero-phase filters
+applied in the Fourier domain.  Each filters linearly: the signal is
+zero-padded to the smallest 5-smooth length that holds it
+(:func:`_fft_filter`), where pocketfft runs fast whatever the recording
+length, and the output is cropped back to the input length.
+
 Every stochastic element draws from an injected RNG, so traces are
 reproducible given a seed.
 """
@@ -58,7 +64,9 @@ class ContactMicrophone:
         White measurement-noise RMS.
     low_cut_hz / high_cut_hz:
         Gaussian-edge band-pass corner frequencies applied in the
-        Fourier domain (a contact mic rolls off at both extremes).
+        Fourier domain (a contact mic rolls off at both extremes).  The
+        filter is linear: the trace is zero-padded to a 5-smooth FFT
+        length and the output cropped back to the trace's length.
     """
 
     gain: float = 1.0
@@ -79,10 +87,14 @@ class ContactMicrophone:
         n = len(x)
         if n == 0:
             return x
-        spectrum = np.fft.rfft(x)
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+        out = _fft_filter(x, sample_rate, self._response) * self.gain
+        if self.noise_level > 0:
+            out = out + rng.normal(0.0, self.noise_level, size=n)
+        return out
+
+    def _response(self, freqs: np.ndarray) -> np.ndarray:
+        """Soft high-pass below low_cut and low-pass above high_cut."""
         response = np.ones_like(freqs)
-        # Soft high-pass below low_cut and low-pass above high_cut.
         below = freqs < self.low_cut_hz
         response[below] = np.exp(
             -0.5 * ((freqs[below] - self.low_cut_hz) / (self.low_cut_hz / 2.0)) ** 2
@@ -91,10 +103,31 @@ class ContactMicrophone:
         response[above] = np.exp(
             -0.5 * ((freqs[above] - self.high_cut_hz) / (self.high_cut_hz / 4.0)) ** 2
         )
-        out = np.fft.irfft(spectrum * response, n=n) * self.gain
-        if self.noise_level > 0:
-            out = out + rng.normal(0.0, self.noise_level, size=n)
-        return out
+        return response
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth length ``2**a * 3**b * 5**c >= n``."""
+    best = 1 << max(n - 1, 0).bit_length()  # A power of two is 5-smooth.
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The least power-of-two multiple of p35 that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_filter(x: np.ndarray, sample_rate: float, response) -> np.ndarray:
+    """*x* filtered linearly by a zero-phase *response* (a function of
+    frequency in Hz): zero-padded to the :func:`_fft_length` of its
+    length, weighted in the Fourier domain and cropped back."""
+    n = len(x)
+    m = _fft_length(n)
+    freqs = np.fft.rfftfreq(m, d=1.0 / sample_rate)
+    return np.fft.irfft(np.fft.rfft(x, n=m) * response(freqs), n=m)[:n]
 
 
 def _band_noise(
@@ -102,10 +135,11 @@ def _band_noise(
 ) -> np.ndarray:
     """Gaussian-band-filtered white noise, unit RMS."""
     white = rng.normal(0.0, 1.0, size=n)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    shape = np.exp(-0.5 * ((freqs - center_hz) / (bw_hz / 2.0)) ** 2)
-    band = np.fft.irfft(spectrum * shape, n=n)
+    band = _fft_filter(
+        white,
+        sample_rate,
+        lambda freqs: np.exp(-0.5 * ((freqs - center_hz) / (bw_hz / 2.0)) ** 2),
+    )
     rms = np.sqrt(np.mean(band**2))
     return band / rms if rms > 0 else band
 

@@ -107,6 +107,20 @@ class Dense(Layer):
         self._ws = None
         return self.units
 
+    # pickle and deepcopy leave the training scratch behind: the cached
+    # activations and workspaces are rebuilt by the next forward, and the
+    # gradients restart at 0 (a Sequential rebinds them into its flat
+    # buffer), so a copy costs about its weights.
+    def __getstate__(self):
+        transient = ("dW", "db", "_x", "_pre", "_out", "_ws")
+        return {**self.__dict__, **dict.fromkeys(transient), "_workspaces": {}}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self.built:
+            self.dW = np.zeros_like(self.W)
+            self.db = np.zeros_like(self.b)
+
     def _workspace(self, n: int) -> dict:
         ws = self._workspaces.get(n)
         if ws is None:

@@ -171,14 +171,32 @@ class AnalysisOutcome:
         return self.error is None
 
 
+#: What ``ConditionalGAN.generate_for_condition`` reads when given an rng.
+_SAMPLING_STATE = ("condition_dim", "noise", "generator")
+
+
 @dataclass
 class _SamplerRef:
-    """Picklable ``(condition, n, rng) -> samples`` handle on a CGAN."""
+    """Picklable ``(condition, n, rng) -> samples`` handle on a CGAN.
+
+    A pickled handle carries only what sampling reads, the generator and
+    the noise prior: a process-pool job is not sent the discriminator,
+    the optimizers' moments or the training buffers.
+    """
 
     cgan: object = field(repr=False)
 
     def __call__(self, condition, n, rng):
         return self.cgan.generate_for_condition(condition, n, seed=rng)
+
+    def __getstate__(self):
+        return {name: getattr(self.cgan, name) for name in _SAMPLING_STATE}
+
+    def __setstate__(self, state):
+        from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
+
+        self.cgan = object.__new__(ConditionalGAN)
+        vars(self.cgan).update(state)
 
 
 def as_sampler(generator_sampler):

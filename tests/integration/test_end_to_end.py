@@ -4,7 +4,12 @@ These tests exercise the exact flow a user of the library follows:
 simulate → featureize → Algorithm 1 → Algorithm 2 → Algorithm 3 →
 attack/detection analyses — asserting the *qualitative* results the
 paper reports (leakage above chance, Cor > Inc, detectable attacks).
+The accuracy claims are asserted on their mean over the recording seeds
+of ``case_study_sweep``: each one scores 12 rows, so one seed can be
+lucky or unlucky by two rows.
 """
+
+import numpy as np
 
 from repro.graph import generate
 from repro.manufacturing import (
@@ -29,13 +34,14 @@ class TestPaperStory:
         assert len(cross) == 5
         assert all(fp.second.name in monitored_flow_names() for fp in cross)
 
-    def test_confidentiality_leakage_above_chance(self, trained_cgan, case_split):
-        _train, test = case_split
-        attacker = EmissionModel(
-            trained_cgan, test.unique_conditions(), h=0.2, root_entropy=0
-        )
-        report = attacker.leakage(test)
-        assert report.accuracy > 0.5  # Chance is 1/3.
+    def test_confidentiality_leakage_above_chance(self, case_study_sweep):
+        accuracies = []
+        for _study, (_train, test), cgan in case_study_sweep:
+            attacker = EmissionModel(
+                cgan, test.unique_conditions(), h=0.2, root_entropy=0
+            )
+            accuracies.append(attacker.leakage(test).accuracy)
+        assert np.mean(accuracies) > 0.5, accuracies  # Chance is 1/3.
 
     def test_algorithm3_margin_positive_on_average(self, trained_cgan, case_split):
         _train, test = case_split
@@ -63,20 +69,22 @@ class TestPaperStory:
 class TestSecretObjectAttack:
     """Attacker reconstructs the motor sequence of an unseen program."""
 
-    def test_reconstruction_beats_chance(self, case_study, trained_cgan):
-        _ds, extractor, encoder, _runs = case_study
+    def test_reconstruction_beats_chance(self, case_study_sweep):
         printer = Printer3D(sample_rate=12000.0, seed=321)
         secret = random_single_motor_sequence(12, seed=77)
-        run = printer.run(secret, seed=78)
-        segments = collect_segments([run])
-        secret_ds = build_dataset(
-            segments, extractor, encoder, fit_extractor=False
-        )
-        attacker = EmissionModel(
-            trained_cgan, secret_ds.unique_conditions(), h=0.2, root_entropy=0
-        )
-        report = attacker.leakage(secret_ds)
-        assert report.accuracy > report.chance_accuracy
+        segments = collect_segments([printer.run(secret, seed=78)])
+        accuracies, chances = [], []
+        for (_ds, extractor, encoder, _runs), _split, cgan in case_study_sweep:
+            secret_ds = build_dataset(
+                segments, extractor, encoder, fit_extractor=False
+            )
+            attacker = EmissionModel(
+                cgan, secret_ds.unique_conditions(), h=0.2, root_entropy=0
+            )
+            report = attacker.leakage(secret_ds)
+            accuracies.append(report.accuracy)
+            chances.append(report.chance_accuracy)
+        assert np.mean(accuracies) > np.mean(chances), accuracies
 
 
 class TestFullPipelineConsistency:

@@ -8,6 +8,8 @@ from repro.manufacturing.acoustics import (
     AcousticSynthesizer,
     AnechoicChamber,
     ContactMicrophone,
+    _band_noise,
+    _fft_length,
 )
 from repro.manufacturing.gcode import GCodeProgram
 from repro.manufacturing.kinematics import MotionPlanner
@@ -61,6 +63,49 @@ class TestModels:
     def test_synth_rejects_non_finite_sample_rate(self, sr):
         with pytest.raises(ConfigurationError, match="sample_rate must be finite"):
             make_synth(sample_rate=sr)
+
+
+def smallest_5_smooth_at_least(n):
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+class TestPaddedFiltering:
+    def test_fft_length_is_smallest_5_smooth(self):
+        for n in range(1, 5001):
+            assert _fft_length(n) == smallest_5_smooth_at_least(n), n
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(1_366_255, 1_366_875), (198_082, 200_000), (321_091, 324_000)],
+    )
+    def test_fft_length_of_case_study_lengths(self, n, m):
+        assert _fft_length(n) == m
+
+    @pytest.mark.parametrize("n", [1, 997, 12_007])
+    def test_band_noise_draws_n_normals(self, n):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        band = _band_noise(n, 12000.0, 700.0, 300.0, rng)
+        ref.normal(size=n)
+        assert len(band) == n
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.sqrt(np.mean(band**2)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 997, 12_007])
+    def test_microphone_draws_n_normals(self, n):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        x = np.random.default_rng(5).normal(size=n)
+        out = ContactMicrophone().apply(x, 12000.0, rng)
+        ref.normal(size=n)
+        assert len(out) == n
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSegmentSynthesis:

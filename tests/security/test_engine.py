@@ -6,6 +6,8 @@ tables bitwise-identical to the serial path, failures must be isolated
 per (pair, condition) job, and the event stream must narrate the run.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,13 @@ from repro.errors import (
     ConfigurationError,
     DataError,
 )
+from repro.flows.dataset import FlowPairDataset
+from repro.gan import ConditionalGAN
 from repro.runtime import EventBus
 from repro.runtime.analysis import (
     ConditionSampleCache,
     analysis_rng,
+    as_sampler,
     condition_tokens,
 )
 from repro.security.emission import EmissionModel
@@ -71,6 +76,18 @@ class TestDeterminism:
             serial.avg_incorrect, parallel.avg_incorrect
         )
 
+    def test_trained_cgan_parallel_matches_serial_bitwise(self, toy_dataset):
+        cgan = ConditionalGAN(4, 2, seed=5)
+        cgan.train(toy_dataset, iterations=5)
+        serial, parallel = (
+            security_analysis(
+                cgan, toy_dataset, g_size=50, root_entropy=ROOT, workers=workers
+            )
+            for workers in (1, 2)
+        )
+        np.testing.assert_array_equal(serial.avg_correct, parallel.avg_correct)
+        np.testing.assert_array_equal(serial.avg_incorrect, parallel.avg_incorrect)
+
     def test_matches_manual_per_condition_reference(self, toy_dataset):
         # Recompute one cell by hand: same derived RNG, one single-column
         # Parzen window per feature.
@@ -118,6 +135,25 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             alone.avg_correct, batch["toy"].avg_correct
         )
+
+
+class TestPickledSampler:
+    def test_carries_only_the_generator(self):
+        # A process-pool job is sent the sampler; the discriminator,
+        # optimizer moments and training workspaces stay behind.
+        rng = np.random.default_rng(0)
+        data = FlowPairDataset(
+            rng.uniform(size=(60, 100)), np.tile(np.eye(3), (20, 1))
+        )
+        cgan = ConditionalGAN(100, 3, seed=1)
+        cgan.train(data, iterations=5)
+        blob = pickle.dumps(as_sampler(cgan))
+        assert len(blob) < 2 * cgan.generator.flat_params.nbytes
+        draws = [
+            sampler([0.0, 1.0, 0.0], 20, analysis_rng(ROOT, "p", [0.0, 1.0, 0.0]))
+            for sampler in (as_sampler(cgan), pickle.loads(blob))
+        ]
+        np.testing.assert_array_equal(*draws)
 
 
 class TestConditionTokens:
