@@ -14,7 +14,8 @@ implementations (``benchmarks/_legacy_hotpath.py``):
 
 Emits ``BENCH_hotpath.json`` (schema ``gansec-bench-hotpath/v1``) with
 per-config detail plus headline geometric-mean speedups.  Run with
-``--smoke`` for a seconds-scale CI variant of the same schema.
+``--smoke`` for a seconds-scale CI variant of the same schema; it
+prints its JSON and writes a file only when ``--out`` is given.
 
 Usage::
 
@@ -202,8 +203,8 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_hotpath.json",
-        help="output JSON path (default: repo-root BENCH_hotpath.json)",
+        help="output JSON path (default: repo-root BENCH_hotpath.json; "
+        "with --smoke, print the JSON and write no file)",
     )
     args = parser.parse_args(argv)
 
@@ -245,8 +246,14 @@ def main(argv=None):
             "between the two (tests/nn/test_hotpath_identity.py)."
         ),
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    text = json.dumps(report, indent=2) + "\n"
+    if args.smoke and args.out is None:
+        # Smoke numbers never replace the committed full-run ones.
+        print(text, end="")
+    else:
+        out = args.out or Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+        out.write_text(text)
+        print(f"wrote {out}")
     print(
         f"headline: batched {report['speedup_batched_vs_looped']:.2f}x, "
         f"cached {report['speedup_cached_vs_looped']:.1f}x, "

@@ -8,7 +8,7 @@ Algorithm 1 over synthetic factories of increasing size and reports how
 pruning (reachability + data coverage) cuts the modeling workload.
 
 The second half benchmarks Algorithm 2 at scale: the surviving pairs
-are independent CGANs, so ``GANSec.train_models`` fans them out over
+are independent CGANs, so ``train_pairs`` fans them out over
 ``workers`` processes.  The worker sweep reports
 wall-clock per worker count and verifies that every schedule produces
 bitwise-identical generator weights.
@@ -24,7 +24,7 @@ from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.flows.dataset import FlowPairDataset
 from repro.graph.builder import generate
 from repro.graph.generators import random_factory
-from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
+from repro.pipeline import ExperimentConfig, FlowPairKey, train_pairs
 from repro.utils.tables import format_table
 
 SIZES = (2, 4, 8, 16)
@@ -123,13 +123,13 @@ def _multi_pair_workload(n_pairs: int):
     return arch, data
 
 
-def _generator_checksums(pipe: GANSec) -> dict:
+def _generator_checksums(models: dict) -> dict:
     return {
         str(key): {
             name: float(np.sum(w))
             for name, w in model.cgan.generator.get_weights().items()
         }
-        for key, model in pipe.models.items()
+        for key, model in models.items()
     }
 
 
@@ -137,29 +137,24 @@ def test_parallel_training_worker_sweep():
     arch, data = _multi_pair_workload(TRAIN_PAIRS)
     assert len(data) >= TRAIN_PAIRS, "factory must yield enough trainable pairs"
 
+    config = ExperimentConfig(iterations=TRAIN_ITERATIONS, seed=BENCH_SEED)
     rows = []
     checksums = {}
     for workers in WORKER_SWEEP:
-        pipe = GANSec(
-            arch,
-            GANSecConfig(
-                cgan=CGANConfig(iterations=TRAIN_ITERATIONS), seed=BENCH_SEED
-            ),
-        )
         start = time.perf_counter()
-        pipe.train_models(data, workers=workers)
+        models = train_pairs(arch, data, config, workers=workers)
         elapsed = time.perf_counter() - start
         rows.append(
             {
                 "workers": workers,
-                "pairs": len(pipe.models),
+                "pairs": len(models),
                 "wall-clock [s]": round(elapsed, 3),
                 "speedup": round(rows[0]["wall-clock [s]"] / elapsed, 2)
                 if rows
                 else 1.0,
             }
         )
-        checksums[workers] = _generator_checksums(pipe)
+        checksums[workers] = _generator_checksums(models)
 
     print()
     print("=" * 70)

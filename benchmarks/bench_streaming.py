@@ -13,7 +13,8 @@ identical to the offline oracle — a benchmark that drifted numerically
 would be measuring the wrong thing.
 
 Emits ``BENCH_streaming.json`` (schema ``gansec-bench-streaming/v1``).
-Run with ``--smoke`` for a seconds-scale CI variant of the same schema.
+Run with ``--smoke`` for a seconds-scale CI variant of the same schema;
+it prints its JSON and writes a file only when ``--out`` is given.
 
 Usage::
 
@@ -131,8 +132,8 @@ def main(argv=None):
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_streaming.json",
-        help="output JSON path (default: repo-root BENCH_streaming.json)",
+        help="output JSON path (default: repo-root BENCH_streaming.json; "
+        "with --smoke, print the JSON and write no file)",
     )
     args = parser.parse_args(argv)
 
@@ -185,8 +186,14 @@ def main(argv=None):
             "times. The headline realtime_factor is the best config's."
         ),
     }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    text = json.dumps(report, indent=2) + "\n"
+    if args.smoke and args.out is None:
+        # Smoke numbers never replace the committed full-run ones.
+        print(text, end="")
+    else:
+        out = args.out or Path(__file__).resolve().parent.parent / "BENCH_streaming.json"
+        out.write_text(text)
+        print(f"wrote {out}")
     print(
         f"headline: {headline:.1f}x real time "
         f"({'meets' if headline >= 1.0 else 'FAILS'} the >= 1.0 target)"

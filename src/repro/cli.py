@@ -17,7 +17,7 @@ read-out of one such directory:
   and a throughput summary.
 
 ``analyze``, ``table1`` and ``detect`` take ``--run DIR`` and read the
-run's ``config.json``, ``dataset.npz`` and ``model/``: the pipeline,
+run's ``config.json``, ``dataset.npz`` and ``model/``: the
 pair, seed and train/test split are the experiment's, so ``analyze``
 prints its ``report.txt``.  Their flags override only read-out values
 (Parzen width, draws per condition, analysis workers) and default to the
@@ -107,8 +107,8 @@ def _given(**values) -> dict:
 
 
 def _read_run(args, **overrides):
-    """The run directory ``--run`` as ``(config, pipeline, key, dataset,
-    pair model)``.
+    """The run directory ``--run`` as ``(config, key, dataset, pair
+    model)``.
 
     The config is the run's ``config.json`` with the read-out
     *overrides* whose flag was given; the model is ``model/``, loaded
@@ -116,22 +116,17 @@ def _read_run(args, **overrides):
     """
     from dataclasses import replace
 
-    from repro.pipeline.experiment import (
-        ExperimentConfig,
-        build_pipeline,
-        hydrate_pair_model,
-    )
+    from repro.pipeline.experiment import ExperimentConfig, hydrate_pair_model
     from repro.pipeline.pairs import FlowPairKey
 
     run = Path(args.run)
     config = replace(
         ExperimentConfig.from_json(run / "config.json"), **_given(**overrides)
     )
-    pipeline = build_pipeline(config)
     key = FlowPairKey(config.emission_flow, GCODE_FLOW)
     dataset = load_dataset(run / "dataset.npz")
-    model = hydrate_pair_model(pipeline, run / "model", key, dataset)
-    return config, pipeline, key, dataset, model
+    model = hydrate_pair_model(config, run / "model", key, dataset)
+    return config, key, dataset, model
 
 
 def _cmd_analyze(args) -> int:
@@ -144,11 +139,12 @@ def _cmd_analyze(args) -> int:
 
 def _run_analyze(args) -> int:
     from repro.pipeline.experiment import CONDITION_NAMES
+    from repro.pipeline.gansec import analyze_pairs
 
-    _config, pipeline, key, _dataset, _model = _read_run(
+    config, key, _dataset, model = _read_run(
         args, h=args.h, g_size=args.g_size, analysis_workers=args.analysis_workers
     )
-    report = pipeline.analyze(key)[key]
+    report = analyze_pairs({key: model}, config)[key]
     # Byte for byte the experiment's report.txt, which has no final newline.
     sys.stdout.write(report.to_text(condition_names=CONDITION_NAMES))
     if args.profile:
@@ -159,7 +155,7 @@ def _run_analyze(args) -> int:
 def _cmd_table1(args) -> int:
     from repro.security import choose_analysis_feature, security_analysis_h_sweep
 
-    config, _pipeline, key, _dataset, model = _read_run(args, g_size=args.g_size)
+    config, key, _dataset, model = _read_run(args, g_size=args.g_size)
     ft = choose_analysis_feature(
         model.cgan, model.train_set, h=0.2, objective="peak", root_entropy=config.seed
     )
@@ -206,9 +202,7 @@ def _cmd_detect(args) -> int:
         roc_curve,
     )
 
-    config, _pipeline, key, dataset, model = _read_run(
-        args, h=args.h, g_size=args.g_size
-    )
+    config, key, dataset, model = _read_run(args, h=args.h, g_size=args.g_size)
     train, test = model.train_set, model.test_set
     top = np.argsort(feature_leakage_profile(train))[::-1][: args.top_features]
     emission = EmissionModel(

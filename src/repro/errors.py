@@ -74,22 +74,24 @@ class AnalysisError(GanSecError):
 class PairTrainingError(GanSecError):
     """One or more flow pairs failed to train in a batch.
 
-    Raised by :meth:`repro.pipeline.gansec.GANSec.train_models` *after*
-    every pair has been attempted: failures are isolated per pair, the
-    successfully trained models are kept on the pipeline, and this
-    exception aggregates what went wrong.
+    Raised by :func:`repro.pipeline.gansec.train_pairs` *after* every
+    pair has been attempted: failures are isolated per pair, and this
+    exception aggregates what went wrong and carries the models that did
+    train.
 
     Attributes
     ----------
     failures:
         Mapping of failed pair key -> formatted error/traceback string.
     completed:
-        Keys of the pairs that trained successfully in the same batch.
+        Mapping of pair key -> trained
+        :class:`~repro.pipeline.gansec.PairModel` for the pairs that
+        trained successfully in the same batch.
     """
 
-    def __init__(self, failures: dict, completed=()):
+    def __init__(self, failures: dict, completed=None):
         self.failures = dict(failures)
-        self.completed = list(completed)
+        self.completed = dict(completed or {})
         lines = [
             f"{len(self.failures)} of "
             f"{len(self.failures) + len(self.completed)} flow pairs failed to train:"

@@ -41,7 +41,6 @@ from repro.runtime.training import (
     CheckpointSpec,
     PairTrainingJob,
     PairTrainingOutcome,
-    build_pair_cgan,
     pair_rng_streams,
     pair_split,
     run_training_job,
@@ -69,7 +68,6 @@ __all__ = [
     "TrainingFinished",
     "TrainingStarted",
     "analysis_rng",
-    "build_pair_cgan",
     "condition_tokens",
     "fan_out",
     "pair_rng_streams",

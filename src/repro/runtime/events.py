@@ -6,13 +6,14 @@ Events are frozen dataclasses carrying timings and loss figures, so
 consumers (the console progress reporter, the JSONL trace writer,
 tests) get structured data rather than log strings.
 
-Lifecycle of one :meth:`GANSec.train_models` batch::
+Lifecycle of one :func:`repro.pipeline.gansec.train_pairs` batch::
 
     TrainingStarted                      (once, batch-level)
       PairTrained | PairFailed           (once per pair)
     TrainingFinished                     (once, batch-level)
 
-Lifecycle of one :meth:`GANSec.analyze` batch (Algorithm 3)::
+Lifecycle of one :func:`repro.pipeline.gansec.analyze_pairs` batch
+(Algorithm 3)::
 
     AnalysisStarted                      (once, batch-level)
       ConditionScored*                   (once per (pair, condition) job)
@@ -65,7 +66,7 @@ class RuntimeEvent:
 
 @dataclass(frozen=True)
 class TrainingStarted(RuntimeEvent):
-    """A train_models batch began."""
+    """A train_pairs batch began."""
 
     total_pairs: int
     executor: str

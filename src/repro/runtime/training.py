@@ -2,11 +2,12 @@
 
 A :class:`PairTrainingJob` is a self-contained, picklable description
 of "train one CGAN for one flow pair": the pair key, its dataset, the
-hyperparameters, and the pipeline's root entropy.  :func:`run_training_job`
-executes it — in this interpreter or a worker process — and always
-returns a :class:`PairTrainingOutcome` instead of raising, so a single
-bad pair cannot abort the batch (failure isolation happens here, and
-:class:`~repro.errors.PairTrainingError` is assembled by the caller).
+training schedule, and the root entropy (the experiment seed).
+:func:`run_training_job` executes it — in this interpreter or a worker
+process — and always returns a :class:`PairTrainingOutcome` instead of
+raising, so a single bad pair cannot abort the batch (failure isolation
+happens here, and :class:`~repro.errors.PairTrainingError` is assembled
+by the caller).
 
 Determinism: the job's three RNG streams (data split, training, weight
 init) are derived from ``(root_entropy, pair key)`` only — never from a
@@ -23,34 +24,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.flows.dataset import FlowPairDataset
-from repro.gan.cgan import (
-    ConditionalGAN,
-    default_discriminator,
-    default_generator,
-)
+from repro.gan.cgan import ConditionalGAN
 from repro.utils.rng import derive_rngs
 
 if TYPE_CHECKING:  # avoid a runtime ↔ pipeline import cycle
-    from repro.pipeline.config import CGANConfig
     from repro.pipeline.pairs import FlowPairKey
-
-
-def build_pair_cgan(
-    cfg: "CGANConfig", feature_dim: int, condition_dim: int, seed
-) -> ConditionalGAN:
-    """Construct the per-pair CGAN described by *cfg* (Algorithm 2 model)."""
-    gen_layers = default_generator(feature_dim, hidden=cfg.generator_hidden)
-    disc_layers = default_discriminator(hidden=cfg.discriminator_hidden)
-    return ConditionalGAN(
-        feature_dim,
-        condition_dim,
-        noise_dim=cfg.noise_dim,
-        generator_layers=gen_layers,
-        discriminator_layers=disc_layers,
-        generator_loss=cfg.generator_loss,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-    )
 
 
 def pair_rng_streams(root_entropy: int, key: "FlowPairKey"):
@@ -86,11 +64,18 @@ class CheckpointSpec:
 
 @dataclass
 class PairTrainingJob:
-    """Everything needed to train one flow pair, picklable."""
+    """Everything needed to train one flow pair, picklable.
+
+    The model is :class:`~repro.gan.cgan.ConditionalGAN` with its
+    default networks; ``iterations``, ``batch_size`` and ``k_disc`` are
+    its Algorithm 2 training schedule.
+    """
 
     key: "FlowPairKey"
     dataset: FlowPairDataset
-    cgan: "CGANConfig"
+    iterations: int
+    batch_size: int
+    k_disc: int
     test_fraction: float
     root_entropy: int
     index: int = 0
@@ -127,11 +112,8 @@ def run_training_job(job: PairTrainingJob) -> PairTrainingOutcome:
             train_set, test_set = pair_split(
                 job.dataset, job.test_fraction, job.root_entropy, job.key
             )
-            cgan = build_pair_cgan(
-                job.cgan,
-                job.dataset.feature_dim,
-                job.dataset.condition_dim,
-                model_rng,
+            cgan = ConditionalGAN(
+                job.dataset.feature_dim, job.dataset.condition_dim, seed=model_rng
             )
             return train_set, test_set, cgan, train_rng
 
@@ -167,10 +149,9 @@ def run_training_job(job: PairTrainingJob) -> PairTrainingOutcome:
 
         cgan.train(
             train_set,
-            iterations=job.cgan.iterations,
-            batch_size=job.cgan.batch_size,
-            k_disc=job.cgan.k_disc,
-            label_smoothing=job.cgan.label_smoothing,
+            iterations=job.iterations,
+            batch_size=job.batch_size,
+            k_disc=job.k_disc,
             seed=None if resume_state is not None else train_rng,
             checkpoint_every=job.checkpoint.every if on_checkpoint else 0,
             on_checkpoint=on_checkpoint,

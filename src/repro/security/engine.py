@@ -140,7 +140,7 @@ def run_security_analysis(
         run, but not reproducible across runs).  Anything else raises
         :class:`~repro.errors.ConfigurationError`.
     workers:
-        Fan-out width, as in :meth:`GANSec.train_models`:
+        Fan-out width, as in :func:`repro.pipeline.gansec.train_pairs`:
         ``min(workers, jobs)`` processes score the jobs; one scores them
         in this thread with live ``ConditionScored`` events.  Results
         are bitwise-identical for every value.

@@ -1,18 +1,29 @@
 """Tests for repro.pipeline.config."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pipeline.config import AnalysisConfig, CGANConfig, GANSecConfig
-from repro.pipeline.experiment import ExperimentConfig
+from repro.gan.cgan import ConditionalGAN
+from repro.pipeline.config import ExperimentConfig
+
+
+def _algorithm2(**setting):
+    """Build what takes one Algorithm 2 setting: the training schedule
+    is the experiment config's, the network ConditionalGAN's own."""
+    if set(setting) <= {f.name for f in fields(ExperimentConfig)}:
+        return ExperimentConfig(**setting)
+    return ConditionalGAN(4, 2, **setting)
 
 
 class TestCGANConfig:
+    """Algorithm 2's settings, wherever they are taken."""
+
     def test_defaults_valid(self):
-        cfg = CGANConfig()
-        assert cfg.iterations > 0
+        assert _algorithm2().iterations > 0
+        assert _algorithm2(noise_dim=16).noise_dim == 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -28,12 +39,14 @@ class TestCGANConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            CGANConfig(**kwargs)
+            _algorithm2(**kwargs)
 
 
 class TestAnalysisConfig:
+    """Algorithm 3's settings in the experiment config."""
+
     def test_defaults_are_paper_values(self):
-        cfg = AnalysisConfig()
+        cfg = ExperimentConfig()
         assert cfg.h == 0.2
         assert cfg.g_size == 200
 
@@ -52,14 +65,15 @@ class TestAnalysisConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
-            AnalysisConfig(**kwargs)
+            ExperimentConfig(**kwargs)
 
 
 class TestTopLevel:
     def test_composes(self):
-        cfg = GANSecConfig(seed=42)
-        assert cfg.cgan.iterations == 2000
-        assert cfg.analysis.h == 0.2
+        # One config holds both algorithms' settings.
+        cfg = ExperimentConfig(seed=42)
+        assert cfg.iterations == 2000
+        assert cfg.h == 0.2
 
 
 class TestCountFields:
@@ -70,8 +84,6 @@ class TestCountFields:
     @pytest.mark.parametrize(
         "cls, field",
         [
-            (GANSecConfig, "workers"),
-            (GANSecConfig, "analysis_workers"),
             (ExperimentConfig, "analysis_workers"),
             (ExperimentConfig, "checkpoint_every"),
         ],
@@ -84,7 +96,7 @@ class TestCountFields:
     @pytest.mark.parametrize("field", ["noise_dim", "iterations", "batch_size", "k_disc"])
     def test_cgan_config_integer_fields(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be an int >= 1"):
-            CGANConfig(**{field: value})
+            _algorithm2(**{field: value})
 
     @pytest.mark.parametrize("value", [True, 2.5, 0])
     @pytest.mark.parametrize(
@@ -125,6 +137,20 @@ class TestCountFields:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_moves_per_axis": 2, "test_fraction": value}))
         with pytest.raises(ConfigurationError, match="^test_fraction must be"):
+            main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [1.5, "3", -1, None, True])
+    def test_bad_seed_rejected_before_any_stage(self, tmp_path, value):
+        # The seed roots every derived stream: a None seed used to record
+        # an unreproducible dataset, and True ran as seed 1.
+        from repro.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"n_moves_per_axis": 2, "iterations": 40, "seed": value})
+        )
+        with pytest.raises(ConfigurationError, match="^seed must be an int >= 0"):
             main(["experiment", "--out", str(tmp_path / "run"), "--config", str(path)])
         assert not (tmp_path / "run").exists()
 

@@ -1,5 +1,5 @@
 """Tests for the typed flow-pair key (repro.pipeline.pairs) and the
-pair-key check at GANSec's entry points."""
+pair-key check at train_pairs' entry."""
 
 import pickle
 
@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
 from repro.graph.generators import random_factory
-from repro.pipeline import FlowPairKey, GANSec
+from repro.pipeline import ExperimentConfig, FlowPairKey, train_pairs
 
 
 class TestFlowPairKey:
@@ -60,24 +60,27 @@ def _dataset():
     return FlowPairDataset(np.zeros((4, 2)), np.tile(np.eye(2), (2, 1)), name="toy")
 
 
+def _train(data):
+    return train_pairs(random_factory(4, seed=0), data, ExperimentConfig())
+
+
 class TestAsPairKey:
-    """What GANSec accepts as a pair key in its data."""
+    """What train_pairs accepts as a pair key in its data."""
 
     def test_key_passthrough(self):
-        pipe = GANSec(random_factory(4, seed=0))
-        result = pipe.generate_graph({FlowPairKey("A", "B"): _dataset()})
-        assert pipe.graph_result is result
+        # The key passes; Algorithm 1 then prunes the pair, whose flows
+        # the factory does not declare.
+        with pytest.raises(ConfigurationError, match="pruned"):
+            _train({FlowPairKey("A", "B"): _dataset()})
 
     @pytest.mark.parametrize(
         "bad", [42, ("A",), ("A", "B", "C"), None, ("A", "B"), "A|B"]
     )
     def test_rejects_non_pairs(self, bad):
-        pipe = GANSec(random_factory(4, seed=0))
         with pytest.raises(ConfigurationError, match=r"FlowPairKey\(first, second\)"):
-            pipe.generate_graph({bad: _dataset()})
+            _train({bad: _dataset()})
 
     @pytest.mark.parametrize("data", [None, {}])
     def test_missing_data_rejected(self, data):
-        pipe = GANSec(random_factory(4, seed=0))
         with pytest.raises(DataError, match="no pair data"):
-            pipe.generate_graph(data)
+            _train(data)

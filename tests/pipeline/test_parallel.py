@@ -1,7 +1,7 @@
 """Parallel pair-training: determinism, failure isolation, events.
 
-These tests exercise GANSec.train_models in-process and on a process
-pool over a multi-pair synthetic factory.  The key property is the acceptance
+These tests exercise train_pairs in-process and on a process pool over
+a multi-pair synthetic factory.  The key property is the acceptance
 criterion of the runtime redesign: with a fixed seed, parallel
 schedules produce generator/discriminator weights bitwise-identical to
 the serial path.
@@ -14,7 +14,7 @@ from repro.errors import PairTrainingError
 from repro.flows.dataset import FlowPairDataset
 from repro.graph.builder import generate
 from repro.graph.generators import random_factory
-from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
+from repro.pipeline import ExperimentConfig, FlowPairKey, train_pairs
 from repro.runtime import EventBus
 
 SEED = 123
@@ -49,12 +49,12 @@ def workload():
 
 
 def _config():
-    return GANSecConfig(cgan=CGANConfig(iterations=ITERATIONS), seed=SEED)
+    return ExperimentConfig(iterations=ITERATIONS, seed=SEED)
 
 
-def _all_weights(pipe):
+def _all_weights(models):
     out = {}
-    for key, model in pipe.models.items():
+    for key, model in models.items():
         nets = {}
         nets.update({f"g_{k}": v for k, v in model.cgan.generator.get_weights().items()})
         nets.update({f"d_{k}": v for k, v in model.cgan.discriminator.get_weights().items()})
@@ -66,10 +66,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [2], ids=["process"])
     def test_parallel_matches_serial_bitwise(self, workload, workers):
         arch, data = workload
-        serial = GANSec(arch, _config())
-        serial.train_models(data, workers=1)
-        parallel = GANSec(arch, _config())
-        parallel.train_models(data, workers=workers)
+        serial = train_pairs(arch, data, _config(), workers=1)
+        parallel = train_pairs(arch, data, _config(), workers=workers)
 
         serial_w, parallel_w = _all_weights(serial), _all_weights(parallel)
         assert serial_w.keys() == parallel_w.keys()
@@ -81,10 +79,10 @@ class TestDeterminism:
 
     def test_result_independent_of_pair_order(self, workload):
         arch, data = workload
-        forward = GANSec(arch, _config())
-        forward.train_models(data)
-        backward = GANSec(arch, _config())
-        backward.train_models(data, pairs=list(reversed(list(data))))
+        forward = train_pairs(arch, data, _config())
+        backward = train_pairs(
+            arch, data, _config(), pairs=list(reversed(list(data)))
+        )
 
         forward_w, backward_w = _all_weights(forward), _all_weights(backward)
         assert forward_w.keys() == backward_w.keys()
@@ -112,9 +110,8 @@ class TestFailureIsolation:
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_one_bad_pair_does_not_abort_batch(self, workers):
         arch, data, keys = self._poisoned_workload()
-        pipe = GANSec(arch, _config())
         with pytest.raises(PairTrainingError) as excinfo:
-            pipe.train_models(data, workers=workers)
+            train_pairs(arch, data, _config(), workers=workers)
 
         error = excinfo.value
         assert list(error.failures) == [keys[1]]
@@ -122,20 +119,18 @@ class TestFailureIsolation:
         assert sorted(error.completed, key=str) == sorted(
             [keys[0], keys[2]], key=str
         )
-        # The good pairs were trained and kept.
-        assert keys[0] in pipe.models
-        assert keys[2] in pipe.models
-        assert keys[1] not in pipe.models
-        assert pipe.models[keys[0]].cgan.is_trained
+        # The good pairs were trained and travel with the error.
+        assert keys[1] not in error.completed
+        assert error.completed[keys[0]].cgan.is_trained
+        assert error.completed[keys[2]].cgan.is_trained
 
     def test_failed_batch_still_emits_events(self):
         arch, data, keys = self._poisoned_workload()
-        pipe = GANSec(arch, _config())
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
         with pytest.raises(PairTrainingError):
-            pipe.train_models(data, bus=bus)
+            train_pairs(arch, data, _config(), bus=bus)
         kinds = [e.kind for e in events]
         assert kinds[0] == "TrainingStarted"
         assert kinds[-1] == "TrainingFinished"
@@ -146,11 +141,10 @@ class TestFailureIsolation:
 class TestEventStream:
     def test_started_event_reports_executor(self, workload):
         arch, data = workload
-        pipe = GANSec(arch, _config())
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.train_models(data, workers=2, bus=bus)
+        train_pairs(arch, data, _config(), workers=2, bus=bus)
         started = events[0]
         assert started.kind == "TrainingStarted"
         assert started.executor == "process"
@@ -161,11 +155,10 @@ class TestEventStream:
         # One job never starts a pool, whatever the worker count.
         arch, data = workload
         key = next(iter(data))
-        pipe = GANSec(arch, _config())
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.train_models(data, pairs=[key], workers=4, bus=bus)
+        train_pairs(arch, data, _config(), pairs=[key], workers=4, bus=bus)
         started = events[0]
         assert started.kind == "TrainingStarted"
         assert (started.executor, started.workers) == ("serial", 1)

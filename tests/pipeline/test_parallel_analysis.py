@@ -1,13 +1,13 @@
-"""Parallel security analysis through GANSec: determinism, pair keys, events.
+"""Parallel security analysis through analyze_pairs: determinism, pair keys, events.
 
-The analysis counterpart of test_parallel.py: GANSec.analyze fans out
-per-(pair, condition) jobs by worker count, and with a fixed
-pipeline seed every schedule must produce likelihood tables
-bitwise-identical to the serial path — even though reports were already
-cached, regenerated, or computed with a different worker count.
+The analysis counterpart of test_parallel.py: analyze_pairs fans out
+per-(pair, condition) jobs over ``config.analysis_workers``, and with a
+fixed seed every schedule must produce likelihood tables
+bitwise-identical to the serial path.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,13 @@ from repro.errors import ConfigurationError
 from repro.flows.dataset import FlowPairDataset
 from repro.graph.builder import generate
 from repro.graph.generators import random_factory
-from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
+from repro.pipeline import (
+    ExperimentConfig,
+    FlowPairKey,
+    analyze_pairs,
+    run_experiment,
+    train_pairs,
+)
 from repro.runtime import EventBus
 from repro.security.engine import (
     AnalysisTarget,
@@ -49,19 +55,16 @@ def _dataset(rng, n=32, feature_dim=4):
 
 
 def _config(**kwargs):
-    return GANSecConfig(
-        cgan=CGANConfig(iterations=ITERATIONS), seed=SEED, **kwargs
-    )
+    return ExperimentConfig(iterations=ITERATIONS, seed=SEED, **kwargs)
 
 
 @pytest.fixture(scope="module")
 def trained_pipe():
+    """``(architecture, trained models, keys)`` of a two-pair factory."""
     arch, keys = _factory_and_pairs(2)
     rng = np.random.default_rng(7)
     data = {key: _dataset(rng) for key in keys}
-    pipe = GANSec(arch, _config())
-    pipe.train_models(data)
-    return pipe, keys
+    return arch, train_pairs(arch, data, _config()), keys
 
 
 def _tables(reports):
@@ -74,62 +77,53 @@ def _tables(reports):
 class TestAnalyzeDeterminism:
     @pytest.mark.parametrize("workers", [2], ids=["process"])
     def test_parallel_matches_serial_bitwise(self, trained_pipe, workers):
-        pipe, _keys = trained_pipe
-        serial = _tables(pipe.analyze(workers=1))
-        parallel = _tables(pipe.analyze(workers=workers))
+        _arch, models, _keys = trained_pipe
+        serial = _tables(analyze_pairs(models, _config(analysis_workers=1)))
+        parallel = _tables(analyze_pairs(models, _config(analysis_workers=workers)))
         assert serial.keys() == parallel.keys()
         for pair in serial:
             np.testing.assert_array_equal(serial[pair][0], parallel[pair][0])
             np.testing.assert_array_equal(serial[pair][1], parallel[pair][1])
 
     def test_config_worker_count_does_not_change_numbers(self, trained_pipe):
-        pipe, _keys = trained_pipe
-        base = _tables(pipe.analyze())
-        pipe.config.analysis_workers = 2
-        try:
-            multi = _tables(pipe.analyze())
-        finally:
-            pipe.config.analysis_workers = 1
+        _arch, models, _keys = trained_pipe
+        config = _config()
+        base = _tables(analyze_pairs(models, config))
+        multi = _tables(analyze_pairs(models, replace(config, analysis_workers=2)))
         for pair in base:
             np.testing.assert_array_equal(base[pair][0], multi[pair][0])
-
-    def test_reports_cached_on_models(self, trained_pipe):
-        pipe, keys = trained_pipe
-        reports = pipe.analyze()
-        for key in keys:
-            assert pipe.models[key].report is reports[key]
 
 
 class TestTupleShim:
     """Tuples are not pair keys: there is no shim that converts them."""
 
     def test_tuple_rejected_at_every_entry_point(self, trained_pipe):
-        pipe, keys = trained_pipe
+        arch, models, keys = trained_pipe
         key = keys[0]
         as_tuple = (key.first, key.second)
-        dataset = pipe.models[key].train_set
+        dataset = models[key].train_set
         with pytest.raises(ConfigurationError, match="FlowPairKey"):
-            pipe.analyze(as_tuple)
+            analyze_pairs({as_tuple: models[key]}, _config())
         with pytest.raises(ConfigurationError, match="FlowPairKey"):
-            pipe.train_models({key: dataset}, pairs=[as_tuple])
+            train_pairs(arch, {key: dataset}, _config(), pairs=[as_tuple])
         with pytest.raises(ConfigurationError, match="FlowPairKey"):
-            pipe.train_models({as_tuple: dataset})
+            train_pairs(arch, {as_tuple: dataset}, _config())
 
     def test_flowpairkey_does_not_warn(self, trained_pipe):
-        pipe, keys = trained_pipe
+        _arch, models, keys = trained_pipe
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            reports = pipe.analyze(keys[0])
+            reports = analyze_pairs({keys[0]: models[keys[0]]}, _config())
         assert set(reports) == {keys[0]}
 
 
 class TestAnalysisEvents:
     def test_event_stream_through_gansec(self, trained_pipe):
-        pipe, keys = trained_pipe
+        _arch, models, _keys = trained_pipe
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.analyze(workers=2, bus=bus)
+        analyze_pairs(models, _config(analysis_workers=2), bus=bus)
         kinds = [e.kind for e in events]
         assert kinds[0] == "AnalysisStarted"
         assert kinds[-1] == "AnalysisCompleted"
@@ -140,11 +134,11 @@ class TestAnalysisEvents:
         assert not bus.handler_errors
 
     def test_scored_events_name_the_pairs(self, trained_pipe):
-        pipe, keys = trained_pipe
+        _arch, models, keys = trained_pipe
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.analyze(bus=bus)
+        analyze_pairs(models, _config(), bus=bus)
         scored = [e for e in events if e.kind == "ConditionScored"]
         assert {e.pair for e in scored} == {str(k) for k in keys}
 
@@ -156,12 +150,12 @@ class TestAnalysisEvents:
             JsonlTraceWriter,
         )
 
-        pipe, _keys = trained_pipe
+        _arch, models, _keys = trained_pipe
         bus = EventBus()
         writer = JsonlTraceWriter(tmp_path / "trace.jsonl")
         bus.subscribe(ConsoleProgressReporter().handle)
         bus.subscribe(writer.handle)
-        pipe.analyze(bus=bus)
+        analyze_pairs(models, _config(), bus=bus)
         writer.close()
         assert not bus.handler_errors
         err = capsys.readouterr().err
@@ -170,48 +164,37 @@ class TestAnalysisEvents:
         assert len(lines) == 1 + 4 + 1  # started + scored + completed
 
 
-class TestSampleCacheReuse:
-    def test_repeated_analyze_hits_cache(self, trained_pipe):
-        pipe, _keys = trained_pipe
-        pipe._sample_cache.clear()
-        pipe.analyze()
-        misses = pipe._sample_cache.stats()["misses"]
-        before_hits = pipe._sample_cache.stats()["hits"]
-        pipe.analyze()
-        stats = pipe._sample_cache.stats()
-        assert stats["hits"] >= before_hits + 4  # 2 pairs x 2 conditions
-        assert stats["misses"] == misses
+def _train_data(models):
+    return {key: model.train_set for key, model in models.items()}
 
 
-def _train_data(pipe, keys):
-    return {key: pipe.models[key].train_set for key in keys}
-
-
-#: Every fan-out entry point, called with a given ``workers`` value.
+#: Every fan-out entry point, by the pipeline step it runs, called with
+#: a given ``workers`` value.  The analyze step and the run read it from
+#: their config, which refuses it when built.
 FAN_OUT_ENTRY_POINTS = {
-    "train_models": lambda pipe, keys, w: GANSec(
-        pipe.architecture, _config()
-    ).train_models(_train_data(pipe, keys), workers=w),
-    "analyze": lambda pipe, keys, w: pipe.analyze(workers=w),
-    "run": lambda pipe, keys, w: GANSec(pipe.architecture, _config()).run(
-        _train_data(pipe, keys), workers=w
+    "train_models": lambda arch, models, keys, w, tmp: train_pairs(
+        arch, _train_data(models), _config(), workers=w
     ),
-    "run_security_analysis": lambda pipe, keys, w: run_security_analysis(
-        [
-            AnalysisTarget(
-                keys[0], pipe.models[keys[0]].cgan, pipe.models[keys[0]].test_set
-            )
-        ],
+    "analyze": lambda arch, models, keys, w, tmp: analyze_pairs(
+        models, _config(analysis_workers=w)
+    ),
+    "run": lambda arch, models, keys, w, tmp: run_experiment(
+        ExperimentConfig(analysis_workers=w), tmp / "run"
+    ),
+    "run_security_analysis": lambda arch, models, keys, w, tmp: run_security_analysis(
+        [AnalysisTarget(keys[0], models[keys[0]].cgan, models[keys[0]].test_set)],
         workers=w,
     ),
-    "security_analysis": lambda pipe, keys, w: security_analysis(
-        pipe.models[keys[0]].cgan, pipe.models[keys[0]].test_set, workers=w
+    "security_analysis": lambda arch, models, keys, w, tmp: security_analysis(
+        models[keys[0]].cgan, models[keys[0]].test_set, workers=w
     ),
-    "security_analysis_h_sweep": lambda pipe, keys, w: security_analysis_h_sweep(
-        pipe.models[keys[0]].cgan,
-        pipe.models[keys[0]].test_set,
-        h_values=(0.2,),
-        workers=w,
+    "security_analysis_h_sweep": lambda arch, models, keys, w, tmp: (
+        security_analysis_h_sweep(
+            models[keys[0]].cgan,
+            models[keys[0]].test_set,
+            h_values=(0.2,),
+            workers=w,
+        )
     ),
 }
 
@@ -219,7 +202,8 @@ FAN_OUT_ENTRY_POINTS = {
 class TestWorkerCounts:
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize("entry", sorted(FAN_OUT_ENTRY_POINTS))
-    def test_bad_worker_count_rejected(self, trained_pipe, entry, workers):
-        pipe, keys = trained_pipe
+    def test_bad_worker_count_rejected(self, trained_pipe, tmp_path, entry, workers):
+        arch, models, keys = trained_pipe
         with pytest.raises(ConfigurationError, match="workers"):
-            FAN_OUT_ENTRY_POINTS[entry](pipe, keys, workers)
+            FAN_OUT_ENTRY_POINTS[entry](arch, models, keys, workers, tmp_path)
+        assert not (tmp_path / "run").exists()

@@ -183,7 +183,7 @@ class TestFingerprint:
             "record_case_study_dataset",
             lambda **kw: real_record(**{**kw, "n_moves_per_axis": 1}),
         )
-        monkeypatch.setattr(experiment.GANSec, "train_models", stop)
+        monkeypatch.setattr(experiment, "train_pairs", stop)
         bus = EventBus()
         events = _collect(bus)
         with pytest.raises(Stop):
@@ -196,6 +196,69 @@ class TestFingerprint:
         assert started["graph"] == (
             "e167a4a3e9eaacc432c56e3ba1d8125bbc02b16960ca1d811046f26738342951"
         )
+
+    def test_default_config_slices_pinned(self, rundir, monkeypatch):
+        """Every stage's config slice for the default config, as earlier
+        versions wrote it, so their run directories keep resuming.
+
+        The stage runner records each slice and runs nothing.
+        """
+        import repro.pipeline.experiment as experiment
+
+        class Stop(Exception):
+            pass
+
+        slices = {}
+
+        def record(self, name, config_slice, deps, outputs, body):
+            slices[name] = config_slice
+            if name == "report":
+                raise Stop
+
+        monkeypatch.setattr(experiment._StageRunner, "__call__", record)
+        with pytest.raises(Stop):
+            run_experiment(ExperimentConfig(), rundir)
+
+        expected = {
+            "record": {
+                "n_moves_per_axis": 30,
+                "sample_rate": 12000.0,
+                "n_bins": 100,
+                "seed": 0,
+            },
+            "graph": {"flows": ["F1", "F14", "F15", "F16", "F17", "F18"]},
+            "train[F18|F1]": {
+                "pair": "F18|F1",
+                "seed": 0,
+                "cgan": {
+                    "noise_dim": 16,
+                    "generator_hidden": (64, 64),
+                    "discriminator_hidden": (64, 32),
+                    "learning_rate": 0.002,
+                    "iterations": 2000,
+                    "batch_size": 32,
+                    "k_disc": 1,
+                    "label_smoothing": 0.0,
+                    "generator_loss": "non_saturating",
+                },
+                "test_fraction": 0.25,
+            },
+            "analyze[F18|F1]": {
+                "pair": "F18|F1",
+                "seed": 0,
+                "h": 0.2,
+                "g_size": 200,
+                "test_fraction": 0.25,
+                "feature_indices": None,
+            },
+            "report": {"name": "case-study", "seed": 0},
+        }
+        assert slices == expected
+        # What the fingerprint hashes: 0.0 and 0 differ there.
+        for name, config_slice in expected.items():
+            assert json.dumps(slices[name], sort_keys=True) == json.dumps(
+                config_slice, sort_keys=True
+            )
 
 
 TINY = dict(

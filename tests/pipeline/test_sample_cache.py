@@ -10,7 +10,7 @@ likelihood tables to repeated sweeps through a cache that holds them all.
 import numpy as np
 
 from repro.manufacturing import GCODE_FLOW, printer_architecture
-from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
+from repro.pipeline import ExperimentConfig, FlowPairKey, train_pairs
 from repro.runtime.analysis import ConditionSampleCache
 from repro.security import security_analysis_h_sweep
 
@@ -38,11 +38,11 @@ def _sweeps(model, cache):
 
 class TestCapacityConfig:
     def test_over_capacity_sweep_is_bitwise_identical(self, case_dataset):
-        pipe = GANSec(
+        model = train_pairs(
             printer_architecture(),
-            GANSecConfig(cgan=CGANConfig(iterations=150), seed=0),
-        )
-        model = pipe.train_models({KEY: case_dataset})[KEY]
+            {KEY: case_dataset},
+            ExperimentConfig(iterations=150, seed=0),
+        )[KEY]
         cached, cached_hits = _sweeps(model, ConditionSampleCache(max_entries=64))
         thrashed, thrashed_hits = _sweeps(model, ConditionSampleCache(max_entries=1))
 

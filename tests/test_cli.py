@@ -284,11 +284,8 @@ class TestStageCommandsShareTheExperimentPath:
 
         from repro.flows.io import load_dataset
         from repro.manufacturing import GCODE_FLOW
-        from repro.pipeline.experiment import (
-            ExperimentConfig,
-            build_pipeline,
-            hydrate_pair_model,
-        )
+        from repro.pipeline.experiment import ExperimentConfig, hydrate_pair_model
+        from repro.pipeline.gansec import analyze_pairs
         from repro.pipeline.pairs import FlowPairKey
 
         capsys.readouterr()
@@ -302,12 +299,11 @@ class TestStageCommandsShareTheExperimentPath:
         ]
 
         config = ExperimentConfig.from_json(rundir / "config.json")
-        pipeline = build_pipeline(config)
         key = FlowPairKey(config.emission_flow, GCODE_FLOW)
-        hydrate_pair_model(
-            pipeline, rundir / "model", key, load_dataset(rundir / "dataset.npz")
+        model = hydrate_pair_model(
+            config, rundir / "model", key, load_dataset(rundir / "dataset.npz")
         )
-        likelihood = pipeline.analyze(key)[key].likelihood
+        likelihood = analyze_pairs({key: model}, config)[key].likelihood
         assert [row[1:3] for row in rows] == [
             [f"{cor:.4f}", f"{inc:.4f}"]
             for cor, inc in zip(
