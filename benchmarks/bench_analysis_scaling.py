@@ -255,10 +255,8 @@ def test_h_sweep_cache_benefit():
         )
     )
     assert same
-    print(
-        shape_check(
-            "generation ran once per condition for the whole sweep",
-            cache.stats()
-            == {"entries": N_CONDITIONS, "hits": 0, "misses": N_CONDITIONS},
-        )
-    )
+    once = cache.stats() == {
+        "entries": N_CONDITIONS, "hits": 0, "misses": N_CONDITIONS
+    }
+    print(shape_check("generation ran once per condition for the whole sweep", once))
+    assert once

@@ -1,9 +1,9 @@
-"""Flow abstractions: signal flows, energy flows, flow pairs, condition
-encodings, and aligned datasets (paper Section I-B and IV-B).
+"""Flow abstractions: flow declarations, energy flows, flow pairs,
+condition encodings (the observed signal-flow values), and aligned
+datasets (paper Section I-B and IV-B).
 """
 
 from repro.flows.base import EnergyForm, FlowKind, FlowPair, FlowSpec
-from repro.flows.signal import SignalFlowData
 from repro.flows.energy import EnergyFlowData
 from repro.flows.encoding import (
     CombinationEncoder,
@@ -26,6 +26,5 @@ __all__ = [
     "FlowSpec",
     "load_dataset",
     "save_dataset",
-    "SignalFlowData",
     "SingleMotorEncoder",
 ]

@@ -8,8 +8,10 @@ A CPPS is abstracted as a set of *flows* between components:
   emission, vibration, power draw, thermal radiation).
 
 :class:`FlowSpec` is the design-time *declaration* of a flow (identity,
-kind, endpoints); the data classes in :mod:`repro.flows.signal` and
-:mod:`repro.flows.energy` carry the run-time *observations*.
+kind, endpoints).  The run-time *observations* of a signal flow are the
+condition vectors of :mod:`repro.flows.encoding` held in
+:attr:`repro.flows.dataset.FlowPairDataset.conditions`; those of an
+energy flow are :mod:`repro.flows.energy`'s data.
 """
 
 from __future__ import annotations

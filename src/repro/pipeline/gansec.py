@@ -19,7 +19,8 @@ simulated printer):
    :class:`~repro.errors.PairTrainingError` aggregates the failures and
    carries the pairs that did train.
 2. :func:`analyze_pairs` runs the **security analysis** (Algorithm 3 +
-   attack models): likelihood metrics, side-channel leakage, and a
+   attack models): likelihood metrics and side-channel leakage, both
+   read off one scoring of each (pair, condition), and a
    designer-facing report per pair.
 
 Both read their settings from
@@ -46,7 +47,6 @@ from repro.graph.architecture import CPPSArchitecture
 from repro.graph.builder import generate
 from repro.pipeline.config import ExperimentConfig
 from repro.pipeline.pairs import FlowPairKey
-from repro.runtime.analysis import ConditionSampleCache
 from repro.runtime.events import (
     EventBus,
     PairFailed,
@@ -251,9 +251,10 @@ def analyze_pairs(
     (pair, condition), fanned out over ``config.analysis_workers``.
     The per-job RNG streams derive from ``config.seed`` and the (pair,
     condition) identity alone, so any worker count yields
-    bitwise-identical reports.  Each pair's attacker then refits the
-    draws Algorithm 3 made, served from a sample cache local to this
-    call.
+    bitwise-identical reports.  Each pair's side-channel attacker reads
+    the log densities Algorithm 3 computed
+    (:func:`~repro.security.report.build_security_report`), so each
+    (pair, condition) is drawn and scored once.
 
     Parameters
     ----------
@@ -274,7 +275,6 @@ def analyze_pairs(
         raise NotFittedError("train_pairs() must train a pair before analyze_pairs()")
     for key in models:
         _require_pair_key(key)
-    cache = ConditionSampleCache()
     likelihoods = run_security_analysis(
         [
             AnalysisTarget(
@@ -287,19 +287,10 @@ def analyze_pairs(
         root_entropy=config.seed,
         workers=config.analysis_workers,
         bus=bus,
-        cache=cache,
     )
     return {
         key: build_security_report(
-            model.cgan,
-            model.test_set,
-            pair_name=key.label(),
-            h=config.h,
-            g_size=config.g_size,
-            root_entropy=config.seed,
-            pair=str(key),
-            cache=cache,
-            likelihood=likelihoods[key],
+            model.test_set, likelihoods[key], pair_name=key.label()
         )
         for key, model in models.items()
     }

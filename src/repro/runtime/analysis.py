@@ -13,13 +13,19 @@ Determinism: the generator-noise stream for each job is derived from
 :func:`analysis_rng`), never from a shared sequential stream, so any
 schedule produces bitwise-identical likelihood tables.
 
+:func:`run_analysis_job` returns the condition's per-feature log
+densities of every test row at every width; the engine reduces them to
+Algorithm 3's Cor/Inc table and the side-channel attacker reads the
+same numbers, so each (pair, condition) is drawn and scored once.
+
 :class:`ConditionSampleCache` is a thread-safe LRU over generated
-condition samples keyed by ``(pair, condition, n, seed)``.  Because the
+condition samples keyed by ``(pair, condition, n, seed)``, served to
+repeated Table I sweeps
+(:func:`~repro.security.engine.security_analysis_h_sweep`).  Because the
 per-job RNG is a pure function of that key, a cache hit is numerically
 indistinguishable from regeneration — it simply skips the generator
 forward passes when the same cells are analyzed again with the same
-root.  One job already serves every Parzen width ``h`` of a Table I
-sweep: it draws once and scores all widths in one kernel pass.
+root.
 """
 
 from __future__ import annotations
@@ -143,7 +149,6 @@ class AnalysisJob:
     job_index: int
     total: int
     test_features: np.ndarray
-    correct_mask: np.ndarray
     feature_indices: np.ndarray
     h: tuple
     g_size: int
@@ -154,14 +159,14 @@ class AnalysisJob:
 
 @dataclass(eq=False)
 class AnalysisOutcome:
-    """Result of one job: one Cor/Inc likelihood row per width of the
-    job's ``h`` (``(len(h), n_features)`` arrays) *or* a captured failure."""
+    """Result of one job *or* a captured failure: the log density of every
+    test row under the job's condition, ``(len(h), n_features, n_rows)``,
+    one block per width of the job's ``h``."""
 
     pair: str
     cond_index: int
     seconds: float
-    avg_correct: np.ndarray | None = None
-    avg_incorrect: np.ndarray | None = None
+    log_densities: np.ndarray | None = None
     generated: np.ndarray | None = None
     cache_hit: bool = False
     error: str | None = None
@@ -230,16 +235,10 @@ def resolve_root_entropy(root_entropy) -> int:
 
 
 def draw_condition_samples(
-    sampler, pair: str, condition, g_size: int, root_entropy: int, *, cache=None
+    sampler, pair: str, condition, g_size: int, root_entropy: int
 ) -> np.ndarray:
     """``g_size`` draws from ``G(Z | condition)`` on the :func:`analysis_rng`
-    stream of the cell, served from and stored in *cache* if given."""
-    key = None
-    if cache is not None:
-        key = cache.key(pair, condition, g_size, root_entropy)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
+    stream of the cell."""
     rng = analysis_rng(root_entropy, pair, condition)
     generated = np.asarray(sampler(condition, g_size, rng), dtype=float)
     if generated.ndim != 2 or generated.shape[0] != g_size:
@@ -247,8 +246,6 @@ def draw_condition_samples(
             f"sampler returned shape {generated.shape}, expected "
             f"({g_size}, n_features)"
         )
-    if cache is not None:
-        cache.put(key, generated)
     return generated
 
 
@@ -260,7 +257,6 @@ def fit_condition_model(
     g_size: int,
     root_entropy,
     pair: str,
-    cache=None,
     feature_indices=None,
 ):
     """A :class:`~repro.security.parzen.ConditionalParzen` fitted to
@@ -271,7 +267,7 @@ def fit_condition_model(
 
     root_entropy = resolve_root_entropy(root_entropy)
     draws = [
-        draw_condition_samples(sampler, pair, cond, g_size, root_entropy, cache=cache)
+        draw_condition_samples(sampler, pair, cond, g_size, root_entropy)
         for cond in np.atleast_2d(conditions)
     ]
     return ConditionalParzen(h, draws, feature_indices=feature_indices)
@@ -280,15 +276,13 @@ def fit_condition_model(
 def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
     """Execute *job*; never raises.
 
-    Algorithm 3 Lines 6-14 for one condition: draw ``GSize`` generator
+    Algorithm 3 Lines 6-9 for one condition: draw ``GSize`` generator
     samples (unless a cached draw is attached), model every analyzed
-    feature with a 1-D Parzen window, and average the scaled
-    likelihoods of the correctly- and incorrectly-labeled test rows, at
-    every width of ``job.h`` from one kernel pass.
+    feature with a 1-D Parzen window, and score every test row under
+    the condition, at every width of ``job.h`` from one kernel pass.
     """
     start = time.perf_counter()
     try:
-        from repro.security.likelihood import condition_likelihood_sweep
         from repro.security.parzen import ConditionalParzen
 
         cache_hit = job.generated is not None
@@ -301,15 +295,13 @@ def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
         model = ConditionalParzen(
             job.h[0], [generated], feature_indices=job.feature_indices
         )
-        avg_cor, avg_inc = condition_likelihood_sweep(
-            model, job.test_features, 0, job.correct_mask, job.h
-        )
+        claims = np.zeros(len(job.test_features), dtype=int)
+        log_densities = model.log_densities(job.test_features, claims, job.h)
         return AnalysisOutcome(
             pair=job.pair,
             cond_index=job.cond_index,
             seconds=time.perf_counter() - start,
-            avg_correct=avg_cor,
-            avg_incorrect=avg_inc,
+            log_densities=log_densities.transpose(0, 2, 1),
             generated=generated,
             cache_hit=cache_hit,
         )

@@ -8,6 +8,10 @@ one model of ``Pr(emission | G-code condition)``:
   and infers which motor ran by maximum Parzen likelihood over the
   conditions (:meth:`EmissionModel.infer`, :meth:`EmissionModel.leakage`).
   High inference accuracy = high leakage = confidentiality violation.
+  :func:`leakage_report` is that read-out for any log-likelihood
+  matrix: the model's own, or the one the security report takes from
+  Algorithm 3's scores
+  (:meth:`~repro.security.likelihood.LikelihoodResult.joint_log_likelihoods`).
 * **integrity/availability** — "if a designer needs to create an
   integrity and availability attack detection model ... he/she will be
   able to estimate the performance of such a model using the CGAN
@@ -85,6 +89,33 @@ class LeakageReport:
         return format_table(rows, headers, title=title, float_fmt=".3f")
 
 
+def leakage_report(
+    conditions, log_likelihoods, test_set: FlowPairDataset
+) -> LeakageReport:
+    """The attacker's :class:`LeakageReport` on *test_set*: each row is
+    assigned the condition of its largest entry in the
+    ``(n_rows, n_conditions)`` *log_likelihoods* (columns in the order
+    of *conditions*), and scored against its true label."""
+    true_idx = condition_indices(conditions, test_set.conditions)
+    pred_idx = np.argmax(log_likelihoods, axis=1)
+    n = len(conditions)
+    confusion = np.zeros((n, n), dtype=int)
+    for t, p in zip(true_idx, pred_idx):
+        confusion[t, p] += 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        recall = np.where(
+            confusion.sum(axis=1) > 0,
+            np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1),
+            0.0,
+        )
+    return LeakageReport(
+        conditions=conditions,
+        accuracy=float((true_idx == pred_idx).mean()),
+        confusion=confusion,
+        per_condition_recall=recall,
+    )
+
+
 @dataclass
 class DetectionReport:
     """Evaluation of an attack detector on labeled clean/attacked data.
@@ -142,11 +173,11 @@ class EmissionModel:
         Feature columns used (``None`` = all).
     g_size:
         Generated samples per condition.
-    root_entropy / pair / cache:
-        The draws' derived streams and sample cache, as in
+    root_entropy / pair:
+        The draws' derived streams, as in
         :func:`~repro.runtime.analysis.draw_condition_samples`: a model
         and an Algorithm 3 analysis with the same root, pair and
-        ``g_size`` fit the same draws.
+        ``g_size`` fit the same draws and score the same log densities.
     """
 
     def __init__(
@@ -159,7 +190,6 @@ class EmissionModel:
         g_size: int = 200,
         root_entropy: int | None = None,
         pair: str = DEFAULT_PAIR,
-        cache=None,
     ):
         check_positive(h, "h")
         conditions = np.asarray(conditions, dtype=float)
@@ -178,7 +208,6 @@ class EmissionModel:
             g_size=check_positive_int(g_size, "g_size"),
             root_entropy=root_entropy,
             pair=str(pair),
-            cache=cache,
             feature_indices=feature_indices,
         )
 
@@ -209,24 +238,8 @@ class EmissionModel:
 
     def leakage(self, test_set: FlowPairDataset) -> LeakageReport:
         """Attack every test sample and compile a :class:`LeakageReport`."""
-        true_idx = condition_indices(self.conditions, test_set.conditions)
-        pred_idx = self.infer(test_set.features)
-        n = len(self.conditions)
-        confusion = np.zeros((n, n), dtype=int)
-        for t, p in zip(true_idx, pred_idx):
-            confusion[t, p] += 1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            recall = np.where(
-                confusion.sum(axis=1) > 0,
-                np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1),
-                0.0,
-            )
-        accuracy = float((true_idx == pred_idx).mean())
-        return LeakageReport(
-            conditions=self.conditions,
-            accuracy=accuracy,
-            confusion=confusion,
-            per_condition_recall=recall,
+        return leakage_report(
+            self.conditions, self.log_likelihoods(test_set.features), test_set
         )
 
     # -- detector read-out -------------------------------------------------

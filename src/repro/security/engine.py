@@ -14,14 +14,21 @@ Every (pair, condition) cell of the likelihood table is an independent
   kernels of every feature in small fixed-size blocks
   (:class:`~repro.security.parzen.ConditionalParzen`) instead of
   per-point or per-feature Python loops;
+* **one density pass** — each job returns the log density of every
+  test row and feature under its condition; the
+  :class:`~repro.security.likelihood.LikelihoodResult` keeps the
+  stacked tensor, reduces it to Cor/Inc, and the side-channel attacker
+  of :func:`~repro.security.report.build_security_report` reads the
+  same tensor, so nothing is drawn or scored twice;
 * **deterministic fan-out** — each job's generator-noise stream is
   derived from ``(root_entropy, pair, condition)`` alone
   (:func:`~repro.runtime.analysis.analysis_rng`), so serial and process
   schedules produce bitwise-identical likelihood tables;
-* **sample caching** — generated condition samples are reused through a
+* **sample caching** — :func:`security_analysis_h_sweep` can serve and
+  store the draws through a
   :class:`~repro.runtime.analysis.ConditionSampleCache` keyed by
-  ``(pair, condition, n, seed)``, so repeated calls with the same root
-  (and the detector and attacker fitted after them) skip generation;
+  ``(pair, condition, n, seed)``, so repeated sweeps with the same root
+  skip generation;
 * **instrumentation** — ``AnalysisStarted`` / ``ConditionScored`` /
   ``AnalysisCompleted`` events on the shared
   :class:`~repro.runtime.events.EventBus` feed the existing console and
@@ -57,7 +64,11 @@ from repro.runtime.events import (
     EventBus,
 )
 from repro.runtime.executors import fan_out, pool_size
-from repro.security.likelihood import LikelihoodResult, resolve_analysis_target
+from repro.security.likelihood import (
+    LikelihoodResult,
+    likelihood_sweep,
+    resolve_analysis_target,
+)
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -122,7 +133,6 @@ def run_security_analysis(
     root_entropy: int | None = None,
     workers: int = 1,
     bus: EventBus | None = None,
-    cache: ConditionSampleCache | None = None,
 ) -> dict:
     """Run Algorithm 3 at width *h* for several flow pairs in one
     parallel fan-out: the engine pass of :func:`security_analysis_h_sweep`
@@ -147,14 +157,13 @@ def run_security_analysis(
     bus:
         Optional :class:`~repro.runtime.events.EventBus` receiving the
         structured analysis events.
-    cache:
-        Optional :class:`~repro.runtime.analysis.ConditionSampleCache`
-        consulted for generated samples and refilled with fresh draws.
 
     Returns ``{target.key: LikelihoodResult}`` in target order.
 
     Raises
     ------
+    ConfigurationError
+        If two targets share a key; no job has run then.
     AnalysisError
         If one or more jobs failed.  Raised only after every job was
         attempted.
@@ -166,7 +175,7 @@ def run_security_analysis(
         root_entropy=root_entropy,
         workers=workers,
         bus=bus,
-        cache=cache,
+        cache=None,
     )
     return {key: sweep[float(h)] for key, sweep in results.items()}
 
@@ -181,6 +190,14 @@ def _analyze(
     if not hs:
         raise ConfigurationError("h_values must hold at least one width")
     check_positive_int(g_size, "g_size")
+    targets = list(targets)
+    keys = [t.key for t in targets]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigurationError(
+                f"analysis target key {key!r} is given more than once; "
+                "each pair's result is returned under its key"
+            )
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
         return {}
@@ -198,7 +215,6 @@ def _analyze(
                 job_index=len(jobs),
                 total=0,  # patched below once the batch size is known
                 test_features=features,
-                correct_mask=prep.target.test_set.mask_for_condition(cond),
                 feature_indices=prep.feature_indices,
                 h=hs,
                 g_size=g_size,
@@ -280,16 +296,13 @@ def _analyze(
     for prep in prepared:
         scored = outcomes[cursor : cursor + prep.conditions.shape[0]]
         cursor += len(scored)
-        results[prep.target.key] = {
-            h: LikelihoodResult(
-                conditions=prep.conditions,
-                feature_indices=prep.feature_indices,
-                avg_correct=np.stack([o.avg_correct[k] for o in scored]),
-                avg_incorrect=np.stack([o.avg_incorrect[k] for o in scored]),
-                h=h,
-            )
-            for k, h in enumerate(hs)
-        }
+        results[prep.target.key] = likelihood_sweep(
+            prep.target.test_set,
+            prep.conditions,
+            prep.feature_indices,
+            np.stack([o.log_densities for o in scored], axis=1),
+            hs,
+        )
     return results
 
 
@@ -337,8 +350,9 @@ def security_analysis_h_sweep(
     Each (pair, condition) job draws ``G(Z | C_i)`` once and scores
     every width in *h_values* from the same squared kernel distances;
     entry ``h`` is bitwise equal to :func:`security_analysis` at ``h``
-    with the same arguments.  A *cache*, when given, serves and stores
-    the draws as in :func:`run_security_analysis`.
+    with the same arguments.  A *cache*, when given, serves the draws
+    it holds for ``(pair, condition, g_size, root_entropy)`` and stores
+    the fresh ones, so a repeated sweep skips generation.
     """
     target = AnalysisTarget(
         key=pair,

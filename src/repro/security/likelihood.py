@@ -20,9 +20,12 @@ model can *detect* integrity/availability attacks that change the
 condition-emission relationship.
 
 The engine (:mod:`repro.security.engine`) runs the algorithm; this
-module holds its result types, its input validation, the Lines 9-15
-scoring of one condition (:func:`condition_likelihood_sweep`), and the
-repeated and feature-selection analyses built on the engine.
+module holds its result types, the Lines 10-15 reduction of the scored
+test rows (:func:`likelihood_sweep`), its input validation, and the
+repeated and feature-selection analyses built on the engine.  The
+result keeps the per-feature log densities it reduced, which the
+side-channel attacker reads too
+(:meth:`LikelihoodResult.joint_log_likelihoods`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import resolve_root_entropy
-from repro.security.parzen import ConditionalParzen
 from repro.utils.rng import stable_entropy
 from repro.utils.tables import format_table
 from repro.utils.validation import check_indices
@@ -56,6 +58,9 @@ class LikelihoodResult:
         ``AvgIncLike`` matrix, same shape.
     h:
         Parzen window width used.
+    log_densities:
+        ``FtDistr.score(x)`` of every test row under every analyzed
+        condition, shape ``(n_conds, n_features, n_rows)``.
     """
 
     conditions: np.ndarray
@@ -63,6 +68,14 @@ class LikelihoodResult:
     avg_correct: np.ndarray
     avg_incorrect: np.ndarray
     h: float
+    log_densities: np.ndarray
+
+    def joint_log_likelihoods(self) -> np.ndarray:
+        """``(n_rows, n_conds)``: each test row's log density under every
+        condition, summed over the analyzed features one feature at a time
+        as :meth:`~repro.security.parzen.ConditionalParzen.joint_log_density`
+        sums them.  The side-channel attacker's evidence."""
+        return np.add.accumulate(self.log_densities, axis=1)[:, -1].T
 
     def margin(self) -> np.ndarray:
         """Cor − Inc per (condition, feature): the attacker's edge."""
@@ -99,6 +112,35 @@ class LikelihoodResult:
         )
 
 
+def likelihood_sweep(
+    test_set: FlowPairDataset, conditions, feature_indices, log_densities, bandwidths
+) -> dict:
+    """Algorithm 3 Lines 10-15 at every width in *bandwidths*:
+    ``{h: LikelihoodResult}`` from the ``(len(bandwidths), n_conds,
+    n_features, n_rows)`` *log_densities* of *test_set*'s rows, the
+    per-feature mean of ``exp(LogLike) * h`` over the rows labeled with
+    each condition (Cor) and over the other rows (Inc)."""
+    hs = np.asarray(bandwidths, dtype=float)[:, None, None, None]
+    likes = np.exp(log_densities) * hs
+    cor, inc = [], []
+    for ci, cond in enumerate(conditions):
+        correct = test_set.mask_for_condition(cond)
+        # C order makes each feature's mean reduce like a 1-D mean.
+        cor.append(np.ascontiguousarray(likes[:, ci][:, :, correct]).mean(axis=2))
+        inc.append(np.ascontiguousarray(likes[:, ci][:, :, ~correct]).mean(axis=2))
+    return {
+        h: LikelihoodResult(
+            conditions=conditions,
+            feature_indices=feature_indices,
+            avg_correct=np.stack([c[k] for c in cor]),
+            avg_incorrect=np.stack([c[k] for c in inc]),
+            h=h,
+            log_densities=log_densities[k],
+        )
+        for k, h in enumerate(bandwidths)
+    }
+
+
 def resolve_analysis_target(
     test_set: FlowPairDataset, conditions=None, feature_indices=None, *, label=None
 ) -> tuple:
@@ -131,28 +173,6 @@ def resolve_analysis_target(
                 "Algorithm 3 needs test data for every analyzed condition"
             )
     return conditions, feature_indices
-
-
-def condition_likelihood_sweep(
-    model: ConditionalParzen, features, cond_index: int, correct_mask, bandwidths
-) -> tuple:
-    """Algorithm 3 Lines 9-15 for condition *cond_index* of *model*: the
-    per-feature mean of ``exp(LogLike) * h`` over the correctly and the
-    incorrectly labeled rows of *features*, at every width in
-    *bandwidths* from one
-    :meth:`~repro.security.parzen.ConditionalParzen.log_densities` pass:
-    ``(AvgCor, AvgInc)``, each ``(len(bandwidths), n_features)``."""
-    claims = np.full(len(features), cond_index)
-    hs = np.asarray(bandwidths, dtype=float)[:, None, None]
-    likes = np.exp(
-        model.log_densities(features, claims, bandwidths).transpose(0, 2, 1)
-    ) * hs
-
-    def masked_mean(mask):
-        # C order makes each feature's mean reduce like a 1-D mean.
-        return np.ascontiguousarray(likes[:, :, mask]).mean(axis=2)
-
-    return masked_mean(correct_mask), masked_mean(~correct_mask)
 
 
 @dataclass

@@ -9,8 +9,8 @@ evaluation protocol from Goodfellow et al. 2014.
 (condition, feature), fitted to draws from ``G(Z | C_i)`` and scored in
 one fused pass.  Its log density is Algorithm 3's
 ``FtDistr.score(x)``;
-:func:`~repro.security.likelihood.condition_likelihood_sweep` applies
-the paper's ``exp(LogLike) * h`` scaling.
+:func:`~repro.security.likelihood.likelihood_sweep` applies the paper's
+``exp(LogLike) * h`` scaling.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Human-readable security reports combining all analyses.
 
-:func:`build_security_report` runs the confidentiality, likelihood, and
-mutual-information analyses against one trained CGAN and assembles a
-plain-text report a CPPS designer can read — the artifact GAN-Sec's
-methodology ultimately produces.
+:func:`build_security_report` reads the confidentiality and likelihood
+analyses off one Algorithm 3 result, adds the mutual-information
+analysis of the test set, and assembles a plain-text report a CPPS
+designer can read — the artifact GAN-Sec's methodology ultimately
+produces.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.flows.dataset import FlowPairDataset
-from repro.runtime.analysis import (
-    DEFAULT_PAIR,
-    ConditionSampleCache,
-    resolve_root_entropy,
-)
-from repro.security.emission import EmissionModel, LeakageReport
-from repro.security.engine import security_analysis
+from repro.security.emission import LeakageReport, leakage_report
 from repro.security.likelihood import LikelihoodResult
 from repro.security.mutual_information import (
     condition_entropy_bits,
@@ -79,48 +74,27 @@ class SecurityReport:
 
 
 def build_security_report(
-    cgan,
     test_set: FlowPairDataset,
+    likelihood: LikelihoodResult,
     *,
     pair_name: str = "F_energy | F_signal",
-    h: float = 0.2,
-    g_size: int = 200,
-    feature_indices=None,
-    root_entropy: int | None = None,
-    pair: str = DEFAULT_PAIR,
-    cache: ConditionSampleCache | None = None,
-    likelihood: LikelihoodResult | None = None,
 ) -> SecurityReport:
-    """Run the full analysis suite for one trained CGAN + test set.
+    """The security report of one flow pair from its Algorithm 3 result
+    on *test_set* (:func:`~repro.security.engine.run_security_analysis`).
 
-    Algorithm 3 and the attacker's
-    :class:`~repro.security.emission.EmissionModel` fit the same draws:
-    one per condition from the ``(root_entropy, pair, condition)``
-    stream, served from *cache* when one is given.
-    *likelihood* injects a precomputed Algorithm 3 result — the parallel
-    engine (:mod:`repro.security.engine`) computes the likelihood tables
-    for a whole batch of pairs in one fan-out and hands each pair's
-    table in here, so the report builder does not redo the scoring.
+    Nothing is drawn or scored here: the Cor/Inc table is *likelihood*'s,
+    and the side-channel attacker takes, for every test row, the
+    condition of highest joint log density in
+    :meth:`~repro.security.likelihood.LikelihoodResult.joint_log_likelihoods`
+    — what an :class:`~repro.security.emission.EmissionModel` fitted to
+    the same draws would compute.
     """
-    root_entropy = resolve_root_entropy(root_entropy)
-    fit_args = dict(
-        h=h,
-        g_size=g_size,
-        feature_indices=feature_indices,
-        root_entropy=root_entropy,
-        pair=pair,
-        cache=cache,
-    )
-    conditions = test_set.unique_conditions()
-    if likelihood is None:
-        likelihood = security_analysis(
-            cgan, test_set, conditions=conditions, **fit_args
-        )
-    leakage = EmissionModel(cgan, conditions, **fit_args).leakage(test_set)
     return SecurityReport(
         pair_name=pair_name,
         likelihood=likelihood,
-        leakage=leakage,
+        leakage=leakage_report(
+            likelihood.conditions, likelihood.joint_log_likelihoods(), test_set
+        ),
         mi_profile=feature_leakage_profile(test_set),
         condition_entropy=condition_entropy_bits(test_set.conditions),
     )

@@ -78,7 +78,6 @@ def calibrate_stream_monitor(
     g_size: int = 200,
     root_entropy: int = 0,
     pair: str = "stream",
-    cache=None,
     detector: str = "cusum",
     drift: float = 0.5,
     threshold: float = 10.0,
@@ -124,7 +123,6 @@ def calibrate_stream_monitor(
         g_size=g_size,
         root_entropy=root_entropy,
         pair=pair,
-        cache=cache,
     )
     clean_scores = scorer.score_windows(features, claim_idx)
     if detector == "cusum":

@@ -1,10 +1,11 @@
 """Gap-filling integration tests across module boundaries."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.flows.signal import SignalFlowData
-from repro.flows.encoding import condition_label
+from repro.flows.encoding import SingleMotorEncoder, condition_label
 from repro.manufacturing import (
     MotionPlanner,
     Printer3D,
@@ -13,19 +14,21 @@ from repro.manufacturing import (
     rectangle_program,
 )
 from repro.security import EmissionModel, roc_curve
+from repro.security.mutual_information import condition_entropy_bits
 
 
 class TestSignalFlowFromPlans:
-    """The cyber-side SignalFlowData view of planned programs."""
+    """The cyber-side signal flow (the G-code conditions) of planned programs."""
 
     def test_rectangle_condition_statistics(self):
         segs = MotionPlanner().plan(rectangle_program(20, 10, n_loops=3))
-        labels = [condition_label(s.active_axes) for s in segs if s.active_axes]
-        flow = SignalFlowData(labels, name="gcode-conditions")
+        actives = [s.active_axes for s in segs if s.active_axes]
+        counts = Counter(condition_label(a) for a in actives)
         # A rectangle alternates X and Y equally.
-        assert flow.event_probability("X") == pytest.approx(0.5, abs=0.1)
-        assert flow.event_probability("Y") == pytest.approx(0.5, abs=0.1)
-        assert flow.entropy() > 0.9
+        assert counts["X"] / len(actives) == pytest.approx(0.5, abs=0.1)
+        assert counts["Y"] / len(actives) == pytest.approx(0.5, abs=0.1)
+        conditions = SingleMotorEncoder().encode_many(actives)
+        assert condition_entropy_bits(conditions) > 0.9
 
 
 class TestArcsThroughFullStack:

@@ -90,32 +90,73 @@ class TestAnalyzeStep:
     def test_generator_runs_once_per_condition(
         self, pipeline_run, fast_config, monkeypatch
     ):
-        # Algorithm 3 and the report's attacker fit the same draws: the
-        # attacker's come from the sample cache Algorithm 3 filled.
-        import repro.pipeline.gansec as gansec
+        # Algorithm 3 and the report's attacker read the same draws:
+        # each condition is drawn once.
         from repro.gan.cgan import ConditionalGAN
-        from repro.runtime.analysis import ConditionSampleCache
 
         models, _ = pipeline_run
         drawn = []
-        caches = []
         generate_for_condition = ConditionalGAN.generate_for_condition
 
         def counting(cgan, condition, n, *, seed=None):
             drawn.append(tuple(np.asarray(condition, dtype=float)))
             return generate_for_condition(cgan, condition, n, seed=seed)
 
-        def recording_cache():
-            caches.append(ConditionSampleCache())
-            return caches[-1]
-
         monkeypatch.setattr(ConditionalGAN, "generate_for_condition", counting)
-        monkeypatch.setattr(gansec, "ConditionSampleCache", recording_cache)
         (report,) = analyze_pairs(models, fast_config).values()
         conditions = {tuple(c) for c in report.likelihood.conditions}
         assert sorted(drawn) == sorted(conditions)
-        (cache,) = caches
-        assert cache.hits == len(conditions)
+
+    def test_each_condition_scored_once(self, pipeline_run, fast_config, monkeypatch):
+        # One Parzen fit and one log_densities pass per (pair, condition)
+        # serve both the Cor/Inc table and the attacker.
+        from repro.security.parzen import ConditionalParzen
+
+        models, _ = pipeline_run
+        fits, passes = [], []
+        init = ConditionalParzen.__init__
+        log_densities = ConditionalParzen.log_densities
+
+        def counting_init(self, h, draws, **kwargs):
+            fits.append(len(draws))
+            init(self, h, draws, **kwargs)
+
+        def counting_pass(self, features, claim_idx, bandwidths):
+            passes.append(np.unique(claim_idx).tolist())
+            return log_densities(self, features, claim_idx, bandwidths)
+
+        monkeypatch.setattr(ConditionalParzen, "__init__", counting_init)
+        monkeypatch.setattr(ConditionalParzen, "log_densities", counting_pass)
+        (report,) = analyze_pairs(models, fast_config).values()
+        n_conditions = len(report.likelihood.conditions)
+        assert fits == [1] * n_conditions
+        assert passes == [[0]] * n_conditions
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_attacker_matches_the_emission_model(self, pipeline_run, workers):
+        # The report's LeakageReport is the one an EmissionModel fitted to
+        # the analysis draws computes, whatever the worker count.
+        from repro.security.emission import EmissionModel
+
+        models, _ = pipeline_run
+        config = ExperimentConfig(iterations=150, seed=0, analysis_workers=workers)
+        (report,) = analyze_pairs(models, config).values()
+        model = models[KEY]
+        test = model.test_set
+        reference = EmissionModel(
+            model.cgan,
+            test.unique_conditions(),
+            h=config.h,
+            g_size=config.g_size,
+            root_entropy=config.seed,
+            pair=str(KEY),
+        ).leakage(test)
+        assert report.leakage.accuracy == reference.accuracy
+        np.testing.assert_array_equal(report.leakage.confusion, reference.confusion)
+        np.testing.assert_array_equal(
+            report.leakage.per_condition_recall, reference.per_condition_recall
+        )
+        np.testing.assert_array_equal(report.leakage.conditions, reference.conditions)
 
     def test_analyze_before_train_raises(self, fast_config):
         with pytest.raises(NotFittedError):

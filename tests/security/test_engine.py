@@ -16,7 +16,7 @@ from repro.errors import (
     ConfigurationError,
     DataError,
 )
-from repro.flows.dataset import FlowPairDataset
+from repro.flows.dataset import FlowPairDataset, condition_indices
 from repro.gan import ConditionalGAN
 from repro.runtime import EventBus
 from repro.runtime.analysis import (
@@ -292,6 +292,23 @@ class TestValidation:
     def test_empty_targets(self):
         assert run_security_analysis([]) == {}
 
+    def test_duplicate_target_keys_rejected_before_any_job(self, toy_dataset):
+        # A second target under one key would overwrite the first's result.
+        calls = []
+
+        def sampler(condition, n, rng):
+            calls.append(condition)
+            return gaussian_sampler(condition, n, rng)
+
+        other = toy_dataset.take(len(toy_dataset) - 1, seed=0)
+        targets = [
+            AnalysisTarget(key="p", sampler=sampler, test_set=toy_dataset),
+            AnalysisTarget(key="p", sampler=sampler, test_set=other),
+        ]
+        with pytest.raises(ConfigurationError, match="'p'"):
+            run_security_analysis(targets, g_size=20, root_entropy=ROOT)
+        assert calls == []
+
     def test_bad_h(self, toy_dataset):
         for h in (0.0, np.inf, np.nan):
             for build in model_builders(toy_dataset, h=h):
@@ -360,23 +377,20 @@ class TestOneDrawPath:
     draws from the same derived (root, pair, condition) streams."""
 
     def test_detector_and_attacker_reuse_the_analysis_draws(self, toy_dataset):
-        cache = ConditionSampleCache()
-        _run(toy_dataset, cache=cache)
+        # Same root, same draws, same scores: the models' log likelihoods
+        # are the ones Algorithm 3 computed.
+        analysis = _run(toy_dataset)
         conds = toy_dataset.unique_conditions()
         kwargs = dict(h=0.2, g_size=50, root_entropy=ROOT, pair="toy")
-        detector = EmissionModel(
-            gaussian_sampler, conds, cache=cache, **kwargs
-        )
-        attacker = EmissionModel(
-            gaussian_sampler, conds, cache=cache, **kwargs
-        )
-        assert cache.stats()["hits"] == 2 * len(conds)
+        detector = EmissionModel(gaussian_sampler, conds, **kwargs)
+        attacker = EmissionModel(gaussian_sampler, conds, **kwargs)
         x, claims = toy_dataset.features, toy_dataset.conditions
-        fresh = EmissionModel(gaussian_sampler, conds, **kwargs)
-        np.testing.assert_array_equal(detector.score(x, claims), fresh.score(x, claims))
-        fresh = EmissionModel(gaussian_sampler, conds, **kwargs)
+        joint = analysis.joint_log_likelihoods()
+        np.testing.assert_array_equal(attacker.log_likelihoods(x), joint)
+        claim_idx = condition_indices(conds, claims)
         np.testing.assert_array_equal(
-            attacker.log_likelihoods(x), fresh.log_likelihoods(x)
+            detector.score(x, claims),
+            joint[np.arange(len(x)), claim_idx] / toy_dataset.feature_dim,
         )
 
     def test_window_score_is_the_claim_score(self, toy_dataset):

@@ -12,7 +12,6 @@ from repro.runtime.analysis import DEFAULT_PAIR, analysis_rng
 from repro.security import parzen
 from repro.security.emission import EmissionModel
 from repro.security.engine import security_analysis, security_analysis_h_sweep
-from repro.security.likelihood import condition_likelihood_sweep
 from repro.security.parzen import ConditionalParzen
 
 
@@ -109,14 +108,16 @@ class TestDensity:
     def test_likelihood_scaling(self):
         # Paper's Line 10: Like = exp(LogLike) * h.
         h = 0.2
-        avg_cor, _ = condition_likelihood_sweep(
-            window(h, [0.5]),
-            np.array([[0.5], [0.9]]),
-            0,
-            np.array([True, False]),
-            (h,),
+        test = FlowPairDataset(np.array([[0.5], [0.9]]), np.eye(2))
+        result = security_analysis(
+            lambda cond, n, rng: np.full((n, 1), 0.5),
+            test,
+            h=h,
+            g_size=1,
+            root_entropy=0,
         )
-        assert avg_cor[0][0] == pytest.approx(h / (h * np.sqrt(2 * np.pi)))
+        expected = h / (h * np.sqrt(2 * np.pi))
+        assert result.avg_correct[0][0] == pytest.approx(expected)
 
     def test_far_points_no_underflow_to_nan(self):
         scores = log_density(window(0.1, [0.0]), [100.0])
