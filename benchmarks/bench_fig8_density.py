@@ -21,9 +21,7 @@ GRID = np.linspace(0.0, 1.0, 101)
 
 
 def _densities(cgan, train):
-    ft = choose_analysis_feature(
-        cgan, train, h=H, objective="peak", root_entropy=BENCH_SEED
-    )
+    ft = choose_analysis_feature(cgan, train, h=H, root_entropy=BENCH_SEED)
     curves = {}
     claims = np.zeros(len(GRID), dtype=int)
     for i, cond in enumerate(train.unique_conditions()):

@@ -29,7 +29,7 @@ G_SIZE = 300
 
 def _run_sweep(cgan, train, test):
     ft = choose_analysis_feature(
-        cgan, train, h=H_VALUES[0], objective="peak", root_entropy=BENCH_SEED
+        cgan, train, h=H_VALUES[0], root_entropy=BENCH_SEED
     )
     sweep = security_analysis_h_sweep(
         cgan,

@@ -157,7 +157,7 @@ def _cmd_table1(args) -> int:
 
     config, key, _dataset, model = _read_run(args, g_size=args.g_size)
     ft = choose_analysis_feature(
-        model.cgan, model.train_set, h=0.2, objective="peak", root_entropy=config.seed
+        model.cgan, model.train_set, h=0.2, root_entropy=config.seed
     )
     h_values = (0.2, 0.4, 0.6, 0.8, 1.0)
     # Same draws as the run's analyze stage: at the run's g-size, feature
@@ -252,6 +252,19 @@ def _load_claim_track(path):
     )
 
 
+def _stream_source_error(args) -> str | None:
+    """Why the trace and claim flags cannot run together, or ``None``."""
+    if bool(args.wav) == bool(args.synthetic):
+        return "exactly one of --wav or --synthetic is required"
+    if args.synthetic and (args.claims or args.calibration_wav):
+        return "--claims and --calibration-wav apply to --wav only"
+    if args.wav and not args.claims:
+        return "--wav requires --claims"
+    if args.calibration_claims and not args.calibration_wav:
+        return "--calibration-claims requires --calibration-wav"
+    return None
+
+
 def _cmd_stream(args) -> int:
     import json
 
@@ -265,8 +278,9 @@ def _cmd_stream(args) -> int:
         synthetic_printer_stream,
     )
 
-    if bool(args.wav) == bool(args.synthetic):
-        print("error: exactly one of --wav or --synthetic is required", file=sys.stderr)
+    error = _stream_source_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     sampler = None

@@ -277,9 +277,7 @@ def analyze_pairs(
         _require_pair_key(key)
     likelihoods = run_security_analysis(
         [
-            AnalysisTarget(
-                key=key, sampler=model.cgan, test_set=model.test_set, label=str(key)
-            )
+            AnalysisTarget(key=key, sampler=model.cgan, test_set=model.test_set)
             for key, model in models.items()
         ],
         h=config.h,

@@ -82,6 +82,8 @@ class AnalysisTarget:
         Hashable identity under which the pair's
         :class:`~repro.security.likelihood.LikelihoodResult` is returned
         (typically a :class:`~repro.pipeline.pairs.FlowPairKey`).
+        ``str(key)`` labels the pair in events and errors and seeds its
+        per-condition RNG streams, so it must be unique in a batch.
     sampler:
         Trained CGAN or picklable callable providing ``G(Z | C_i)``.
     test_set:
@@ -89,8 +91,6 @@ class AnalysisTarget:
     conditions / feature_indices:
         Per-pair overrides; default to the test set's distinct
         conditions and all feature columns.
-    label:
-        Event/report label; defaults to ``str(key)``.
     """
 
     key: object
@@ -98,7 +98,6 @@ class AnalysisTarget:
     test_set: FlowPairDataset
     conditions: object = None
     feature_indices: object = None
-    label: str | None = None
 
 
 @dataclass
@@ -112,7 +111,7 @@ class _PreparedTarget:
 
 def _prepare_target(target: AnalysisTarget) -> _PreparedTarget:
     """Validate one target and resolve its label and sampler."""
-    label = target.label if target.label is not None else str(target.key)
+    label = str(target.key)
     conditions, feature_indices = resolve_analysis_target(
         target.test_set, target.conditions, target.feature_indices, label=label
     )
@@ -163,7 +162,7 @@ def run_security_analysis(
     Raises
     ------
     ConfigurationError
-        If two targets share a key; no job has run then.
+        If two targets' keys share one ``str(key)``; no job has run then.
     AnalysisError
         If one or more jobs failed.  Raised only after every job was
         attempted.
@@ -191,12 +190,13 @@ def _analyze(
         raise ConfigurationError("h_values must hold at least one width")
     check_positive_int(g_size, "g_size")
     targets = list(targets)
-    keys = [t.key for t in targets]
-    for key in keys:
-        if keys.count(key) > 1:
+    labels = [str(t.key) for t in targets]
+    for label in labels:
+        if labels.count(label) > 1:
             raise ConfigurationError(
-                f"analysis target key {key!r} is given more than once; "
-                "each pair's result is returned under its key"
+                f"analysis target key {label!r} is given more than once; "
+                "each pair's result is returned, and its RNG streams "
+                "derived, under str(key)"
             )
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
@@ -360,7 +360,6 @@ def security_analysis_h_sweep(
         test_set=test_set,
         conditions=conditions,
         feature_indices=feature_indices,
-        label=pair,
     )
     results = _analyze(
         [target],

@@ -269,44 +269,31 @@ def choose_analysis_feature(
     candidates=None,
     h: float = 0.2,
     g_size: int = 150,
-    objective: str = "balanced",
     root_entropy: int | None = None,
 ) -> int:
     """Pick the single feature for a Table-I-style analysis.
 
     Implements the paper's (implicit) feature extraction/selection
-    ``f_Y`` on the *calibration* (training) data.
+    ``f_Y`` on the *calibration* (training) data: among the candidates
+    whose margin is positive for *every* condition, the one with the
+    strongest single-condition margin (the feature on which some
+    condition is most identifiable — the paper's Table I highlights
+    exactly such a feature, with Cond3 standing out).  When no
+    candidate has all-positive margins, the one maximizing mean-plus-
+    minimum margin (a robust feature that identifies every condition
+    reasonably).
 
     Parameters
     ----------
-    objective:
-        ``"balanced"`` — maximize mean-plus-minimum per-condition margin
-        (a robust feature that identifies every condition reasonably);
-        ``"peak"`` — among features whose margin is positive for *every*
-        condition, maximize the strongest single-condition margin (the
-        feature on which some condition is most identifiable — the
-        paper's Table I highlights exactly such a feature, with Cond3
-        standing out).  Falls back to ``"balanced"`` scoring when no
-        candidate has all-positive margins.
     candidates:
-        Feature indices to score; defaults to the 10 highest-MI columns
-        for ``"balanced"`` and to all columns for ``"peak"``.
+        Feature indices to score; defaults to all columns.
 
     Returns the chosen feature index.
     """
     from repro.security.engine import security_analysis  # Avoids a cycle.
-    from repro.security.mutual_information import feature_leakage_profile
 
-    if objective not in ("balanced", "peak"):
-        raise ConfigurationError(
-            f"objective must be 'balanced' or 'peak', got {objective!r}"
-        )
     if candidates is None:
-        if objective == "peak":
-            candidates = np.arange(calibration_set.feature_dim)
-        else:
-            mi = feature_leakage_profile(calibration_set)
-            candidates = np.argsort(mi)[::-1][:10]
+        candidates = np.arange(calibration_set.feature_dim)
     candidates = check_indices(candidates, "candidates", calibration_set.feature_dim)
     result = security_analysis(
         generator_sampler,
@@ -317,11 +304,10 @@ def choose_analysis_feature(
         root_entropy=root_entropy,
     )
     margins = result.margin()  # (n_conds, n_candidates)
-    if objective == "peak":
-        all_positive = np.all(margins > 0, axis=0)
-        if all_positive.any():
-            score = np.where(all_positive, margins.max(axis=0), -np.inf)
-            return int(candidates[int(np.argmax(score))])
-    # Mean margin plus the minimum (so one hopeless condition penalizes).
-    score = margins.mean(axis=0) + margins.min(axis=0)
+    all_positive = np.all(margins > 0, axis=0)
+    if all_positive.any():
+        score = np.where(all_positive, margins.max(axis=0), -np.inf)
+    else:
+        # Mean margin plus the minimum (so one hopeless condition penalizes).
+        score = margins.mean(axis=0) + margins.min(axis=0)
     return int(candidates[int(np.argmax(score))])

@@ -23,7 +23,9 @@ class _SequentialDetector:
     Scores follow the detection convention (higher = more normal), and
     *reference* / *scale* normalize them into z-like deviations:
     ``z = (reference - score) / scale`` is positive when the emission
-    looks less likely than calibration predicted.
+    looks less likely than calibration predicted.  The statistic
+    restarts at 0 after each alarm, so a session reports distinct
+    attack episodes instead of one saturated alarm.
     """
 
     def __init__(self, *, reference: float, scale: float, threshold: float):
@@ -34,17 +36,27 @@ class _SequentialDetector:
         self.reference = float(reference)
         self.scale = float(scale)
         self.threshold = float(threshold)
+        self.statistic = 0.0
         self.windows_seen = 0
         self.alarms: list = []
 
-    @staticmethod
-    def _calibration_stats(clean_scores) -> tuple:
+    @classmethod
+    def from_calibration(cls, clean_scores, **params):
+        """Build a detector normalized to clean-window score statistics.
+
+        *params* are the class's other keyword arguments (``threshold``
+        and ``drift`` or ``alpha``), with the class's defaults.
+        """
         # A -inf score makes the reference -inf, and then no alarm can fire.
         scores = check_array(np.ravel(clean_scores), "calibration scores")
         if scores.size < 2:
             raise DataError("need >= 2 calibration scores")
         std = float(scores.std())
-        return float(scores.mean()), (std if std > 0 else 1e-12)
+        return cls(
+            reference=float(scores.mean()),
+            scale=std if std > 0 else 1e-12,
+            **params,
+        )
 
     def _deviation(self, score: float) -> float:
         return (self.reference - float(score)) / self.scale
@@ -80,10 +92,6 @@ class CusumDetector(_SequentialDetector):
         Per-step allowance in z units (default 0.5).
     threshold:
         Alarm level on the accumulated statistic (default 5.0).
-    reset_on_alarm:
-        Restart the accumulation after each alarm (default), so a
-        session reports distinct attack episodes instead of one
-        saturated alarm.
     """
 
     def __init__(
@@ -93,33 +101,11 @@ class CusumDetector(_SequentialDetector):
         scale: float = 1.0,
         drift: float = 0.5,
         threshold: float = 5.0,
-        reset_on_alarm: bool = True,
     ):
         super().__init__(reference=reference, scale=scale, threshold=threshold)
         if drift < 0:
             raise ConfigurationError(f"drift must be >= 0, got {drift}")
         self.drift = float(drift)
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.statistic = 0.0
-
-    @classmethod
-    def from_calibration(
-        cls,
-        clean_scores,
-        *,
-        drift: float = 0.5,
-        threshold: float = 5.0,
-        reset_on_alarm: bool = True,
-    ) -> "CusumDetector":
-        """Build a detector normalized to clean-window score statistics."""
-        mean, std = cls._calibration_stats(clean_scores)
-        return cls(
-            reference=mean,
-            scale=std,
-            drift=drift,
-            threshold=threshold,
-            reset_on_alarm=reset_on_alarm,
-        )
 
     def update(self, score: float) -> bool:
         """Consume one window score; True when the alarm fires."""
@@ -127,13 +113,9 @@ class CusumDetector(_SequentialDetector):
         alarm = self.statistic > self.threshold
         if alarm:
             self.alarms.append(self.windows_seen)
-            if self.reset_on_alarm:
-                self.statistic = 0.0
+            self.statistic = 0.0
         self.windows_seen += 1
         return alarm
-
-    def reset(self) -> None:
-        self.statistic = 0.0
 
     def __repr__(self):
         return (
@@ -157,45 +139,20 @@ class EwmaDetector(_SequentialDetector):
         scale: float = 1.0,
         alpha: float = 0.2,
         threshold: float = 2.5,
-        reset_on_alarm: bool = True,
     ):
         super().__init__(reference=reference, scale=scale, threshold=threshold)
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.statistic = 0.0
-
-    @classmethod
-    def from_calibration(
-        cls,
-        clean_scores,
-        *,
-        alpha: float = 0.2,
-        threshold: float = 2.5,
-        reset_on_alarm: bool = True,
-    ) -> "EwmaDetector":
-        mean, std = cls._calibration_stats(clean_scores)
-        return cls(
-            reference=mean,
-            scale=std,
-            alpha=alpha,
-            threshold=threshold,
-            reset_on_alarm=reset_on_alarm,
-        )
 
     def update(self, score: float) -> bool:
         self.statistic = (1.0 - self.alpha) * self.statistic + self.alpha * self._deviation(score)
         alarm = self.statistic > self.threshold
         if alarm:
             self.alarms.append(self.windows_seen)
-            if self.reset_on_alarm:
-                self.statistic = 0.0
+            self.statistic = 0.0
         self.windows_seen += 1
         return alarm
-
-    def reset(self) -> None:
-        self.statistic = 0.0
 
     def __repr__(self):
         return (

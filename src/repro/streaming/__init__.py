@@ -4,8 +4,8 @@ The offline security analysis (:mod:`repro.security`) scores
 pre-recorded traces in batch.  This package is the same detector run as
 a long-lived service over incrementally arriving samples:
 
-* :mod:`~repro.streaming.windowing` — bounded ring buffer and
-  hop-based windowing (any chunking, identical windows);
+* :mod:`~repro.streaming.windowing` — hop-based windowing, offline
+  and over a carried tail (any chunking, identical windows);
 * :mod:`~repro.streaming.calibration` — fitting extractor, scorer (the
   offline :class:`~repro.security.emission.EmissionModel`'s detector
   read-out, scoring batches of windows under their claimed
@@ -40,19 +40,17 @@ from repro.streaming.session import (
     StreamMetrics,
     StreamSession,
 )
-from repro.streaming.windowing import RingBuffer, StreamWindower, Window, frame_signal
+from repro.streaming.windowing import StreamWindower, frame_signal
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
     "ClaimTrack",
-    "RingBuffer",
     "StreamCalibration",
     "StreamMetrics",
     "StreamScenario",
     "StreamSession",
     "StreamWindower",
     "TraceReplay",
-    "Window",
     "calibrate_stream_monitor",
     "frame_signal",
     "inject_claim_attack",

@@ -10,14 +10,16 @@ CGAN sampler (the paper's detection dual: the *model* predicts what
 each condition should sound like) or, when no model is given, around
 an empirical per-condition resampler of the calibration windows
 themselves (:class:`~repro.security.baselines.EmpiricalConditionalSampler`,
-the "directly estimate from data" baseline).
+the "directly estimate from data" baseline).  The returned
+:class:`StreamCalibration` holds the extractor and scorer every session
+shares, and :meth:`StreamCalibration.make_detector` gives each session
+its own copy of the calibrated decision layer.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.dsp.features import FrequencyFeatureExtractor
@@ -31,38 +33,20 @@ from repro.streaming.windowing import frame_signal
 
 @dataclass
 class StreamCalibration:
-    """Fitted monitor components plus the evidence they were fitted on."""
+    """Fitted monitor components: extractor, scorer and decision layer."""
 
     extractor: FrequencyFeatureExtractor
     scorer: EmissionModel
-    detector: object
-    windows: FlowPairDataset  # calibration window features + one-hot claims
-    claim_indices: np.ndarray  # per-window condition index
-    clean_scores: np.ndarray  # scorer output on the calibration windows
+    #: The calibrated decision layer, never fed; :meth:`make_detector`
+    #: hands out copies of it.
+    _detector: object
 
     def make_detector(self) -> object:
         """A fresh decision layer with the calibrated normalization.
 
         Detectors are stateful; sessions must not share one.
         """
-        d = self.detector
-        if isinstance(d, CusumDetector):
-            return CusumDetector(
-                reference=d.reference,
-                scale=d.scale,
-                drift=d.drift,
-                threshold=d.threshold,
-                reset_on_alarm=d.reset_on_alarm,
-            )
-        if isinstance(d, EwmaDetector):
-            return EwmaDetector(
-                reference=d.reference,
-                scale=d.scale,
-                alpha=d.alpha,
-                threshold=d.threshold,
-                reset_on_alarm=d.reset_on_alarm,
-            )
-        raise ConfigurationError(f"unknown detector type {type(d).__name__}")
+        return copy.deepcopy(self._detector)
 
 
 def calibrate_stream_monitor(
@@ -81,7 +65,6 @@ def calibrate_stream_monitor(
     detector: str = "cusum",
     drift: float = 0.5,
     threshold: float = 10.0,
-    extractor: FrequencyFeatureExtractor | None = None,
 ) -> StreamCalibration:
     """Fit extractor, scorer, and decision layer on a clean labeled trace.
 
@@ -106,11 +89,8 @@ def calibrate_stream_monitor(
             f"calibration trace yields {windows.shape[0]} windows; need >= 2"
         )
     claim_idx = claims.window_claims(starts)
-    if extractor is None:
-        extractor = FrequencyFeatureExtractor(sample_rate, n_bins=n_bins)
-        features = extractor.fit_transform(windows)
-    else:
-        features = extractor.transform(windows)
+    extractor = FrequencyFeatureExtractor(sample_rate, n_bins=n_bins)
+    features = extractor.fit_transform(windows)
     window_set = FlowPairDataset(
         features, claims.conditions[claim_idx], name=f"{pair}|windows"
     )
@@ -131,14 +111,7 @@ def calibrate_stream_monitor(
         )
     else:
         decision = EwmaDetector.from_calibration(clean_scores, threshold=threshold)
-    return StreamCalibration(
-        extractor=extractor,
-        scorer=scorer,
-        detector=decision,
-        windows=window_set,
-        claim_indices=claim_idx,
-        clean_scores=clean_scores,
-    )
+    return StreamCalibration(extractor, scorer, decision)
 
 
 def offline_stream_scores(

@@ -3,8 +3,10 @@
 :class:`StreamSession` wires the whole online pipeline together:
 
     chunk source → bounded queue (backpressure) → StreamWindower
+        → batches of ``(windows, starts)`` arrays
         → FrequencyFeatureExtractor (cached filter bank, batched)
-        → EmissionModel.score_windows (batched Parzen scoring)
+        → EmissionModel.score_windows (batched Parzen scoring under
+          each window's claimed condition index)
         → sequential decision layer (CUSUM/EWMA)
         → typed events on the EventBus
 
@@ -273,7 +275,9 @@ class StreamSession:
         self.name = str(name)
         self.metrics = StreamMetrics(stream=self.name, sample_rate=self.sample_rate)
         self._stop = threading.Event()
+        # (windows, starts, indices) arrays awaiting a full batch.
         self._pending: list = []
+        self._n_pending = 0
         self._started = False
 
     # -- producer side -------------------------------------------------------
@@ -296,29 +300,33 @@ class StreamSession:
 
     # -- consumer side -------------------------------------------------------
     def _flush_batch(self, final: bool = False) -> None:
-        while self._pending and (
-            len(self._pending) >= self.batch_windows or final
-        ):
-            batch = self._pending[: self.batch_windows]
-            del self._pending[: len(batch)]
-            self._score_batch(batch)
+        """Score every full batch of pending windows (and, when *final*,
+        the partial one after them)."""
+        n = self._n_pending
+        if n < self.batch_windows and not (final and n):
+            return
+        windows, starts, indices = (np.concatenate(p) for p in zip(*self._pending))
+        scored = n if final else n - n % self.batch_windows
+        for a in range(0, scored, self.batch_windows):
+            b = min(a + self.batch_windows, scored)
+            self._score_batch(windows[a:b], starts[a:b], indices[a:b])
+        self._pending = [(windows[scored:], starts[scored:], indices[scored:])]
+        self._n_pending = n - scored
 
-    def _score_batch(self, batch: list) -> None:
-        first = batch[0].index
+    def _score_batch(self, windows, starts, indices) -> None:
+        first = int(indices[0])
         t0 = time.perf_counter()
         try:
-            stacked = np.stack([w.samples for w in batch])
-            starts = np.array([w.start for w in batch], dtype=np.int64)
-            features = self.extractor.transform(stacked)
+            features = self.extractor.transform(windows)
             claim_idx = self.claims.window_claims(starts)
             scores = self.scorer.score_windows(features, claim_idx)
         except Exception:  # noqa: BLE001 - isolate the batch, keep streaming
-            self.metrics.windows_failed += len(batch)
+            self.metrics.windows_failed += len(starts)
             self.bus.emit(
                 WindowBatchFailed(
                     stream=self.name,
                     first_window=first,
-                    n_windows=len(batch),
+                    n_windows=len(starts),
                     error=traceback.format_exc(),
                 )
             )
@@ -326,33 +334,32 @@ class StreamSession:
         seconds = time.perf_counter() - t0
         self.metrics.batches += 1
         self.metrics.batch_seconds.append(seconds)
-        self.metrics.windows_scored += len(batch)
+        self.metrics.windows_scored += len(starts)
         self.metrics.scores.extend(float(s) for s in scores)
         self.bus.emit(
             WindowBatchScored(
                 stream=self.name,
                 first_window=first,
-                n_windows=len(batch),
+                n_windows=len(starts),
                 seconds=seconds,
             )
         )
         if self.detector is None:
             return
-        for window, score in zip(batch, scores):
+        for i, score in enumerate(scores):
             if self.detector.update(float(score)):
-                self.metrics.alarms.append(window.index)
-                cond_idx = int(self.claims.window_claims([window.start])[0])
+                self.metrics.alarms.append(int(indices[i]))
                 self.bus.emit(
                     AttackDetected(
                         stream=self.name,
-                        window_index=window.index,
-                        time_seconds=window.start / self.sample_rate,
+                        window_index=int(indices[i]),
+                        time_seconds=int(starts[i]) / self.sample_rate,
                         score=float(score),
                         statistic=float(self.detector.statistic),
                         threshold=float(self.detector.threshold),
                         detector=type(self.detector).__name__,
                         claimed_condition=tuple(
-                            float(v) for v in self.claims.conditions[cond_idx]
+                            float(v) for v in self.claims.conditions[claim_idx[i]]
                         ),
                     )
                 )
@@ -410,8 +417,13 @@ class StreamSession:
                 self._account_drops()
                 self.metrics.chunks_consumed += 1
                 self.metrics.samples_consumed += len(item)
-                self._pending.extend(self.windower.push(item))
-                self._flush_batch()
+                windows, starts = self.windower.push(item)
+                if len(starts):
+                    emitted = self.windower.windows_emitted
+                    indices = np.arange(emitted - len(starts), emitted)
+                    self._pending.append((windows, starts, indices))
+                    self._n_pending += len(starts)
+                    self._flush_batch()
             self._account_drops()
             self._flush_batch(final=True)  # drain the trailing partial batch
         finally:

@@ -1,22 +1,22 @@
-"""Bounded ring buffer and hop-based windowing for streaming traces.
+"""Hop-based windowing for offline and streaming traces.
 
 The offline pipeline slices a complete recording into analysis windows
 in one shot (:func:`frame_signal`).  The streaming engine receives the
 same samples in arbitrary chunks — one sample at a time, one network
 packet at a time, or the whole trace at once — and must emit *exactly*
-the same windows.  :class:`StreamWindower` guarantees that: for any
-partition of a trace into chunks, the concatenation of the windows
-returned by successive :meth:`StreamWindower.push` calls is bitwise
-identical to ``frame_signal(trace, window_size, hop_size)``.
+the same windows.  :class:`StreamWindower` guarantees that by running
+:func:`frame_signal` itself over the samples it carried from the last
+chunk followed by the new one: for any partition of a trace into
+chunks, the windows and starts returned by successive
+:meth:`StreamWindower.push` calls, concatenated, are bitwise identical
+to ``frame_signal(trace, window_size, hop_size)``.
 
-Memory stays bounded by the ring buffer regardless of stream length:
-only the samples that can still contribute to an unemitted window are
-retained (at most ``window_size + hop_size`` at any time).
+Memory stays bounded regardless of stream length: between pushes only
+the samples that can still start an unemitted window are carried
+(fewer than ``window_size``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,123 +62,22 @@ def _check_geometry(window_size: int, hop_size: int) -> None:
         )
 
 
-class RingBuffer:
-    """Fixed-capacity float64 ring buffer with absolute sample indexing.
-
-    Samples keep their absolute position in the stream: ``read(i, n)``
-    returns stream samples ``[i, i+n)`` as long as they are still
-    buffered.  ``discard_before(i)`` releases everything older than
-    *i* so the capacity bound is maintained by the caller's protocol,
-    not by silent overwrites — :meth:`append` raises if the buffer
-    would overflow, which turns protocol bugs into loud errors.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._data = np.empty(self.capacity, dtype=np.float64)
-        self._start = 0  # absolute index of the oldest retained sample
-        self._length = 0
-
-    def __len__(self):
-        return self._length
-
-    @property
-    def start_index(self) -> int:
-        return self._start
-
-    @property
-    def end_index(self) -> int:
-        """Absolute index one past the newest retained sample."""
-        return self._start + self._length
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self._length
-
-    def append(self, samples: np.ndarray) -> None:
-        """Append *samples* (1-D float64); raises on overflow."""
-        n = len(samples)
-        if n > self.free:
-            raise DataError(
-                f"ring buffer overflow: {n} samples offered, {self.free} free "
-                f"(capacity {self.capacity})"
-            )
-        pos = (self._start + self._length) % self.capacity
-        first = min(n, self.capacity - pos)
-        self._data[pos : pos + first] = samples[:first]
-        if first < n:
-            self._data[: n - first] = samples[first:]
-        self._length += n
-
-    def read(self, abs_start: int, n: int) -> np.ndarray:
-        """Copy stream samples ``[abs_start, abs_start + n)`` out."""
-        if abs_start < self._start or abs_start + n > self.end_index:
-            raise DataError(
-                f"read [{abs_start}, {abs_start + n}) outside buffered "
-                f"range [{self._start}, {self.end_index})"
-            )
-        pos = (self._start + (abs_start - self._start)) % self.capacity
-        out = np.empty(n, dtype=np.float64)
-        first = min(n, self.capacity - pos)
-        out[:first] = self._data[pos : pos + first]
-        if first < n:
-            out[first:] = self._data[: n - first]
-        return out
-
-    def discard_before(self, abs_index: int) -> None:
-        """Release every sample older than *abs_index*."""
-        if abs_index <= self._start:
-            return
-        drop = min(abs_index - self._start, self._length)
-        self._start += drop
-        self._length -= drop
-
-    def clear_to(self, abs_index: int) -> None:
-        """Empty the buffer and continue the stream at *abs_index*."""
-        if abs_index < self.end_index:
-            raise DataError(
-                f"cannot rewind ring buffer to {abs_index} "
-                f"(stream is at {self.end_index})"
-            )
-        self._start = abs_index
-        self._length = 0
-
-    def __repr__(self):
-        return (
-            f"RingBuffer(capacity={self.capacity}, "
-            f"range=[{self._start}, {self.end_index}))"
-        )
-
-
-@dataclass(frozen=True)
-class Window:
-    """One complete analysis window cut from the stream."""
-
-    index: int  # 0-based window counter (offline row number)
-    start: int  # absolute start sample in the stream
-    samples: np.ndarray  # (window_size,) float64 copy
-
-
 class StreamWindower:
-    """Incremental hop-based windowing over a bounded ring buffer.
+    """Incremental hop-based windowing: :func:`frame_signal` over a carried tail.
 
-    Push chunks of any size; complete windows come back as
-    :class:`Window` objects in stream order.  For any chunking of a
-    trace the emitted windows are bitwise identical to
-    :func:`frame_signal` of the whole trace — the load-bearing
-    guarantee the streaming test harness enforces.
+    Each :meth:`push` frames the carried samples followed by the new
+    chunk and carries what follows the last emitted window's hop — fewer
+    than ``window_size`` samples — to the next push.  For any chunking
+    of a trace the emitted windows and starts are bitwise identical to
+    :func:`frame_signal` of the whole trace, the load-bearing guarantee
+    the streaming test harness enforces.
     """
 
     def __init__(self, window_size: int, hop_size: int):
         _check_geometry(window_size, hop_size)
         self.window_size = int(window_size)
         self.hop_size = int(hop_size)
-        # One window plus one hop is the most that must be retained
-        # between pushes; +hop also gives append/emit slack within a push.
-        self._ring = RingBuffer(self.window_size + 2 * self.hop_size)
-        self._next_start = 0  # absolute start of the next window to emit
+        self._tail = np.empty(0, dtype=np.float64)  # from the next window's start
         self._emitted = 0
         self._consumed = 0  # absolute samples pushed (incl. gaps)
 
@@ -192,14 +91,15 @@ class StreamWindower:
 
     @property
     def pending_samples(self) -> int:
-        """Buffered samples not yet part of an emitted window's hop."""
-        return self._consumed - self._next_start
+        """Carried samples not yet part of an emitted window's hop."""
+        return len(self._tail)
 
-    def push(self, chunk) -> list:
-        """Feed one chunk; return the windows it completed (maybe []).
+    def push(self, chunk) -> tuple:
+        """Feed one chunk; return ``(windows, starts)`` of the windows it
+        completed, as :func:`frame_signal` does, with absolute starts.
 
         A chunk that is not 1-D or holds NaN or ±inf raises
-        :class:`~repro.errors.DataError` before any of it is buffered.
+        :class:`~repro.errors.DataError` before any of it is carried.
         """
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim != 1:
@@ -209,29 +109,14 @@ class StreamWindower:
                 f"chunk holds {int(np.count_nonzero(~np.isfinite(chunk)))} "
                 "non-finite sample(s)"
             )
-        out = []
-        offset = 0
-        n = len(chunk)
-        while offset < n:
-            take = min(n - offset, self._ring.free)
-            if take > 0:
-                self._ring.append(chunk[offset : offset + take])
-                self._consumed += take
-                offset += take
-            self._drain_ready(out)
-            if take == 0 and self._ring.free == 0:  # pragma: no cover
-                raise DataError("windower wedged: full ring, no window ready")
-        return out
-
-    def _drain_ready(self, out: list) -> None:
-        while self._ring.end_index - self._next_start >= self.window_size:
-            samples = self._ring.read(self._next_start, self.window_size)
-            out.append(
-                Window(index=self._emitted, start=self._next_start, samples=samples)
-            )
-            self._emitted += 1
-            self._next_start += self.hop_size
-            self._ring.discard_before(self._next_start)
+        origin = self._consumed - len(self._tail)
+        samples = np.concatenate((self._tail, chunk))
+        windows, starts = frame_signal(samples, self.window_size, self.hop_size)
+        # A copy, so the carry does not keep the whole chunk alive.
+        self._tail = samples[len(starts) * self.hop_size :].copy()
+        self._consumed += len(chunk)
+        self._emitted += len(starts)
+        return windows, starts + origin
 
     def skip_gap(self, n_samples: int) -> int:
         """Account for *n_samples* lost from the stream (dropped chunks).
@@ -245,11 +130,10 @@ class StreamWindower:
             raise ConfigurationError(f"n_samples must be >= 0, got {n_samples}")
         if n_samples == 0:
             return 0
-        unusable = (self._consumed - self._next_start) + n_samples
+        unusable = len(self._tail) + n_samples
         lost = max(0, (unusable - self.window_size) // self.hop_size + 1)
         self._consumed += n_samples
-        self._next_start = self._consumed
-        self._ring.clear_to(self._consumed)
+        self._tail = self._tail[:0]
         self._emitted += lost
         return int(lost)
 

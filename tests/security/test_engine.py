@@ -124,9 +124,9 @@ class TestDeterminism:
         batch = run_security_analysis(
             [
                 AnalysisTarget(key="other", sampler=gaussian_sampler,
-                               test_set=toy_dataset, label="other"),
+                               test_set=toy_dataset),
                 AnalysisTarget(key="toy", sampler=gaussian_sampler,
-                               test_set=toy_dataset, label="toy"),
+                               test_set=toy_dataset),
             ],
             h=0.2,
             g_size=50,
@@ -306,6 +306,23 @@ class TestValidation:
             AnalysisTarget(key="p", sampler=sampler, test_set=other),
         ]
         with pytest.raises(ConfigurationError, match="'p'"):
+            run_security_analysis(targets, g_size=20, root_entropy=ROOT)
+        assert calls == []
+
+    def test_keys_with_one_label_rejected_before_any_job(self, toy_dataset):
+        # str(key) seeds each condition's RNG stream and names failures,
+        # so keys 1 and "1" would share draws and collapse in the error.
+        calls = []
+
+        def sampler(condition, n, rng):
+            calls.append(condition)
+            return gaussian_sampler(condition, n, rng)
+
+        targets = [
+            AnalysisTarget(key=1, sampler=sampler, test_set=toy_dataset),
+            AnalysisTarget(key="1", sampler=sampler, test_set=toy_dataset),
+        ]
+        with pytest.raises(ConfigurationError, match="'1'"):
             run_security_analysis(targets, g_size=20, root_entropy=ROOT)
         assert calls == []
 

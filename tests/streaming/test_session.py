@@ -16,15 +16,27 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.events import (
+    AttackDetected,
     EventBus,
     StreamFinished,
     WindowBatchFailed,
     WindowBatchScored,
     WindowsDropped,
 )
-from repro.streaming import StreamSession, frame_signal
+from repro.streaming import (
+    StreamSession,
+    TraceReplay,
+    frame_signal,
+    offline_stream_scores,
+)
 from repro.streaming.session import _ChunkQueue
 from tests.streaming.conftest import HOP, SAMPLE_RATE, WINDOW
+from tests.streaming.golden import (
+    GOLDEN_HOP,
+    GOLDEN_WINDOW,
+    golden_calibration,
+    golden_scenario,
+)
 
 RUN_TIMEOUT = 30.0  # generous; a hang fails the test instead of CI
 
@@ -288,6 +300,52 @@ class TestBackpressure:
                 np.array_equal(row, offline_feats[i])
                 for i in start_to_row.values()
             )
+
+
+@pytest.fixture(scope="module")
+def attacked_monitor():
+    """The golden printer trace with forged claims, and its monitor."""
+    clean, attacked = golden_scenario()
+    return attacked, golden_calibration(clean)
+
+
+class TestAttackDetected:
+    @pytest.mark.parametrize("batch_windows", [1, 32])
+    def test_one_event_per_offline_alarm(self, attacked_monitor, batch_windows):
+        attacked, calibration = attacked_monitor
+        _, starts, alarms = offline_stream_scores(
+            attacked.samples,
+            attacked.claims,
+            calibration,
+            window_size=GOLDEN_WINDOW,
+            hop_size=GOLDEN_HOP,
+        )
+        assert len(alarms) > 1
+        bus = EventBus()
+        events = collect(bus, AttackDetected)
+        rate = attacked.sample_rate
+        session = StreamSession(
+            TraceReplay(attacked.samples, rate, chunk_size=1000),
+            extractor=calibration.extractor,
+            scorer=calibration.scorer,
+            claims=attacked.claims,
+            detector=calibration.make_detector(),
+            window_size=GOLDEN_WINDOW,
+            hop_size=GOLDEN_HOP,
+            sample_rate=rate,
+            batch_windows=batch_windows,
+            bus=bus,
+        )
+        metrics = run_with_timeout(session)
+        assert metrics.alarms == alarms
+        claimed = attacked.claims.window_claims(starts)
+        assert [e.window_index for e in events] == alarms
+        for event, i in zip(events, alarms):
+            assert event.time_seconds == starts[i] / rate
+            assert event.claimed_condition == tuple(
+                attacked.claims.conditions[claimed[i]]
+            )
+            assert event.detector == "CusumDetector"
 
 
 class TestSessionConfig:

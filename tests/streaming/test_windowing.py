@@ -1,15 +1,11 @@
-"""Tests for repro.streaming.windowing (ring buffer + incremental framing)."""
+"""Tests for repro.streaming.windowing (offline + incremental framing)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DataError
-from repro.streaming.windowing import (
-    RingBuffer,
-    StreamWindower,
-    frame_signal,
-)
+from repro.streaming.windowing import StreamWindower, frame_signal
 
 
 class TestFrameSignal:
@@ -48,98 +44,68 @@ class TestFrameSignal:
             frame_signal(np.zeros((3, 3)), 2, 1)
 
 
-class TestRingBuffer:
-    def test_append_read_roundtrip(self):
-        ring = RingBuffer(8)
-        ring.append(np.arange(5.0))
-        np.testing.assert_array_equal(ring.read(1, 3), [1, 2, 3])
-
-    def test_wraparound_preserves_absolute_indexing(self):
-        ring = RingBuffer(6)
-        ring.append(np.arange(5.0))
-        ring.discard_before(4)
-        ring.append(np.arange(5.0, 10.0))  # wraps the physical buffer
-        np.testing.assert_array_equal(ring.read(4, 6), [4, 5, 6, 7, 8, 9])
-
-    def test_overflow_is_loud(self):
-        ring = RingBuffer(4)
-        ring.append(np.arange(3.0))
-        with pytest.raises(DataError):
-            ring.append(np.arange(2.0))
-
-    def test_read_outside_range_is_loud(self):
-        ring = RingBuffer(8)
-        ring.append(np.arange(4.0))
-        ring.discard_before(2)
-        with pytest.raises(DataError):
-            ring.read(1, 2)  # sample 1 was discarded
-        with pytest.raises(DataError):
-            ring.read(3, 4)  # past the end
-
-    def test_clear_to_skips_ahead(self):
-        ring = RingBuffer(4)
-        ring.append(np.arange(3.0))
-        ring.clear_to(10)
-        assert len(ring) == 0
-        assert ring.start_index == 10
-        with pytest.raises(DataError):
-            ring.clear_to(5)  # rewinding the stream is impossible
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ConfigurationError):
-            RingBuffer(0)
-
-
 class TestStreamWindower:
     def test_single_push_matches_offline(self):
         x = np.random.default_rng(0).normal(size=50)
         offline, starts = frame_signal(x, 8, 4)
-        out = StreamWindower(8, 4).push(x)
-        assert len(out) == offline.shape[0]
-        for i, w in enumerate(out):
-            assert w.index == i
-            assert w.start == starts[i]
-            np.testing.assert_array_equal(w.samples, offline[i])
+        windower = StreamWindower(8, 4)
+        windows, got_starts = windower.push(x)
+        np.testing.assert_array_equal(windows, offline)
+        np.testing.assert_array_equal(got_starts, starts)
+        assert windower.windows_emitted == offline.shape[0]
 
     def test_one_sample_at_a_time_matches_offline(self):
         x = np.random.default_rng(1).normal(size=40)
-        offline, _ = frame_signal(x, 8, 4)
+        offline, starts = frame_signal(x, 8, 4)
         windower = StreamWindower(8, 4)
-        out = []
-        for s in x:
-            out.extend(windower.push([s]))
-        np.testing.assert_array_equal(np.stack([w.samples for w in out]), offline)
+        out = [windower.push([s]) for s in x]
+        np.testing.assert_array_equal(np.vstack([w for w, _ in out]), offline)
+        np.testing.assert_array_equal(np.concatenate([s for _, s in out]), starts)
 
     def test_chunk_larger_than_ring_capacity(self):
-        # A chunk bigger than the ring is consumed in slices, windows
-        # emitted as they complete; output must still match offline.
+        # A chunk holding many windows yields them all from one push.
         x = np.random.default_rng(2).normal(size=500)
         offline, _ = frame_signal(x, 16, 8)
-        out = StreamWindower(16, 8).push(x)
-        np.testing.assert_array_equal(np.stack([w.samples for w in out]), offline)
+        windows, _ = StreamWindower(16, 8).push(x)
+        np.testing.assert_array_equal(windows, offline)
+
+    def test_starts_are_absolute_across_pushes(self):
+        x = np.arange(30.0)
+        windower = StreamWindower(6, 4)
+        windower.push(x[:9])  # windows at 0; samples 4..8 carried
+        windows, starts = windower.push(x[9:21])
+        np.testing.assert_array_equal(starts, [4, 8, 12])
+        np.testing.assert_array_equal(windows[-1], x[12:18])
 
     def test_memory_stays_bounded(self):
         windower = StreamWindower(16, 4)
         for _ in range(100):
             windower.push(np.zeros(7))
-        assert len(windower._ring) <= windower._ring.capacity
-        assert windower.pending_samples < 16 + 4
+        assert windower.pending_samples < 16
+        windower.push(np.zeros(1000))  # one big chunk carries no more
+        assert windower.pending_samples < 16
+
+    def test_rejects_bad_geometry(self):
+        with pytest.raises(ConfigurationError):
+            StreamWindower(0, 1)
+        with pytest.raises(ConfigurationError):
+            StreamWindower(4, 5)
 
     def test_skip_gap_realigns_and_counts_losses(self):
         x = np.arange(100.0)
         windower = StreamWindower(10, 5)
-        emitted = windower.push(x[:32])  # windows at 0,5,...,20 emitted
+        _, emitted = windower.push(x[:32])  # windows at 0,5,...,20 emitted
         n_before = len(emitted)
         lost = windower.skip_gap(40)  # samples 32..71 never arrive
         assert lost > 0
         # Resume with the tail; new windows must start at/after sample 72
         # and contain only post-gap data.
-        tail = windower.push(x[72:])
-        assert all(w.start >= 72 for w in tail)
-        for w in tail:
-            np.testing.assert_array_equal(w.samples, x[w.start : w.start + 10])
-        # Window indices stay globally consistent: emitted + lost + new.
-        assert tail[0].index == n_before + lost
+        windows, starts = windower.push(x[72:])
+        assert starts[0] == 72
+        for w, start in zip(windows, starts):
+            np.testing.assert_array_equal(w, x[start : start + 10])
+        # The window count stays globally consistent: emitted + lost + new.
+        assert windower.windows_emitted == n_before + lost + len(starts)
 
     def test_skip_gap_zero_is_noop(self):
         windower = StreamWindower(10, 5)
@@ -159,16 +125,15 @@ class TestStreamWindower:
     def test_rejects_non_finite_chunk_before_buffering(self, bad):
         x = np.arange(12, dtype=float)
         windower = StreamWindower(4, 2)
-        first = windower.push(x[:3])
+        first, _ = windower.push(x[:3])
         with pytest.raises(DataError, match="non-finite"):
             windower.push([x[3], bad, x[4]])
         assert windower.samples_consumed == 3
+        assert windower.pending_samples == 3
         # The stream continues as if the bad chunk never arrived.
-        rest = windower.push(x[3:])
+        rest, _ = windower.push(x[3:])
         offline, _ = frame_signal(x, 4, 2)
-        np.testing.assert_array_equal(
-            np.stack([w.samples for w in first + rest]), offline
-        )
+        np.testing.assert_array_equal(np.vstack([first, rest]), offline)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -183,15 +148,12 @@ class TestStreamWindower:
         x = np.random.default_rng(seed).normal(size=n)
         offline, starts = frame_signal(x, window, hop)
         windower = StreamWindower(window, hop)
-        out = []
+        out = [(np.empty((0, window)), np.empty(0, dtype=np.int64))]
         pos = 0
         while pos < n:
             size = data.draw(st.integers(1, n - pos), label="chunk")
-            out.extend(windower.push(x[pos : pos + size]))
+            out.append(windower.push(x[pos : pos + size]))
             pos += size
-        assert len(out) == offline.shape[0]
-        if out:
-            np.testing.assert_array_equal(
-                np.stack([w.samples for w in out]), offline
-            )
-            np.testing.assert_array_equal([w.start for w in out], starts)
+        np.testing.assert_array_equal(np.vstack([w for w, _ in out]), offline)
+        np.testing.assert_array_equal(np.concatenate([s for _, s in out]), starts)
+        assert windower.pending_samples < window

@@ -359,6 +359,29 @@ class TestStreamCommand:
         assert main(["stream"]) == 2
         assert "exactly one of --wav or --synthetic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--wav", "t.wav"], "--wav requires --claims"),
+            (["--wav", "t.wav", "--claims", "c.json",
+              "--calibration-claims", "k.json"],
+             "--calibration-claims requires --calibration-wav"),
+            (["--synthetic", "--calibration-claims", "k.json"],
+             "--calibration-claims requires --calibration-wav"),
+            (["--synthetic", "--claims", "c.json"],
+             "--claims and --calibration-wav apply to --wav only"),
+            (["--synthetic", "--calibration-wav", "k.wav"],
+             "--claims and --calibration-wav apply to --wav only"),
+        ],
+        ids=["wav-no-claims", "wav-cal-claims-no-cal-wav",
+             "synthetic-cal-claims", "synthetic-claims", "synthetic-cal-wav"],
+    )
+    def test_refuses_flags_it_would_ignore(self, capsys, flags, message):
+        # Checked before any file is read: none of these paths exist.
+        assert main(["stream", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_synthetic_attack_run_detects(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         rc = main(
