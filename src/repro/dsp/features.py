@@ -22,10 +22,11 @@ previously seen audio entirely.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotFittedError, ShapeError
+from repro.errors import ConfigurationError, DataError, NotFittedError, ShapeError
 from repro.utils.validation import check_array, check_positive
 from repro.dsp.cache import FeatureCache
 from repro.dsp.filterbank import DEFAULT_OMEGA0, get_filter_bank, validate_frequencies
@@ -178,10 +179,26 @@ class FrequencyFeatureExtractor:
         h.update(self.frequencies.tobytes())
         return h.hexdigest()
 
+    @property
+    def min_segment_length(self) -> int:
+        """Fewest samples holding one period of the lowest analysis band."""
+        return math.ceil(self.sample_rate / self.frequencies[0])
+
+    def _check_lengths(self, seg_list) -> None:
+        shortest = min(len(seg) for seg in seg_list)
+        if shortest < self.min_segment_length:
+            raise DataError(
+                f"segment of {shortest} samples is shorter than one period of "
+                f"the lowest band ({self.frequencies[0]:g} Hz): need at least "
+                f"{self.min_segment_length} samples"
+            )
+
     # -- raw (unscaled) features ---------------------------------------------
     def raw_features(self, segment) -> np.ndarray:
         """Unscaled feature vector for one audio segment."""
-        return self._extract([check_array(segment, "segment", ndim=1)])[0]
+        seg_list = [check_array(segment, "segment", ndim=1)]
+        self._check_lengths(seg_list)
+        return self._extract(seg_list)[0]
 
     def _stft_features(self, segment: np.ndarray) -> np.ndarray:
         # Whole-segment power spectrum |rfft|^2 / n under a periodic Hann
@@ -243,11 +260,14 @@ class FrequencyFeatureExtractor:
         batched per segment length through the cached filter bank;
         results are bitwise identical to calling :meth:`raw_features`
         per segment.  With a configured feature cache the whole matrix
-        is memoized on disk, keyed by config + audio bytes.
+        is memoized on disk, keyed by config + audio bytes.  Raises
+        :class:`~repro.errors.DataError` for a segment shorter than
+        :attr:`min_segment_length`, cached or not.
         """
         seg_list = self._as_segment_list(segments)
         if not seg_list:
             raise ConfigurationError("no segments given")
+        self._check_lengths(seg_list)
         cache_key = None
         if self.feature_cache is not None:
             cache_key = FeatureCache.key(self.config_fingerprint(), seg_list)

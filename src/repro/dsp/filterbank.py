@@ -9,12 +9,20 @@ per audio segment.  A :class:`MorletFilterBank` computes those kernels
 once per ``(n, sample_rate, frequencies)`` and applies them to whole
 ``(n_segments, n_samples)`` batches in blocked form, which is where the
 extraction speedup in ``BENCH_hotpath.json`` comes from.
+:meth:`MorletFilterBank.band_energy` splits a batch into (rows,
+frequency-band) chunks and drains them with the caller plus one helper
+thread per further CPU this process may run on; the FFTs release the
+interpreter lock, so the chunks run in parallel.
 
 Numerical contract
 ------------------
 * A batch and each of its rows run alone go through the exact same
   kernel/FFT code, so their outputs are **bitwise identical**
   (``tests/dsp/test_filterbank.py`` asserts this).
+* Every (row, frequency) inverse FFT and time mean is independent of
+  the others, so :meth:`MorletFilterBank.band_energy` is bitwise the
+  same for every chunk size and every number of worker threads,
+  including a process pinned to one CPU.
 * Versus the seed per-scale loop the only change is computing the
   forward transform with ``rfft`` (real input) instead of a full complex
   ``fft``; results agree to a few ULPs (relative error ``~1e-15``).
@@ -24,6 +32,7 @@ Numerical contract
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 
@@ -39,10 +48,13 @@ MORLET_NORM = np.pi ** (-0.25)
 #: Default Morlet center frequency (dimensionless omega0).
 DEFAULT_OMEGA0 = 6.0
 
-#: Target size of the complex spectrum workspace per block, chosen to
-#: stay cache-resident: larger blocks measurably *lose* throughput on the
-#: blocked inverse FFT (memory-bound once the workspace spills to RAM).
-_BLOCK_BYTES = 4 * 1024 * 1024
+#: Largest complex spectrum of one :meth:`MorletFilterBank.band_energy`
+#: chunk.  Each worker also holds the chunk's coefficients and
+#: magnitudes, 2.5x this in all.  On a shared 2-vCPU host, 32 windows of
+#: 600 samples took 21.5 ms on one worker and 21.9 ms on two at 4 MiB,
+#: against 18.8 and 10.9 ms at 1 MiB.  One 600-sample window (0.96 MB)
+#: fits in one chunk and so runs on the caller alone.
+_BLOCK_BYTES = 1024 * 1024
 
 #: Module-level bank cache (LRU): banks are pure functions of their key
 #: and ~``n_freqs * n/2`` floats each, so a handful of entries covers a
@@ -50,6 +62,14 @@ _BLOCK_BYTES = 4 * 1024 * 1024
 _BANK_CACHE_SIZE = 32
 _bank_cache: OrderedDict = OrderedDict()
 _bank_lock = threading.Lock()
+
+
+def _available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def validate_frequencies(frequencies, sample_rate: float, *, name: str = "frequencies") -> np.ndarray:
@@ -155,9 +175,16 @@ class MorletFilterBank:
             )
         return x
 
-    def _block_rows(self, batch: int) -> int:
-        rows = _BLOCK_BYTES // (self.n_freqs * self.n * 16)
-        return int(max(1, min(batch, rows)))
+    def _chunk_shape(self, batch: int) -> tuple:
+        """``(rows, frequencies)`` of one :meth:`band_energy` chunk.
+
+        Whole rows while at least one fits in ``_BLOCK_BYTES``, else one
+        row times a band of frequencies, so a long segment still splits.
+        """
+        spectra = max(1, _BLOCK_BYTES // (self.n * 16))
+        if spectra >= self.n_freqs:
+            return min(batch, spectra // self.n_freqs), self.n_freqs
+        return 1, spectra
 
     def transform(self, x) -> np.ndarray:
         """Batched complex CWT: ``(batch, n) -> (batch, n_freqs, n)``.
@@ -179,28 +206,70 @@ class MorletFilterBank:
     def band_energy(self, x) -> np.ndarray:
         """Time-averaged CWT magnitude per band: ``(batch, n_freqs)``.
 
-        Blocked so the complex workspace stays cache-sized regardless of
-        batch size; numerically identical (bitwise) to reducing
-        :meth:`transform` output, without materializing it.
+        Numerically identical (bitwise) to reducing :meth:`transform`
+        output, without materializing it.  The batch is cut into
+        (rows, frequency-band) chunks whose spectra fit in
+        ``_BLOCK_BYTES``; the caller and ``min(CPUs, chunks) - 1``
+        helper threads take chunks from one shared iterator, each in a
+        workspace the caller allocated.  Helpers start and are joined
+        within the call, and an exception in any worker is raised here.
         """
         x = self._check_batch(x)
         batch = x.shape[0]
         n_rfft = self.kernels.shape[1]
         xf = np.fft.rfft(x, axis=-1)
         out = np.empty((batch, self.n_freqs), dtype=np.float64)
-        blk = self._block_rows(batch)
-        spec = np.zeros((blk, self.n_freqs, self.n), dtype=np.complex128)
-        mag = np.empty((blk, self.n_freqs, self.n), dtype=np.float64)
-        for start in range(0, batch, blk):
-            b = min(blk, batch - start)
-            np.multiply(
-                xf[start : start + b, None, :],
-                self.kernels[None, :, :],
-                out=spec[:b, :, :n_rfft],
+        rows, band = self._chunk_shape(batch)
+        chunks = [
+            (r, f)
+            for r in range(0, batch, rows)
+            for f in range(0, self.n_freqs, band)
+        ]
+        workspaces = [
+            (
+                np.zeros((rows, band, self.n), dtype=np.complex128),
+                np.empty((rows, band, self.n), dtype=np.complex128),
+                np.empty((rows, band, self.n), dtype=np.float64),
             )
-            coeff = np.fft.ifft(spec[:b], axis=-1)
-            np.abs(coeff, out=mag[:b])
-            np.mean(mag[:b], axis=-1, out=out[start : start + b])
+            for _ in range(min(_available_cpus(), len(chunks)))
+        ]
+        todo = iter(chunks)
+        lock = threading.Lock()
+        failures: list = []
+
+        def drain(spec, coeff, mag):
+            try:
+                while not failures:
+                    with lock:
+                        chunk = next(todo, None)
+                    if chunk is None:
+                        return
+                    r, f = chunk
+                    b, k = min(rows, batch - r), min(band, self.n_freqs - f)
+                    # Bins past n_rfft stay zero from allocation.
+                    np.multiply(
+                        xf[r : r + b, None, :],
+                        self.kernels[None, f : f + k, :],
+                        out=spec[:b, :k, :n_rfft],
+                    )
+                    np.fft.ifft(spec[:b, :k], axis=-1, out=coeff[:b, :k])
+                    np.abs(coeff[:b, :k], out=mag[:b, :k])
+                    np.mean(mag[:b, :k], axis=-1, out=out[r : r + b, f : f + k])
+            except BaseException as exc:  # re-raised by the caller below
+                failures.append(exc)
+
+        helpers = []
+        try:
+            for ws in workspaces[1:]:
+                helper = threading.Thread(target=drain, args=ws)
+                helper.start()
+                helpers.append(helper)
+            drain(*workspaces[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failures:
+            raise failures[0]
         return out
 
     def __repr__(self):

@@ -229,7 +229,10 @@ class WindowsDropped(RuntimeEvent):
 
 @dataclass(frozen=True)
 class AttackDetected(RuntimeEvent):
-    """The sequential decision layer raised an integrity/availability alarm."""
+    """The sequential decision layer raised an integrity/availability alarm.
+
+    *statistic* is the detector statistic that crossed *threshold*.
+    """
 
     stream: str
     window_index: int

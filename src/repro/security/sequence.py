@@ -25,7 +25,8 @@ class _SequentialDetector:
     ``z = (reference - score) / scale`` is positive when the emission
     looks less likely than calibration predicted.  The statistic
     restarts at 0 after each alarm, so a session reports distinct
-    attack episodes instead of one saturated alarm.
+    attack episodes instead of one saturated alarm; the value that
+    crossed the threshold stays readable as :attr:`alarm_statistic`.
     """
 
     def __init__(self, *, reference: float, scale: float, threshold: float):
@@ -37,6 +38,8 @@ class _SequentialDetector:
         self.scale = float(scale)
         self.threshold = float(threshold)
         self.statistic = 0.0
+        #: Statistic at the latest alarm, before the restart (None before any).
+        self.alarm_statistic = None
         self.windows_seen = 0
         self.alarms: list = []
 
@@ -113,6 +116,7 @@ class CusumDetector(_SequentialDetector):
         alarm = self.statistic > self.threshold
         if alarm:
             self.alarms.append(self.windows_seen)
+            self.alarm_statistic = self.statistic
             self.statistic = 0.0
         self.windows_seen += 1
         return alarm
@@ -150,6 +154,7 @@ class EwmaDetector(_SequentialDetector):
         alarm = self.statistic > self.threshold
         if alarm:
             self.alarms.append(self.windows_seen)
+            self.alarm_statistic = self.statistic
             self.statistic = 0.0
         self.windows_seen += 1
         return alarm

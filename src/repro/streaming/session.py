@@ -355,7 +355,7 @@ class StreamSession:
                         window_index=int(indices[i]),
                         time_seconds=int(starts[i]) / self.sample_rate,
                         score=float(score),
-                        statistic=float(self.detector.statistic),
+                        statistic=float(self.detector.alarm_statistic),
                         threshold=float(self.detector.threshold),
                         detector=type(self.detector).__name__,
                         claimed_condition=tuple(

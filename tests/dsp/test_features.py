@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.errors import ConfigurationError, NotFittedError, ShapeError
+from repro.errors import ConfigurationError, DataError, NotFittedError, ShapeError
 from repro.dsp.features import (
     FrequencyFeatureExtractor,
     MinMaxScaler,
@@ -175,6 +175,31 @@ class TestBatchedExtraction:
     def test_empty_input_raises(self):
         with pytest.raises(ConfigurationError, match="no segments"):
             self._extractor().raw_feature_matrix([])
+
+    def test_refuses_segment_shorter_than_lowest_band_period(self):
+        # One period of the 50 Hz band is 240 samples at 12 kHz.
+        ex = FrequencyFeatureExtractor(self.SR)
+        assert ex.min_segment_length == 240
+        ok = np.ones(240)
+        assert ex.raw_features(ok).shape == (100,)
+        for call in (
+            lambda: ex.raw_features(np.ones(3)),
+            lambda: ex.raw_feature_matrix(np.ones((2, 239))),
+            lambda: ex.raw_feature_matrix([ok, np.ones(3), ok]),
+        ):
+            with pytest.raises(DataError, match=r"segment of (3|239) samples.*at least 240"):
+                call()
+
+    def test_short_segment_refused_before_cache_lookup(self, tmp_path):
+        from repro.dsp.cache import FeatureCache
+
+        ex = FrequencyFeatureExtractor(self.SR, n_bins=10, feature_cache=tmp_path)
+        short = [np.ones(3)]
+        ex.feature_cache.put(
+            FeatureCache.key(ex.config_fingerprint(), short), np.zeros((1, 10))
+        )
+        with pytest.raises(DataError, match="at least 240"):
+            ex.raw_feature_matrix(short)
 
     def test_fit_transform_extracts_once(self, monkeypatch):
         rng = np.random.default_rng(4)

@@ -1,11 +1,14 @@
 """Tests for repro.dsp.filterbank (cached Morlet filter banks)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import repro.dsp.filterbank as fb
 from repro.errors import ConfigurationError
-from repro.dsp.features import FrequencyFeatureExtractor
+from repro.dsp.features import FrequencyFeatureExtractor, log_spaced_frequencies
 from repro.dsp.filterbank import (
     DEFAULT_OMEGA0,
     MORLET_NORM,
@@ -161,14 +164,15 @@ class TestNumericalContract:
         np.testing.assert_array_equal(bank.band_energy(x), want)
 
     def test_band_energy_bitwise_across_block_boundaries(self, monkeypatch):
-        # Force tiny blocks so a small batch spans several of them.
+        # Force tiny blocks so a small batch spans several chunks.
         rng = np.random.default_rng(3)
         x = rng.normal(size=(9, 256))
         bank = MorletFilterBank(256, SR, FREQS)
         whole = bank.band_energy(x)
         monkeypatch.setattr(fb, "_BLOCK_BYTES", 1)
         blocked = bank.band_energy(x)
-        assert bank._block_rows(9) == 1
+        # One row by one frequency per chunk: 9 * 16 chunks.
+        assert bank._chunk_shape(9) == (1, 1)
         np.testing.assert_array_equal(blocked, whole)
 
     def test_raw_features_route_through_bank(self):
@@ -184,6 +188,91 @@ class TestNumericalContract:
         bank = MorletFilterBank(256, SR, FREQS)
         with pytest.raises(ConfigurationError, match="length 256"):
             bank.transform(np.ones((2, 128)))
+
+
+class TestBandEnergyWorkers:
+    """``band_energy`` shares its chunks between the caller and helper
+    threads; neither the worker count nor the chunk size may move a bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 600), (9, 256), (32, 600), (1, 4800), (2, 997)])
+    def test_bitwise_across_workers_and_block_sizes(self, shape, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=shape)
+        bank = MorletFilterBank(shape[1], SR, FREQS)
+        want = np.abs(bank.transform(x)).mean(axis=-1)
+        for block in (1, fb._BLOCK_BYTES):
+            monkeypatch.setattr(fb, "_BLOCK_BYTES", block)
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(fb, "_available_cpus", lambda cpus=cpus: cpus)
+                np.testing.assert_array_equal(bank.band_energy(x), want)
+
+    def test_no_chunk_lost_with_more_workers_than_cores(self, monkeypatch):
+        # 144 one-spectrum chunks, 8 workers, thread switches as often as
+        # the interpreter allows: a chunk taken twice or never would show.
+        monkeypatch.setattr(fb, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(fb, "_BLOCK_BYTES", 1)
+        x = np.random.default_rng(6).normal(size=(9, 256))
+        bank = MorletFilterBank(256, SR, FREQS)
+        want = np.abs(bank.transform(x)).mean(axis=-1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                np.testing.assert_array_equal(bank.band_energy(x), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_long_segment_splits_into_frequency_bands(self):
+        bank = MorletFilterBank(4800, SR, log_spaced_frequencies())
+        rows, band = bank._chunk_shape(1)
+        assert rows == 1 and band < bank.n_freqs
+
+    def test_single_window_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(fb, "_available_cpus", lambda: 4)
+        bank = MorletFilterBank(600, SR, log_spaced_frequencies())
+        assert bank._chunk_shape(1) == (1, bank.n_freqs)
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        bank.band_energy(np.ones((1, 600)))
+        assert started == []
+        bank.band_energy(np.ones((4, 600)))
+        assert len(started) == 3
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(fb, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(fb, "_BLOCK_BYTES", 1)
+        bank = MorletFilterBank(256, SR, FREQS)
+        before = threading.active_count()
+        bank.band_energy(np.ones((9, 256)))
+        assert threading.active_count() == before
+
+    def test_helper_failure_raises_in_caller(self, monkeypatch):
+        monkeypatch.setattr(fb, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(fb, "_BLOCK_BYTES", 1)
+        caller = threading.get_ident()
+        helper_called = threading.Event()
+        real_ifft = np.fft.ifft
+
+        def ifft(*args, **kwargs):
+            if threading.get_ident() != caller:
+                helper_called.set()
+                raise FloatingPointError("helper ifft failed")
+            # Hold the caller back so the helper surely takes a chunk.
+            helper_called.wait(timeout=10)
+            return real_ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", ifft)
+        bank = MorletFilterBank(256, SR, FREQS)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper ifft failed"):
+            bank.band_energy(np.ones((9, 256)))
+        assert threading.active_count() == before
 
 
 class TestBankCache:

@@ -347,6 +347,26 @@ class TestAttackDetected:
             )
             assert event.detector == "CusumDetector"
 
+    def test_event_carries_the_statistic_that_crossed(self, attacked_monitor):
+        attacked, calibration = attacked_monitor
+        bus = EventBus()
+        events = collect(bus, AttackDetected)
+        session = StreamSession(
+            TraceReplay(attacked.samples, attacked.sample_rate, chunk_size=1000),
+            extractor=calibration.extractor,
+            scorer=calibration.scorer,
+            claims=attacked.claims,
+            detector=calibration.make_detector(),
+            window_size=GOLDEN_WINDOW,
+            hop_size=GOLDEN_HOP,
+            sample_rate=attacked.sample_rate,
+            bus=bus,
+        )
+        run_with_timeout(session)
+        assert len(events) > 1
+        for event in events:
+            assert event.statistic > event.threshold
+
 
 class TestSessionConfig:
     @pytest.mark.parametrize("sr", [0.0, float("nan"), float("inf")])
